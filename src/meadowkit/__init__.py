@@ -59,7 +59,6 @@ from .semantics import (
     UnboundVariableError,
     axiom_catalog,
     eval_partial,
-    eval_partial_instrumented,
     eval_total,
     verify_axiom,
     verify_axiom_spec,

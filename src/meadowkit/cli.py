@@ -122,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carrier", type=_parse_carrier, default=RATIONALS)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--extra", action="append", metavar="EQUATION",
-                   help="extra equation to check, e.g. 'x/x = 1'")
+    p.add_argument("--extra", action="append", metavar="LAW",
+                   help="extra quantifier-free law, free variables read universally, "
+                   "e.g. 'x != 0 => x/x = 1'")
 
     p = sub.add_parser("tables", help="print the truth tables of a connective family")
     _add_common_flags(p)
@@ -180,10 +181,8 @@ def _cmd_logic(args) -> int:
 
 def _cmd_axioms(args) -> int:
     structure = StructureSpec(args.carrier)
-    if args.carrier.enumerable:
-        strategy = Exhaustive()
-    else:
-        strategy = RandomSample(args.samples, args.seed)
+    sampled = RandomSample(args.samples, args.seed)  # rejects --samples < 1 on every carrier
+    strategy = Exhaustive() if args.carrier.enumerable else sampled
     catalog = list(axiom_catalog())
     for i, text in enumerate(args.extra or ()):
         catalog.append(_ax(f"extra-{i}", text))

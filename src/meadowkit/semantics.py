@@ -9,7 +9,12 @@ punched modes make selected applications undefined:
 * ``PUNCH_DIV_NONZERO0`` -- q/0 is undefined for q != 0 (0/0 stays 0).
 
 Undefinedness propagates strictly: a term with an undefined subterm is
-undefined.
+undefined.  Total evaluation is partial evaluation in the total mode,
+where nothing is punched.
+
+An axiom is a name plus a quantifier-free formula whose free variables
+are read universally; it is verified environment by environment with
+classical (two-valued) truth.
 """
 
 from __future__ import annotations
@@ -21,13 +26,18 @@ from enum import Enum
 from fractions import Fraction
 
 from .carriers import Carrier, format_element
-from .parser import parse_formula, parse_term
-from .printer import print_formula, print_term
+from .parser import parse_formula
+from .parser import parse_term  # unused here; bench/tracing.py wraps this module attribute
+from .printer import print_formula
+from .printer import print_term  # unused here; bench/tracing.py wraps this module attribute
 from .terms import (
     Add,
     And,
     Div,
     Eq,
+    Exists,
+    Forall,
+    Formula,
     Gt,
     Implies,
     Inv,
@@ -81,82 +91,55 @@ def _lookup(env, name, carrier):
     return carrier.check(value)
 
 
-def eval_total(t: Term, env, s: StructureSpec):
-    """Evaluate a term in a total structure; never fails on zero."""
-    if s.mode is not Mode.TOTAL:
-        raise ValueError("eval_total requires a structure with total mode")
+def eval_partial(t: Term, env, s: StructureSpec):
+    """Evaluate a term in a structure; UNDEFINED on a punched application.
+
+    Both operands of a node are evaluated before any punch test, so an
+    unbound variable is reported even next to an undefined subterm.  The
+    punch tests sit only in the Inv and Div branches, and each reads the
+    mode before it compares with zero, so the total mode pays nothing
+    per node for them.
+    """
     c = s.carrier
+    if isinstance(t, Var):
+        return _lookup(env, t.name, c)
+    if isinstance(t, (Add, Mul, Div)):
+        a = eval_partial(t.left, env, s)
+        b = eval_partial(t.right, env, s)
+        if a is UNDEFINED or b is UNDEFINED:
+            return UNDEFINED
+        if isinstance(t, Add):
+            return c.add(a, b)
+        if isinstance(t, Mul):
+            return c.mul(a, b)
+        if s.mode is Mode.PUNCH_DIV_ALL0 and b == c.from_int(0):
+            return UNDEFINED
+        if s.mode is Mode.PUNCH_DIV_NONZERO0 and b == c.from_int(0) and a != c.from_int(0):
+            return UNDEFINED
+        return c.div_total(a, b)
+    if isinstance(t, (Neg, Inv)):
+        a = eval_partial(t.arg, env, s)
+        if a is UNDEFINED:
+            return UNDEFINED
+        if isinstance(t, Neg):
+            return c.neg(a)
+        if s.mode is Mode.PUNCH_INV0 and a == c.from_int(0):
+            return UNDEFINED
+        return c.inv_total(a)
     if isinstance(t, Zero):
         return c.from_int(0)
     if isinstance(t, One):
         return c.from_int(1)
     if isinstance(t, NumLit):
         return c.from_int(t.value)
-    if isinstance(t, Var):
-        return _lookup(env, t.name, c)
-    if isinstance(t, Add):
-        return c.add(eval_total(t.left, env, s), eval_total(t.right, env, s))
-    if isinstance(t, Mul):
-        return c.mul(eval_total(t.left, env, s), eval_total(t.right, env, s))
-    if isinstance(t, Neg):
-        return c.neg(eval_total(t.arg, env, s))
-    if isinstance(t, Inv):
-        return c.inv_total(eval_total(t.arg, env, s))
-    if isinstance(t, Div):
-        return c.div_total(eval_total(t.left, env, s), eval_total(t.right, env, s))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _eval_partial(t: Term, env, s: StructureSpec):
-    """Returns (value-or-UNDEFINED, number of punched applications hit)."""
-    c = s.carrier
-    if isinstance(t, Zero):
-        return c.from_int(0), 0
-    if isinstance(t, One):
-        return c.from_int(1), 0
-    if isinstance(t, NumLit):
-        return c.from_int(t.value), 0
-    if isinstance(t, Var):
-        return _lookup(env, t.name, c), 0
-    if isinstance(t, (Add, Mul, Div)):
-        a, na = _eval_partial(t.left, env, s)
-        b, nb = _eval_partial(t.right, env, s)
-        n = na + nb
-        if a is UNDEFINED or b is UNDEFINED:
-            return UNDEFINED, n
-        if isinstance(t, Add):
-            return c.add(a, b), n
-        if isinstance(t, Mul):
-            return c.mul(a, b), n
-        if b == c.from_int(0):
-            if s.mode is Mode.PUNCH_DIV_ALL0:
-                return UNDEFINED, n + 1
-            if s.mode is Mode.PUNCH_DIV_NONZERO0 and a != c.from_int(0):
-                return UNDEFINED, n + 1
-        return c.div_total(a, b), n
-    if isinstance(t, Neg):
-        a, n = _eval_partial(t.arg, env, s)
-        if a is UNDEFINED:
-            return UNDEFINED, n
-        return c.neg(a), n
-    if isinstance(t, Inv):
-        a, n = _eval_partial(t.arg, env, s)
-        if a is UNDEFINED:
-            return UNDEFINED, n
-        if s.mode is Mode.PUNCH_INV0 and a == c.from_int(0):
-            return UNDEFINED, n + 1
-        return c.inv_total(a), n
-    raise TypeError(f"not a term: {t!r}")
-
-
-def eval_partial(t: Term, env, s: StructureSpec):
-    """Evaluate a term in a punched structure; UNDEFINED on punched hits."""
-    return _eval_partial(t, env, s)[0]
-
-
-def eval_partial_instrumented(t: Term, env, s: StructureSpec):
-    """eval_partial plus the count of punched applications encountered."""
-    return _eval_partial(t, env, s)
+def eval_total(t: Term, env, s: StructureSpec):
+    """Evaluate a term in a total structure; never fails on zero."""
+    if s.mode is not Mode.TOTAL:
+        raise ValueError("eval_total requires a structure with total mode")
+    return eval_partial(t, env, s)
 
 
 def classical_truth(f, env, s: StructureSpec) -> bool:
@@ -188,6 +171,10 @@ class RandomSample:
     count: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"samples must be at least 1, got {self.count}")
+
 
 def random_rational(rng: random.Random) -> Fraction:
     """Uniform numerator and nonzero denominator in [-9999, 9999]."""
@@ -206,37 +193,38 @@ def _environments(names, s: StructureSpec, strategy):
         for combo in itertools.product(s.carrier.elements(), repeat=len(names)):
             yield dict(zip(names, combo))
     elif isinstance(strategy, RandomSample):
+        # a closed law has one environment, the empty one: check it once
         rng = random.Random(strategy.seed)
-        for _ in range(strategy.count):
+        for _ in range(strategy.count if names else 1):
             yield {n: random_rational(rng) for n in names}
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 
 
-@dataclass(frozen=True)
-class Check:
-    """One equation (or disequation) to verify, optionally guarded."""
-
-    lhs: Term
-    rhs: Term
-    guard: object = None  # quantifier-free Formula or None
-    expect_equal: bool = True
-
-    def describe(self) -> str:
-        op = "=" if self.expect_equal else "!="
-        eq = f"{print_term(self.lhs)} {op} {print_term(self.rhs)}"
-        if self.guard is not None:
-            return f"{print_formula(self.guard)} => {eq}"
-        return eq
+def _quantifier_free(f) -> bool:
+    if isinstance(f, (Forall, Exists)):
+        return False
+    if isinstance(f, Not):
+        return _quantifier_free(f.arg)
+    if isinstance(f, (And, Or, Implies)):
+        return _quantifier_free(f.left) and _quantifier_free(f.right)
+    return True
 
 
 @dataclass(frozen=True)
 class AxiomSpec:
-    name: str
-    checks: tuple
+    """A named law: a quantifier-free formula whose free variables are
+    read universally."""
 
-    def describe(self) -> str:
-        return " ; ".join(c.describe() for c in self.checks)
+    name: str
+    formula: Formula
+
+    def __post_init__(self):
+        if not _quantifier_free(self.formula):
+            raise ValueError(
+                f"law {print_formula(self.formula)!r} has a quantifier; "
+                "write it quantifier-free, its free variables are read universally"
+            )
 
 
 @dataclass
@@ -261,46 +249,23 @@ class AxiomReport:
 def verify_axiom_spec(spec: AxiomSpec, s: StructureSpec, strategy) -> AxiomReport:
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
-    names = set()
-    for check in spec.checks:
-        names |= free_vars(check.lhs) | free_vars(check.rhs)
-        if check.guard is not None:
-            names |= free_vars(check.guard)
+    text = print_formula(spec.formula)
     samples = 0
-    for env in _environments(names, s, strategy):
+    for env in _environments(free_vars(spec.formula), s, strategy):
         samples += 1
-        for check in spec.checks:
-            if check.guard is not None and not classical_truth(check.guard, env, s):
-                continue
-            equal = eval_total(check.lhs, env, s) == eval_total(check.rhs, env, s)
-            if equal != check.expect_equal:
-                return AxiomReport(spec.name, spec.describe(), False, samples, dict(env))
-    return AxiomReport(spec.name, spec.describe(), True, samples)
+        if not classical_truth(spec.formula, env, s):
+            return AxiomReport(spec.name, text, False, samples, dict(env))
+    return AxiomReport(spec.name, text, True, samples)
 
 
 def verify_axiom(lhs: Term, rhs: Term, s: StructureSpec, strategy, guard=None) -> AxiomReport:
     """Verify lhs = rhs (optionally under a classical guard) in a total structure."""
-    spec = AxiomSpec("axiom", (Check(lhs, rhs, guard),))
-    return verify_axiom_spec(spec, s, strategy)
+    law = Eq(lhs, rhs) if guard is None else Implies(guard, Eq(lhs, rhs))
+    return verify_axiom_spec(AxiomSpec("axiom", law), s, strategy)
 
 
-def _ax(name: str, *checks: str) -> AxiomSpec:
-    parsed = []
-    for text in checks:
-        expect_equal = True
-        guard = None
-        if "=>" in text:
-            guard_text, text = text.split("=>", 1)
-            guard = parse_formula(guard_text.strip())
-        if "!=" in text:
-            lhs_text, rhs_text = text.split("!=")
-            expect_equal = False
-        else:
-            lhs_text, rhs_text = text.split("=")
-        parsed.append(
-            Check(parse_term(lhs_text.strip()), parse_term(rhs_text.strip()), guard, expect_equal)
-        )
-    return AxiomSpec(name, tuple(parsed))
+def _ax(name: str, text: str) -> AxiomSpec:
+    return AxiomSpec(name, parse_formula(text))
 
 
 def axiom_catalog() -> list[AxiomSpec]:
@@ -320,9 +285,5 @@ def axiom_catalog() -> list[AxiomSpec]:
         _ax("div-restricted", "(x*x)/x = x"),
         _ax("div-as-inverse", "x/y = x*(1/y)"),
         _ax("separation", "0 != 1"),
-        _ax(
-            "general-inverse-division-law",
-            "x != 0 => x*x^-1 = 1",
-            "x != 0 => x/x = 1",
-        ),
+        _ax("general-inverse-division-law", "x != 0 => x*x^-1 = 1 & x/x = 1"),
     ]

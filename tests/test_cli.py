@@ -98,6 +98,8 @@ class TestAxioms:
         assert code == 0
         assert len(lines) == 15
         assert all(line.startswith("PASS") for line in lines)
+        # a closed law has one environment and is checked once
+        assert "PASS axiom=0 != 1 samples=1" in lines
 
     def test_extra_equation_failure(self, capsys):
         code, out, _ = run(capsys, "axioms", "--carrier", "gf5", "--extra", "x/x = 1")
@@ -105,6 +107,31 @@ class TestAxioms:
         fails = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert len(fails) == 1
         assert "witness=x=0" in fails[0]
+
+    @pytest.mark.parametrize("carrier, law, line", [
+        ("rationals", "x^2 + 1 > 0", "PASS axiom=x*x + 1 > 0 samples=1000"),
+        ("gf5", "x = 0 | x != 0", "PASS axiom=x = 0 | x != 0 samples=5"),
+        ("gf5", "x != 0 => x*(y/x) = y", "PASS axiom=x != 0 => x*(y/x) = y samples=25"),
+    ])
+    def test_extra_law_is_any_quantifier_free_formula(self, capsys, carrier, law, line):
+        code, out, _ = run(capsys, "axioms", "--carrier", carrier, "--extra", law)
+        assert code == 0
+        assert out.strip().splitlines()[-1] == line
+
+    @pytest.mark.parametrize("argv", [
+        ("--samples", "0"),
+        ("--samples", "-5", "--extra", "x/x = 1"),
+        ("--carrier", "gf5", "--samples", "0"),
+    ])
+    def test_samples_below_one_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "axioms", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_quantified_extra_law_rejected(self, capsys):
+        code, out, err = run(capsys, "axioms", "--extra", "forall x. x = x")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "axioms", "--carrier", "gf3", "--format", "json")

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from generators import random_rational, random_term
+from oracle import oracle_term
 from meadowkit.carriers import RATIONALS, PrimeField
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
@@ -15,7 +17,6 @@ from meadowkit.semantics import (
     UnboundVariableError,
     axiom_catalog,
     eval_partial,
-    eval_partial_instrumented,
     eval_total,
     verify_axiom,
     verify_axiom_spec,
@@ -90,15 +91,16 @@ class TestEvalPartial:
                 if v is not UNDEFINED:
                     assert v == eval_total(t, env, TOTAL_Q)
 
-    def test_undefined_iff_punch_encountered(self):
+    def test_agrees_with_oracle_over_prime_fields(self):
+        # UNDEFINED exactly where the independent oracle meets a punched application
         rng = random.Random(5)
-        for mode in (Mode.PUNCH_INV0, Mode.PUNCH_DIV_ALL0, Mode.PUNCH_DIV_NONZERO0):
-            s = StructureSpec(RATIONALS, mode)
-            for _ in range(300):
+        for p, mode in itertools.product((2, 3, 5, 7), Mode):
+            s = StructureSpec(PrimeField(p), mode)
+            for _ in range(200):
                 t = random_term(rng, depth=4)
-                env = {n: random_rational(rng) for n in free_vars(t)}
-                v, punches = eval_partial_instrumented(t, env, s)
-                assert (v is UNDEFINED) == (punches >= 1)
+                env = {n: rng.randrange(p) for n in free_vars(t)}
+                got = eval_partial(t, env, s)
+                assert (None if got is UNDEFINED else got) == oracle_term(t, env, p, mode.value), (t, env, mode)
 
     def test_nonzero_punch_is_more_defined(self):
         rng = random.Random(6)
