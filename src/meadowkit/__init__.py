@@ -10,7 +10,6 @@ from .carriers import (
     PrimeField,
     Rationals,
     format_element,
-    normalize,
     parse_rational,
 )
 from .lint import (

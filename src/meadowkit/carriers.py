@@ -17,13 +17,6 @@ class CarrierMismatchError(TypeError):
     """An operand does not belong to the carrier it is used with."""
 
 
-def normalize(num: int, den: int) -> Fraction:
-    """Canonical fraction num/den: den >= 1, gcd reduced, zero as 0/1."""
-    if den == 0:
-        raise ValueError("zero denominator is rejected at construction")
-    return Fraction(num, den)
-
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
@@ -34,7 +27,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
-    return normalize(num, den)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_element(a) -> str:

@@ -1,9 +1,9 @@
 """Command-line front end: eval, logic, axioms, tables, lint.
 
-Exit codes: 0 success / defined / all-pass; 1 parse or usage error;
-2 unbound variable or non-enumerable quantifier carrier; 3 "third
-value" (UNDEFINED, U, or an Unknown lint verdict); 4 axiom failure or
-lint violation.
+Exit codes: 0 success / defined / all-pass; 1 parse or usage error,
+or input nested too deeply; 2 unbound variable or non-enumerable
+quantifier carrier; 3 "third value" (UNDEFINED, U, or an Unknown lint
+verdict); 4 axiom failure or lint violation.
 """
 
 from __future__ import annotations
@@ -284,6 +284,9 @@ def main(argv=None) -> int:
         return EXIT_UNBOUND
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE
 
 

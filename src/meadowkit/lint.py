@@ -20,24 +20,17 @@ from .printer import print_term
 from .semantics import StructureSpec, eval_total
 from .terms import (
     Add,
-    And,
     Div,
     Eq,
-    Exists,
-    Forall,
-    Gt,
-    Implies,
     Inv,
-    Lt,
     Mul,
     Neg,
-    Not,
     NumLit,
     One,
-    Or,
     Term,
     Var,
     Zero,
+    children,
     free_vars,
 )
 
@@ -91,52 +84,32 @@ class Occurrence:
     guarded: Term
 
 
-def _term_occurrences(t: Term, out: list):
-    # in-order traversal matches the textual order of the / and ^-1 symbols
-    if isinstance(t, Div):
-        _term_occurrences(t.left, out)
-        out.append((t.left, t.right))
-        _term_occurrences(t.right, out)
-    elif isinstance(t, Inv):
-        _term_occurrences(t.arg, out)
-        out.append((None, t.arg))
-    elif isinstance(t, (Add, Mul)):
-        _term_occurrences(t.left, out)
-        _term_occurrences(t.right, out)
-    elif isinstance(t, Neg):
-        _term_occurrences(t.arg, out)
-
-
 def collect_occurrences(node) -> list[Occurrence]:
     """All division/inverse occurrences of a term or formula, in order."""
     pairs: list = []
-    _walk_formula(node, pairs)
+    _occurrences(node, pairs)
     return [Occurrence(i, num, guarded) for i, (num, guarded) in enumerate(pairs)]
 
 
-def _walk_formula(node, out):
-    if isinstance(node, Term):
-        _term_occurrences(node, out)
-    elif isinstance(node, (Eq, Gt, Lt)):
-        _term_occurrences(node.left, out)
-        _term_occurrences(node.right, out)
-    elif isinstance(node, Not):
-        _walk_formula(node.arg, out)
-    elif isinstance(node, (And, Or, Implies)):
-        _walk_formula(node.left, out)
-        _walk_formula(node.right, out)
-    elif isinstance(node, (Forall, Exists)):
-        _walk_formula(node.body, out)
-    else:
-        raise TypeError(f"not a term or formula: {node!r}")
+def _occurrences(node, out: list):
+    # in-order: a `/` follows its left operand and a `^-1` its argument,
+    # which is the textual order of the symbols
+    kids = children(node)
+    if kids:
+        _occurrences(kids[0], out)
+    if isinstance(node, Div):
+        out.append((node.left, node.right))
+    elif isinstance(node, Inv):
+        out.append((None, node.arg))
+    for kid in kids[1:]:
+        _occurrences(kid, out)
+
+
+_KEY_TAGS = {Zero: "0", One: "1", Neg: "-", Inv: "inv", Div: "/"}
 
 
 def canonical_key(t: Term):
     """Structural key modulo argument order of + and * (flattened)."""
-    if isinstance(t, Zero):
-        return ("0",)
-    if isinstance(t, One):
-        return ("1",)
     if isinstance(t, NumLit):
         return ("num", t.value)
     if isinstance(t, Var):
@@ -145,13 +118,13 @@ def canonical_key(t: Term):
         op = "+" if isinstance(t, Add) else "*"
         parts = sorted((canonical_key(p) for p in _flatten(t, type(t))), key=repr)
         return (op, tuple(parts))
-    if isinstance(t, Neg):
-        return ("-", canonical_key(t.arg))
-    if isinstance(t, Inv):
-        return ("inv", canonical_key(t.arg))
-    if isinstance(t, Div):
-        return ("/", canonical_key(t.left), canonical_key(t.right))
-    raise TypeError(f"not a term: {t!r}")
+    tag = _KEY_TAGS.get(type(t))
+    if tag is None:
+        raise TypeError(f"not a term: {t!r}")
+    key = [tag]
+    for kid in children(t):
+        key.append(canonical_key(kid))
+    return tuple(key)
 
 
 def _flatten(t: Term, cls) -> list:
@@ -351,17 +324,21 @@ def _judge(index: int, occ: Occurrence, convention: Convention, facts) -> Verdic
         convention is Convention.LIBERAL_DIVISION and occ.numerator is not None
     )
 
+    extra = free_vars(occ.numerator) if liberal else frozenset()
+    # the witness search binds exactly these names in every environment,
+    # so the facts it can test are picked once
+    bound = free_vars(occ.guarded) | extra
+    testable = [fact.term for fact in facts if free_vars(fact.term) <= bound]
+
     def respects_facts(env) -> bool:
-        for fact in facts:
-            if free_vars(fact.term) <= set(env):
-                if eval_total(fact.term, env, _TOTAL_RATIONALS) == 0:
-                    return False
+        for term in testable:
+            if eval_total(term, env, _TOTAL_RATIONALS) == 0:
+                return False
         if liberal:
             if eval_total(occ.numerator, env, _TOTAL_RATIONALS) == 0:
                 return False
         return True
 
-    extra = free_vars(occ.numerator) if liberal else frozenset()
     witness = find_zero_witness(occ.guarded, condition=respects_facts, extra_vars=extra)
     if witness is not None:
         return Verdict(index, occ.position, occ.guarded, VerdictKind.VIOLATION, witness=witness)

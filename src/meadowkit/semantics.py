@@ -51,6 +51,7 @@ from .terms import (
     Term,
     Var,
     Zero,
+    _contains,
     free_vars,
 )
 
@@ -201,16 +202,6 @@ def _environments(names, s: StructureSpec, strategy):
         raise TypeError(f"unknown strategy: {strategy!r}")
 
 
-def _quantifier_free(f) -> bool:
-    if isinstance(f, (Forall, Exists)):
-        return False
-    if isinstance(f, Not):
-        return _quantifier_free(f.arg)
-    if isinstance(f, (And, Or, Implies)):
-        return _quantifier_free(f.left) and _quantifier_free(f.right)
-    return True
-
-
 @dataclass(frozen=True)
 class AxiomSpec:
     """A named law: a quantifier-free formula whose free variables are
@@ -220,7 +211,7 @@ class AxiomSpec:
     formula: Formula
 
     def __post_init__(self):
-        if not _quantifier_free(self.formula):
+        if _contains(self.formula, (Forall, Exists)):
             raise ValueError(
                 f"law {print_formula(self.formula)!r} has a quantifier; "
                 "write it quantifier-free, its free variables are read universally"

@@ -123,30 +123,63 @@ class Exists(Formula):
     body: Formula
 
 
-def free_vars(node) -> frozenset:
-    """Free variable names of a term or formula."""
-    if isinstance(node, (Zero, One, NumLit)):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset({node.name})
-    if isinstance(node, (Add, Mul, Div)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (Neg, Inv, Not)):
-        return free_vars(node.arg)
-    if isinstance(node, (Eq, Gt, Lt, And, Or, Implies)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (Forall, Exists)):
-        return free_vars(node.body) - {node.var}
+_LEAVES = frozenset({Zero, One, NumLit, Var})
+_UNARY = frozenset({Neg, Inv, Not})
+_BINARY = frozenset({Add, Mul, Div, Eq, Gt, Lt, And, Or, Implies})
+_QUANTIFIERS = frozenset({Forall, Exists})
+
+
+def children(node) -> tuple:
+    """Direct subterms and subformulas of a node, in textual order."""
+    cls = type(node)
+    if cls in _BINARY:
+        return (node.left, node.right)
+    if cls in _UNARY:
+        return (node.arg,)
+    if cls in _QUANTIFIERS:
+        return (node.body,)
+    if cls in _LEAVES:
+        return ()
     raise TypeError(f"not a term or formula: {node!r}")
 
 
-def _contains(t: Term, kind) -> bool:
-    if isinstance(t, kind):
+def rebuild(node, kids):
+    """The same kind of node as `node` with children `kids`; a quantifier
+    keeps its variable."""
+    cls = type(node)
+    if cls in _BINARY or cls in _UNARY:
+        return cls(*kids)
+    if cls in _QUANTIFIERS:
+        return cls(node.var, *kids)
+    if cls in _LEAVES:
+        return node
+    raise TypeError(f"not a term or formula: {node!r}")
+
+
+# The walkers below recurse with plain loops: a generator or (before
+# Python 3.12) a comprehension adds a frame per level, which halves the
+# depth of term they can walk.
+
+
+def free_vars(node) -> frozenset:
+    """Free variable names of a term or formula."""
+    if isinstance(node, Var):
+        return frozenset({node.name})
+    names = frozenset()
+    for kid in children(node):
+        names |= free_vars(kid)
+    if type(node) in _QUANTIFIERS:
+        names -= {node.var}
+    return names
+
+
+def _contains(node, kind) -> bool:
+    """True iff the term or formula has a node of class `kind`."""
+    if isinstance(node, kind):
         return True
-    if isinstance(t, (Add, Mul, Div)):
-        return _contains(t.left, kind) or _contains(t.right, kind)
-    if isinstance(t, (Neg, Inv)):
-        return _contains(t.arg, kind)
+    for kid in children(node):
+        if _contains(kid, kind):
+            return True
     return False
 
 
@@ -162,29 +195,19 @@ def is_divisive(t: Term) -> bool:
 
 def to_inversive(t: Term) -> Term:
     """Replace every division x/y by x * y^-1."""
+    kids = []
+    for kid in children(t):
+        kids.append(to_inversive(kid))
     if isinstance(t, Div):
-        return Mul(to_inversive(t.left), Inv(to_inversive(t.right)))
-    if isinstance(t, Add):
-        return Add(to_inversive(t.left), to_inversive(t.right))
-    if isinstance(t, Mul):
-        return Mul(to_inversive(t.left), to_inversive(t.right))
-    if isinstance(t, Neg):
-        return Neg(to_inversive(t.arg))
-    if isinstance(t, Inv):
-        return Inv(to_inversive(t.arg))
-    return t
+        return Mul(kids[0], Inv(kids[1]))
+    return rebuild(t, kids)
 
 
 def to_divisive(t: Term) -> Term:
     """Replace every inverse x^-1 by 1/x."""
+    kids = []
+    for kid in children(t):
+        kids.append(to_divisive(kid))
     if isinstance(t, Inv):
-        return Div(ONE, to_divisive(t.arg))
-    if isinstance(t, Add):
-        return Add(to_divisive(t.left), to_divisive(t.right))
-    if isinstance(t, Mul):
-        return Mul(to_divisive(t.left), to_divisive(t.right))
-    if isinstance(t, Neg):
-        return Neg(to_divisive(t.arg))
-    if isinstance(t, Div):
-        return Div(to_divisive(t.left), to_divisive(t.right))
-    return t
+        return Div(ONE, kids[0])
+    return rebuild(t, kids)

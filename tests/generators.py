@@ -24,6 +24,7 @@ from meadowkit.terms import (
     Or,
     And,
     Var,
+    _contains,
 )
 
 VAR_NAMES = ("x", "y", "z")
@@ -61,19 +62,9 @@ def random_term(rng: random.Random, depth: int = 4, names=VAR_NAMES):
 
 def random_division_free_term(rng: random.Random, depth: int = 4, names=VAR_NAMES):
     t = random_term(rng, depth, names)
-    while _has_partial_op(t):
+    while _contains(t, (Div, Inv)):
         t = random_term(rng, depth, names)
     return t
-
-
-def _has_partial_op(t):
-    if isinstance(t, (Inv, Div)):
-        return True
-    if isinstance(t, (Add, Mul)):
-        return _has_partial_op(t.left) or _has_partial_op(t.right)
-    if isinstance(t, Neg):
-        return _has_partial_op(t.arg)
-    return False
 
 
 def random_atom(rng: random.Random, names, depth: int = 2):

@@ -11,7 +11,6 @@ from meadowkit.carriers import (
     FiniteProbeSet,
     PrimeField,
     format_element,
-    normalize,
     parse_rational,
 )
 
@@ -20,19 +19,19 @@ rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**
 
 class TestNormalize:
     def test_sign_and_gcd(self):
-        assert normalize(2, -4) == Fraction(-1, 2)
+        assert parse_rational("-2/4") == Fraction(-1, 2)
 
     def test_canonical_zero(self):
-        z = normalize(0, 7)
+        z = parse_rational("0/7")
         assert z == 0 and z.denominator == 1
 
     def test_gcd_reduction(self):
-        r = normalize(6, 3)
+        r = parse_rational("6/3")
         assert (r.numerator, r.denominator) == (2, 1)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
-            normalize(1, 0)
+            parse_rational("1/0")
 
 
 class TestTextForm:

@@ -39,6 +39,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "x + 1")
         assert code == 2
 
+    def test_zero_denominator_binding_rejected(self, capsys):
+        code, out, err = run(capsys, "eval", "-b", "x=1/0", "x")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "eval", "--format", "json", "--mode", "punch-div-all", "1/0")
         assert code == 3
@@ -143,6 +148,30 @@ class TestAxioms:
         _, out1, _ = run(capsys, "axioms", "--samples", "50", "--seed", "3")
         _, out2, _ = run(capsys, "axioms", "--samples", "50", "--seed", "3")
         assert out1 == out2
+
+
+def _sum(summand: str, n: int) -> str:
+    return " + ".join([summand] * n)
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--carrier", "gf2", "--extra", _sum("x", 3000) + " = 0"],
+        ["eval", "-b", "x=1", _sum("x", 3000)],
+        ["eval", "(" * 3000 + "1" + ")" * 3000],
+        ["lint", "DEEP_CORPUS"],
+    ], ids=["axioms-extra", "eval-sum", "eval-parens", "lint"])
+    def test_too_deep_ends_in_one_line(self, capsys, tmp_path, argv):
+        corpus = tmp_path / "deep.mcorpus"
+        corpus.write_text("claim: " + _sum("1/x", 3000) + " = 0\n")
+        argv = [str(corpus) if a == "DEEP_CORPUS" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+    def test_900_summand_law_passes(self, capsys):
+        code, out, _ = run(capsys, "axioms", "--carrier", "gf2", "--extra", _sum("x", 900) + " = 0")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("PASS")
 
 
 class TestTables:

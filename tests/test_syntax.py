@@ -12,6 +12,7 @@ from meadowkit.terms import (
     And,
     Div,
     Eq,
+    Exists,
     Forall,
     Implies,
     Inv,
@@ -21,9 +22,11 @@ from meadowkit.terms import (
     NumLit,
     Or,
     Var,
+    children,
     free_vars,
     is_divisive,
     is_inversive,
+    rebuild,
     to_divisive,
     to_inversive,
 )
@@ -173,3 +176,28 @@ class TestFreeVars:
 
     def test_mixed(self):
         assert free_vars(parse_formula("forall x. x/y = 1")) == {"y"}
+
+
+class TestTraversal:
+    def test_rebuild_from_children_is_identity(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            f = random_formula(rng, depth=3)
+            for root in (f, Forall("x", f), Exists("y", f)):
+                stack = [root]
+                while stack:
+                    node = stack.pop()
+                    kids = children(node)
+                    assert rebuild(node, kids) == node
+                    stack.extend(kids)
+
+    def test_binary_children_in_textual_order(self):
+        assert children(Div(X, Y)) == (X, Y)
+        assert children(Add(X, Y)) == (X, Y)
+        assert children(Eq(X, Y)) == (X, Y)
+
+    def test_non_node_rejected(self):
+        with pytest.raises(TypeError):
+            children(object())
+        with pytest.raises(TypeError):
+            rebuild(object(), ())
