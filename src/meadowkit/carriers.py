@@ -8,9 +8,11 @@ the inverse of zero is zero, which makes inverse and division total.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 
 class CarrierMismatchError(TypeError):
@@ -41,10 +43,26 @@ def format_element(a) -> str:
     return str(a)
 
 
+class Ops(NamedTuple):
+    """A carrier's field operations without membership checks, for
+    operands already checked where they entered (a binding, an
+    enumerated element)."""
+
+    add: Callable
+    mul: Callable
+    neg: Callable
+    inv_total: Callable
+
+
 class Carrier:
-    """Base carrier: a set of elements with totalized field operations."""
+    """Base carrier: a set of elements with totalized field operations.
+
+    A subclass defines the unchecked operations as `ops`; the public
+    operations below check every operand and then call them.
+    """
 
     enumerable: bool = False
+    ops: Ops
 
     def contains(self, a) -> bool:
         raise NotImplementedError
@@ -61,19 +79,23 @@ class Carrier:
         raise ValueError(f"{self} is not enumerable")
 
     def add(self, a, b):
-        raise NotImplementedError
+        return self.ops.add(self.check(a), self.check(b))
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self.ops.mul(self.check(a), self.check(b))
 
     def neg(self, a):
-        raise NotImplementedError
+        return self.ops.neg(self.check(a))
 
     def inv_total(self, a):
-        raise NotImplementedError
+        return self.ops.inv_total(self.check(a))
 
     def div_total(self, a, b):
-        return self.mul(a, self.inv_total(b))
+        return self.ops.mul(self.check(a), self.ops.inv_total(self.check(b)))
+
+
+def _inv_rational(a: Fraction) -> Fraction:
+    return 1 / a if a else a
 
 
 @dataclass(frozen=True)
@@ -81,6 +103,7 @@ class Rationals(Carrier):
     """The rational numbers with 0^-1 = 0."""
 
     enumerable = False
+    ops = Ops(operator.add, operator.mul, operator.neg, _inv_rational)
 
     def __str__(self):
         return "rationals"
@@ -91,35 +114,36 @@ class Rationals(Carrier):
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a + b
 
-    def mul(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a * b
-
-    def neg(self, a):
-        self.check(a)
-        return -a
-
-    def inv_total(self, a):
-        self.check(a)
-        if a == 0:
-            return Fraction(0)
-        return 1 / a
+#: The first twelve primes.  Miller-Rabin with these bases decides
+#: primality exactly below PRIME_LIMIT (Sorenson & Webster, 2015).
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < PRIME_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESS_BASES:
+        if p % q == 0:
+            return p == q
+    if p < 41 * 41:  # a composite this small has a prime factor up to 37
+        return True
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -131,8 +155,18 @@ class PrimeField(Carrier):
     enumerable = True
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+        p = self.p
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"modulus must be below {PRIME_LIMIT}, got {p}")
+        if not _is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p}")
+        ops = Ops(
+            lambda a, b: (a + b) % p,
+            lambda a, b: (a * b) % p,
+            lambda a: (-a) % p,
+            lambda a: pow(a, p - 2, p) if a else 0,
+        )
+        object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
 
     def __str__(self):
         return f"gf{self.p}"
@@ -145,26 +179,6 @@ class PrimeField(Carrier):
 
     def elements(self):
         return range(self.p)
-
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        self.check(a)
-        self.check(b)
-        return (a * b) % self.p
-
-    def neg(self, a):
-        self.check(a)
-        return (-a) % self.p
-
-    def inv_total(self, a):
-        self.check(a)
-        if a == 0:
-            return 0
-        return pow(a, self.p - 2, self.p)
 
 
 @dataclass(frozen=True)

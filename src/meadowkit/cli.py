@@ -1,9 +1,12 @@
 """Command-line front end: eval, logic, axioms, tables, lint.
 
 Exit codes: 0 success / defined / all-pass; 1 parse or usage error,
-or input nested too deeply; 2 unbound variable or non-enumerable
-quantifier carrier; 3 "third value" (UNDEFINED, U, or an Unknown lint
-verdict); 4 axiom failure or lint violation.
+a `gf<p>` modulus that is not a prime below 3317044064679887385961981,
+an enumeration over the budget of 10^7 environments (p^k for a law
+with k variables, |carrier|^d for quantifiers nested d deep), or input
+nested too deeply; 2 unbound variable or non-enumerable quantifier
+carrier; 3 "third value" (UNDEFINED, U, or an Unknown lint verdict);
+4 axiom failure or lint violation.
 """
 
 from __future__ import annotations
@@ -45,21 +48,17 @@ EXIT_FAIL = 4
 
 
 def _parse_carrier(text: str):
+    # called by the commands, not by argparse, so that a rejected carrier
+    # ends in one `error:` line like every other usage error
     text = text.strip().lower()
     if text == "rationals":
         return RATIONALS
     if text.startswith("gf"):
-        try:
-            return PrimeField(int(text[2:]))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        return PrimeField(int(text[2:]))
     if text.startswith("probe:"):
-        try:
-            values = tuple(parse_rational(v) for v in text[len("probe:"):].split(","))
-            return FiniteProbeSet(values=values)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    raise argparse.ArgumentTypeError(f"unknown carrier {text!r}")
+        values = tuple(parse_rational(v) for v in text[len("probe:"):].split(","))
+        return FiniteProbeSet(values=values)
+    raise ValueError(f"unknown carrier {text!r}")
 
 
 def _parse_mode(text: str) -> Mode:
@@ -83,7 +82,7 @@ def _parse_bindings(pairs, carrier):
 
 
 def _add_structure_flags(p: argparse.ArgumentParser):
-    p.add_argument("--carrier", type=_parse_carrier, default=RATIONALS,
+    p.add_argument("--carrier", default="rationals",
                    help="rationals (default), gf<p>, or probe:<v1>,<v2>,...")
     p.add_argument("--mode", type=_parse_mode, default=Mode.TOTAL,
                    help="total (default), punch-inv, punch-div-all, punch-div-nonzero")
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="verify the built-in axiom catalog")
     _add_common_flags(p)
-    p.add_argument("--carrier", type=_parse_carrier, default=RATIONALS)
+    p.add_argument("--carrier", default="rationals")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--extra", action="append", metavar="LAW",
@@ -140,9 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    structure = StructureSpec(args.carrier, args.mode)
+    carrier = _parse_carrier(args.carrier)
+    structure = StructureSpec(carrier, args.mode)
     term = parse_term(args.term)
-    env = _parse_bindings(args.bind, args.carrier)
+    env = _parse_bindings(args.bind, carrier)
     value = eval_partial(term, env, structure)
     defined = value is not UNDEFINED
     if args.format == "json":
@@ -157,12 +157,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_logic(args) -> int:
-    structure = StructureSpec(args.carrier, args.mode)
+    carrier = _parse_carrier(args.carrier)
+    structure = StructureSpec(carrier, args.mode)
     cfg = parse_logic_config(args.logic)
     formula = parse_formula(args.formula)
-    env = _parse_bindings(args.bind, args.carrier)
+    env = _parse_bindings(args.bind, carrier)
     if args.classify:
-        verdict = classify_sentence(formula, cfg, structure)
+        verdict = classify_sentence(formula, cfg, structure, env=env)
         if args.format == "json":
             print(json.dumps({
                 "usable": verdict.usable,
@@ -180,9 +181,10 @@ def _cmd_logic(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    structure = StructureSpec(args.carrier)
+    carrier = _parse_carrier(args.carrier)
+    structure = StructureSpec(carrier)
     sampled = RandomSample(args.samples, args.seed)  # rejects --samples < 1 on every carrier
-    strategy = Exhaustive() if args.carrier.enumerable else sampled
+    strategy = Exhaustive() if carrier.enumerable else sampled
     catalog = list(axiom_catalog())
     for i, text in enumerate(args.extra or ()):
         catalog.append(_ax(f"extra-{i}", text))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .carriers import RATIONALS, format_element
 from .parser import ParseError, parse_formula
 from .printer import print_term
-from .semantics import StructureSpec, eval_total
+from .semantics import Scope, StructureSpec, compile_term, eval_total
 from .terms import (
     Add,
     Div,
@@ -212,32 +212,37 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
     return None
 
 
-def _witness_values() -> list[Fraction]:
-    values = {Fraction(k) for p in (2, 3, 5) for k in range(p)}
-    values |= {
-        Fraction(n, d) for n in range(-4, 5) for d in range(1, 5)
-    }
-    return sorted(values, key=lambda v: (abs(v), v))
+#: Prime-field residues lifted to the rationals, then fractions with
+#: |num|, den <= 4, smallest first.
+_WITNESS_VALUES = tuple(sorted(
+    {Fraction(k) for p in (2, 3, 5) for k in range(p)}
+    | {Fraction(n, d) for n in range(-4, 5) for d in range(1, 5)},
+    key=lambda v: (abs(v), v),
+))
 
 
-def find_zero_witness(t: Term, condition=None, extra_vars=(), max_vars: int = 3):
+def find_zero_witness(t: Term, nonzero=(), extra_vars=(), max_vars: int = 3):
     """A small-rational environment making t evaluate to zero, if found.
 
     The search sweeps prime-field residues lifted to the rationals plus
-    fractions with |num|, den <= 4, over at most `max_vars` variables;
-    every hit is re-verified with exact rational evaluation.  `condition`
-    filters candidate environments (e.g. to respect recorded facts).
+    fractions with |num|, den <= 4, over at most `max_vars` variables, in
+    itertools.product order of the sorted names, with exact rational
+    evaluation.  Environments where a term of `nonzero` (e.g. a recorded
+    fact) is zero are skipped; those terms may only use the searched names.
     """
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > max_vars:
         return None
-    values = _witness_values()
-    for combo in itertools.product(values, repeat=len(names)):
-        env = dict(zip(names, combo))
-        if condition is not None and not condition(env):
-            continue
-        if eval_total(t, env, _TOTAL_RATIONALS) == 0:
-            return env
+    scope = Scope(names, grow=False)
+    target = compile_term(t, _TOTAL_RATIONALS, scope)
+    guards = [compile_term(u, _TOTAL_RATIONALS, scope) for u in nonzero]
+    for env in itertools.product(_WITNESS_VALUES, repeat=len(names)):
+        for guard in guards:
+            if guard(env) == 0:
+                break
+        else:
+            if target(env) == 0:
+                return dict(zip(names, env))
     return None
 
 
@@ -325,21 +330,14 @@ def _judge(index: int, occ: Occurrence, convention: Convention, facts) -> Verdic
     )
 
     extra = free_vars(occ.numerator) if liberal else frozenset()
-    # the witness search binds exactly these names in every environment,
-    # so the facts it can test are picked once
+    # the witness search binds exactly these names, so it can test the
+    # facts that use no others (and a liberal division's numerator)
     bound = free_vars(occ.guarded) | extra
-    testable = [fact.term for fact in facts if free_vars(fact.term) <= bound]
+    nonzero = [fact.term for fact in facts if free_vars(fact.term) <= bound]
+    if liberal:
+        nonzero.append(occ.numerator)
 
-    def respects_facts(env) -> bool:
-        for term in testable:
-            if eval_total(term, env, _TOTAL_RATIONALS) == 0:
-                return False
-        if liberal:
-            if eval_total(occ.numerator, env, _TOTAL_RATIONALS) == 0:
-                return False
-        return True
-
-    witness = find_zero_witness(occ.guarded, condition=respects_facts, extra_vars=extra)
+    witness = find_zero_witness(occ.guarded, nonzero=nonzero, extra_vars=extra)
     if witness is not None:
         return Verdict(index, occ.position, occ.guarded, VerdictKind.VIOLATION, witness=witness)
 

@@ -6,6 +6,9 @@ Kleene / McCarthy left-sequential / McCarthy right-sequential), and the
 quantifier family (Bochvar / Kleene).  The preset ``LPMD`` combines weak
 equality, McCarthy's left-sequential connectives and Bochvar's
 quantifiers.
+
+A formula is compiled once (`compile_formula`) into a closure with the
+three choices fixed, and then run on a frame of variable slots.
 """
 
 from __future__ import annotations
@@ -13,15 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .semantics import UNDEFINED, StructureSpec, eval_partial
+from .semantics import (
+    RELATIONS,
+    UNDEFINED,
+    Scope,
+    StructureSpec,
+    _Punched,
+    checked_elements,
+    term_compiler,
+)
+from .semantics import eval_partial  # unused here; bench/tracing.py wraps this module attribute
 from .terms import (
     And,
     Eq,
     Exists,
     Forall,
-    Gt,
     Implies,
-    Lt,
     Not,
     Or,
     free_vars,
@@ -92,48 +102,71 @@ def not_tv(a: TruthValue) -> TruthValue:
     return U
 
 
-def _classical_or(a, b):
-    return T if (a is T or b is T) else F
+def _lattice(top: TruthValue, mid: TruthValue, first, second):
+    """Bochvar and Kleene connectives: `top` decides at once, else `mid`
+    wins over the third value.  Compiled evaluation cannot fail, so the
+    second operand is skipped once `top` is seen."""
+
+    def fold(e):
+        x = first(e)
+        if x is top:
+            return top
+        y = second(e)
+        if y is top:
+            return top
+        return mid if (x is mid or y is mid) else x
+
+    return fold
 
 
-def _classical_and(a, b):
-    return T if (a is T and b is T) else F
+def _sequential(passes: TruthValue, first, second):
+    """McCarthy: the first operand decides unless it is `passes`."""
+
+    def fold(e):
+        x = first(e)
+        return second(e) if x is passes else x
+
+    return fold
 
 
-_KLEENE_RANK = {F: 0, U: 1, T: 2}
-_KLEENE_BY_RANK = {0: F, 1: U, 2: T}
+def _rule(bochvar: bool, conjunctive: bool):
+    """(top, mid) of a Bochvar or Kleene conjunction (or universal
+    quantifier) or disjunction (or existential quantifier)."""
+    dominant = F if conjunctive else T
+    return (U, dominant) if bochvar else (dominant, U)
+
+
+def _connective(family: ConnectiveFamily, conjunctive: bool, a, b):
+    """The closure of a & b (or a | b) in the family, from operand closures."""
+    if family is ConnectiveFamily.MCCARTHY_LEFT:
+        return _sequential(T if conjunctive else F, a, b)
+    if family is ConnectiveFamily.MCCARTHY_RIGHT:
+        return _sequential(T if conjunctive else F, b, a)
+    return _lattice(*_rule(family is ConnectiveFamily.BOCHVAR, conjunctive), a, b)
+
+
+def _negation(a):
+    return lambda e: not_tv(a(e))
+
+
+def _combine(family: ConnectiveFamily, conjunctive: bool, a: TruthValue, b: TruthValue):
+    """The rule `_connective` compiles, applied to two truth values."""
+    if family is ConnectiveFamily.MCCARTHY_RIGHT:
+        a, b = b, a
+    if family is ConnectiveFamily.MCCARTHY_LEFT or family is ConnectiveFamily.MCCARTHY_RIGHT:
+        return b if a is (T if conjunctive else F) else a
+    top, mid = _rule(family is ConnectiveFamily.BOCHVAR, conjunctive)
+    if a is top or b is top:
+        return top
+    return mid if (a is mid or b is mid) else a
 
 
 def or_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    if family is ConnectiveFamily.BOCHVAR:
-        if a is U or b is U:
-            return U
-        return _classical_or(a, b)
-    if family is ConnectiveFamily.KLEENE:
-        return _KLEENE_BY_RANK[max(_KLEENE_RANK[a], _KLEENE_RANK[b])]
-    if family is ConnectiveFamily.MCCARTHY_LEFT:
-        if a is T:
-            return T
-        if a is U:
-            return U
-        return b
-    return or_tv(ConnectiveFamily.MCCARTHY_LEFT, b, a)
+    return _combine(family, False, a, b)
 
 
 def and_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    if family is ConnectiveFamily.BOCHVAR:
-        if a is U or b is U:
-            return U
-        return _classical_and(a, b)
-    if family is ConnectiveFamily.KLEENE:
-        return _KLEENE_BY_RANK[min(_KLEENE_RANK[a], _KLEENE_RANK[b])]
-    if family is ConnectiveFamily.MCCARTHY_LEFT:
-        if a is F:
-            return F
-        if a is U:
-            return U
-        return b
-    return and_tv(ConnectiveFamily.MCCARTHY_LEFT, b, a)
+    return _combine(family, True, a, b)
 
 
 def implies_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
@@ -152,89 +185,110 @@ def connective_table(family: ConnectiveFamily) -> dict:
     }
 
 
-def _nondenoting_verdict(kind: EqualityKind, left_undef: bool, right_undef: bool):
-    if kind is EqualityKind.WEAK:
-        return U
-    if kind is EqualityKind.STRONG:
-        return T if (left_undef and right_undef) else F
-    return F
+def _atom(cls, kind: EqualityKind, a, b):
+    """The closure of an equality or ordering atom over term closures a, b.
 
+    A non-denoting side gives U under weak equality and F otherwise,
+    except that strong equality holds when both sides are non-denoting.
+    """
+    if cls is Eq and kind is EqualityKind.STRONG:
+        def strong(e):
+            try:
+                x = a(e)
+            except _Punched:
+                x = UNDEFINED
+            try:
+                y = b(e)
+            except _Punched:
+                y = UNDEFINED
+            if x is UNDEFINED or y is UNDEFINED:
+                return T if x is y else F
+            return T if x == y else F
 
-def eval_equality(t, u, kind: EqualityKind, env, s: StructureSpec) -> TruthValue:
-    """Truth value of t = u under the given equality kind."""
-    a = eval_partial(t, env, s)
-    b = eval_partial(u, env, s)
-    if a is not UNDEFINED and b is not UNDEFINED:
-        return T if a == b else F
-    return _nondenoting_verdict(kind, a is UNDEFINED, b is UNDEFINED)
+        return strong
+    rel = RELATIONS[cls]
+    nondenoting = U if kind is EqualityKind.WEAK else F
 
+    def atom(e):
+        try:
+            return T if rel(a(e), b(e)) else F
+        except _Punched:
+            return nondenoting
 
-def _eval_ordering(f, env, s: StructureSpec, kind: EqualityKind) -> TruthValue:
-    a = eval_partial(f.left, env, s)
-    b = eval_partial(f.right, env, s)
-    if a is UNDEFINED or b is UNDEFINED:
-        # Ordering atoms with a non-denoting side follow the equality
-        # kind's policy, with strong collapsing to false.
-        return U if kind is EqualityKind.WEAK else F
-    holds = a > b if isinstance(f, Gt) else a < b
-    return T if holds else F
+    return atom
 
 
 class NonEnumerableCarrierError(ValueError):
     pass
 
 
+def compile_formula(f, cfg: LogicConfig, s: StructureSpec, scope: Scope):
+    """A closure computing f's truth value in s from a frame laid out by
+    `scope`.  The equality kind, connective and quantifier families are
+    resolved here; each quantifier gets its own slot, so a re-quantified
+    or bound name follows lexical scope."""
+    c = s.carrier
+    term = term_compiler(s, scope)
+    elements = []  # filled once the quantifier nesting depth is known
+
+    def comp(g):
+        cls = type(g)
+        if cls in RELATIONS:
+            return _atom(cls, cfg.equality, term(g.left), term(g.right))
+        if cls is Not:
+            return _negation(comp(g.arg))
+        if cls is And or cls is Or:
+            return _connective(cfg.connectives, cls is And, comp(g.left), comp(g.right))
+        if cls is Implies:
+            return _connective(cfg.connectives, False, _negation(comp(g.left)), comp(g.right))
+        if cls is Forall or cls is Exists:
+            if not c.enumerable:
+                raise NonEnumerableCarrierError(f"quantifier over non-enumerable carrier {c}")
+            slot, outer = scope.bind(g.var)
+            body = comp(g.body)
+            scope.unbind(g.var, outer)
+            universal = cls is Forall
+            rule = _rule(cfg.quantifiers is QuantifierFamily.BOCHVAR, universal)
+            return _quantifier(*rule, universal, slot, body, elements)
+        raise TypeError(f"not a formula: {g!r}")
+
+    fn = comp(f)
+    if scope.max_depth:
+        elements.extend(checked_elements(c, scope.max_depth))
+    return fn
+
+
+def _quantifier(top, mid, universal: bool, slot: int, body, elements):
+    """Fold the body's value over the elements bound to `slot`, by the
+    same rule as a binary connective, stopping at `top`."""
+    bottom = T if universal else F
+
+    def quantify(e):
+        result = bottom
+        for value in elements:
+            e[slot] = value
+            x = body(e)
+            if x is top:
+                return top
+            if x is mid:
+                result = mid
+        return result
+
+    return quantify
+
+
+def eval_equality(t, u, kind: EqualityKind, env, s: StructureSpec) -> TruthValue:
+    """Truth value of t = u under the given equality kind."""
+    scope = Scope()
+    term = term_compiler(s, scope)
+    atom = _atom(Eq, kind, term(t), term(u))
+    return atom(scope.frame(env, s.carrier))
+
+
 def eval_formula(f, cfg: LogicConfig, env, s: StructureSpec) -> TruthValue:
-    if isinstance(f, Eq):
-        return eval_equality(f.left, f.right, cfg.equality, env, s)
-    if isinstance(f, (Gt, Lt)):
-        return _eval_ordering(f, env, s, cfg.equality)
-    if isinstance(f, Not):
-        return not_tv(eval_formula(f.arg, cfg, env, s))
-    if isinstance(f, And):
-        return and_tv(
-            cfg.connectives,
-            eval_formula(f.left, cfg, env, s),
-            eval_formula(f.right, cfg, env, s),
-        )
-    if isinstance(f, Or):
-        return or_tv(
-            cfg.connectives,
-            eval_formula(f.left, cfg, env, s),
-            eval_formula(f.right, cfg, env, s),
-        )
-    if isinstance(f, Implies):
-        return implies_tv(
-            cfg.connectives,
-            eval_formula(f.left, cfg, env, s),
-            eval_formula(f.right, cfg, env, s),
-        )
-    if isinstance(f, (Forall, Exists)):
-        if not s.carrier.enumerable:
-            raise NonEnumerableCarrierError(
-                f"quantifier over non-enumerable carrier {s.carrier}"
-            )
-        instances = []
-        for value in s.carrier.elements():
-            inner = dict(env)
-            inner[f.var] = value
-            instances.append(eval_formula(f.body, cfg, inner, s))
-        return _fold_quantifier(cfg.quantifiers, isinstance(f, Forall), instances)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _fold_quantifier(family: QuantifierFamily, universal: bool, instances) -> TruthValue:
-    if family is QuantifierFamily.BOCHVAR:
-        if any(v is U for v in instances):
-            return U
-        if universal:
-            return T if all(v is T for v in instances) else F
-        return T if any(v is T for v in instances) else F
-    op = and_tv if universal else or_tv
-    result = T if universal else F
-    for v in instances:
-        result = op(ConnectiveFamily.KLEENE, result, v)
-    return result
+    scope = Scope()
+    fn = compile_formula(f, cfg, s, scope)
+    return fn(scope.frame(env, s.carrier))
 
 
 @dataclass(frozen=True)
@@ -246,11 +300,15 @@ class SentenceVerdict:
         return f"USABLE({self.value})" if self.usable else "UNUSABLE"
 
 
-def classify_sentence(f, cfg: LogicConfig, s: StructureSpec) -> SentenceVerdict:
-    """Two-valued logic convention: a sentence is unusable when its value is U."""
-    if free_vars(f):
+def classify_sentence(f, cfg: LogicConfig, s: StructureSpec, env=None) -> SentenceVerdict:
+    """Two-valued logic convention: a sentence is unusable when its value is U.
+
+    A formula whose free names are all bound in `env` is a sentence.
+    """
+    env = {} if env is None else env
+    if not free_vars(f) <= env.keys():
         raise ValueError("classify_sentence needs a closed formula")
-    tv = eval_formula(f, cfg, {}, s)
+    tv = eval_formula(f, cfg, env, s)
     if tv is U:
         return SentenceVerdict(False, None)
     return SentenceVerdict(True, tv)

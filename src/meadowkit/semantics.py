@@ -12,14 +12,19 @@ Undefinedness propagates strictly: a term with an undefined subterm is
 undefined.  Total evaluation is partial evaluation in the total mode,
 where nothing is punched.
 
+A term is compiled once per structure into a closure that reads its
+variables from a frame of slots (`compile_term`, `Scope`); carrier
+membership is checked where a value enters a frame, not per operation.
+
 An axiom is a name plus a quantifier-free formula whose free variables
-are read universally; it is verified environment by environment with
-classical (two-valued) truth.
+are read universally; it is compiled once (`compile_law`) and run on
+each environment of the enumeration with classical (two-valued) truth.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -84,56 +89,204 @@ class _UndefinedType:
 UNDEFINED = _UndefinedType()
 
 
-def _lookup(env, name, carrier):
-    try:
-        value = env[name]
-    except KeyError:
-        raise UnboundVariableError(f"unbound variable {name!r}") from None
-    return carrier.check(value)
+#: The most environments one enumeration may visit: p^k for a law with
+#: k variables over GF(p), |carrier|^d for quantifiers nested d deep.
+ENUMERATION_BUDGET = 10**7
+
+
+def checked_elements(carrier: Carrier, depth: int) -> list:
+    """The carrier's elements, each checked once, for an enumeration
+    `depth` variables deep; refused before the list is built when the
+    enumeration would exceed ENUMERATION_BUDGET."""
+    values = carrier.elements()
+    if len(values) ** depth > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"enumeration of {len(values)}^{depth} environments is over "
+            f"the budget of {ENUMERATION_BUDGET}"
+        )
+    return [carrier.check(v) for v in values]
+
+
+class _Punched(Exception):
+    """A punched application was reached; caught where a term's value is read."""
+
+
+class Scope:
+    """Frame slots of one compiled term or formula.
+
+    A compiled closure reads its variables from a frame, a sequence with
+    one value per slot.  `names` get slots 0, 1, ... in order; with
+    `grow`, any other free name gets the next slot when the compiler
+    meets it, otherwise it is unbound.  A quantifier binds its variable
+    to a fresh slot for the extent of its body.
+    """
+
+    def __init__(self, names=(), grow=True):
+        self.slot = {name: i for i, name in enumerate(names)}
+        self.free = dict(self.slot)
+        self.size = len(self.slot)
+        self.grow = grow
+        self.depth = self.max_depth = 0
+
+    def lookup(self, name: str) -> int:
+        i = self.slot.get(name)
+        if i is None:
+            if not self.grow:
+                raise UnboundVariableError(f"unbound variable {name!r}")
+            i = self.slot[name] = self.free[name] = self.size
+            self.size += 1
+        return i
+
+    def bind(self, name: str):
+        """A fresh slot for a quantified name; pass the result to `unbind`."""
+        outer = self.slot.get(name)
+        self.slot[name] = self.size
+        self.size += 1
+        self.depth += 1
+        self.max_depth = max(self.max_depth, self.depth)
+        return self.slot[name], outer
+
+    def unbind(self, name: str, outer):
+        self.depth -= 1
+        if outer is None:
+            del self.slot[name]
+        else:
+            self.slot[name] = outer
+
+    def frame(self, env, carrier: Carrier) -> list:
+        """A frame holding env's value of every free name, each checked once."""
+        frame = [None] * self.size
+        for name, i in self.free.items():
+            try:
+                value = env[name]
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable {name!r}") from None
+            frame[i] = carrier.check(value)
+        return frame
+
+
+# Closure builders.  They live outside the compiler so that each closure
+# captures only what it uses.
+
+
+def _constant(value):
+    return lambda f: value
+
+
+def _unary(op, a):
+    return lambda f: op(a(f))
+
+
+def _binary(op, a, b):
+    return lambda f: op(a(f), b(f))
+
+
+def _inverse_punched(inv, zero, a):
+    def inverse(f):
+        x = a(f)
+        if x == zero:
+            raise _Punched
+        return inv(x)
+
+    return inverse
+
+
+def _division(mul, inv, zero, a, b):
+    return lambda f: mul(a(f), inv(b(f)))
+
+
+def _division_punched_all(mul, inv, zero, a, b):
+    def division(f):
+        x, y = a(f), b(f)
+        if y == zero:
+            raise _Punched
+        return mul(x, inv(y))
+
+    return division
+
+
+def _division_punched_nonzero(mul, inv, zero, a, b):
+    def division(f):
+        x, y = a(f), b(f)
+        if y == zero and x != zero:
+            raise _Punched
+        return mul(x, inv(y))
+
+    return division
+
+
+def term_compiler(s: StructureSpec, scope: Scope):
+    """A function compiling terms into closures that compute them in s
+    from a frame laid out by `scope`.
+
+    The punch tests of s's mode are chosen here and sit only in the Inv
+    and Div closures; a punched application raises _Punched, which the
+    caller turns into UNDEFINED.  Operands are not checked: every value
+    in a frame was checked where it entered.
+    """
+    c = s.carrier
+    add, mul, neg, inv = c.ops
+    zero = c.from_int(0)
+    punch_inverse = s.mode is Mode.PUNCH_INV0
+    division = (
+        _division_punched_all if s.mode is Mode.PUNCH_DIV_ALL0
+        else _division_punched_nonzero if s.mode is Mode.PUNCH_DIV_NONZERO0
+        else _division
+    )
+
+    def comp(t, memo=None):
+        # a subterm shared within the term (the parser builds `x^n` by
+        # squaring) is compiled once, so `x^n` makes O(log n) closures;
+        # the memo is per term, whose names all have one scope
+        if memo is None:
+            memo = {}
+        fn = memo.get(id(t))
+        if fn is not None:
+            return fn
+        cls = type(t)
+        if cls is Var:
+            fn = operator.itemgetter(scope.lookup(t.name))
+        elif cls is Add:
+            fn = _binary(add, comp(t.left, memo), comp(t.right, memo))
+        elif cls is Mul:
+            fn = _binary(mul, comp(t.left, memo), comp(t.right, memo))
+        elif cls is Div:
+            fn = division(mul, inv, zero, comp(t.left, memo), comp(t.right, memo))
+        elif cls is Neg:
+            fn = _unary(neg, comp(t.arg, memo))
+        elif cls is Inv:
+            a = comp(t.arg, memo)
+            fn = _inverse_punched(inv, zero, a) if punch_inverse else _unary(inv, a)
+        elif cls is NumLit:
+            fn = _constant(c.from_int(t.value))
+        elif cls is Zero or cls is One:
+            fn = _constant(c.from_int(int(cls is One)))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        memo[id(t)] = fn
+        return fn
+
+    return comp
+
+
+def compile_term(t: Term, s: StructureSpec, scope: Scope):
+    """A closure computing t in s from a frame laid out by `scope`."""
+    return term_compiler(s, scope)(t)
 
 
 def eval_partial(t: Term, env, s: StructureSpec):
     """Evaluate a term in a structure; UNDEFINED on a punched application.
 
-    Both operands of a node are evaluated before any punch test, so an
-    unbound variable is reported even next to an undefined subterm.  The
-    punch tests sit only in the Inv and Div branches, and each reads the
-    mode before it compares with zero, so the total mode pays nothing
-    per node for them.
+    Every free name is looked up in env before anything runs, so an
+    unbound variable is reported even next to an undefined subterm.
     """
-    c = s.carrier
-    if isinstance(t, Var):
-        return _lookup(env, t.name, c)
-    if isinstance(t, (Add, Mul, Div)):
-        a = eval_partial(t.left, env, s)
-        b = eval_partial(t.right, env, s)
-        if a is UNDEFINED or b is UNDEFINED:
-            return UNDEFINED
-        if isinstance(t, Add):
-            return c.add(a, b)
-        if isinstance(t, Mul):
-            return c.mul(a, b)
-        if s.mode is Mode.PUNCH_DIV_ALL0 and b == c.from_int(0):
-            return UNDEFINED
-        if s.mode is Mode.PUNCH_DIV_NONZERO0 and b == c.from_int(0) and a != c.from_int(0):
-            return UNDEFINED
-        return c.div_total(a, b)
-    if isinstance(t, (Neg, Inv)):
-        a = eval_partial(t.arg, env, s)
-        if a is UNDEFINED:
-            return UNDEFINED
-        if isinstance(t, Neg):
-            return c.neg(a)
-        if s.mode is Mode.PUNCH_INV0 and a == c.from_int(0):
-            return UNDEFINED
-        return c.inv_total(a)
-    if isinstance(t, Zero):
-        return c.from_int(0)
-    if isinstance(t, One):
-        return c.from_int(1)
-    if isinstance(t, NumLit):
-        return c.from_int(t.value)
-    raise TypeError(f"not a term: {t!r}")
+    scope = Scope()
+    fn = compile_term(t, s, scope)
+    frame = scope.frame(env, s.carrier)
+    try:
+        return fn(frame)
+    except _Punched:
+        return UNDEFINED
 
 
 def eval_total(t: Term, env, s: StructureSpec):
@@ -143,23 +296,42 @@ def eval_total(t: Term, env, s: StructureSpec):
     return eval_partial(t, env, s)
 
 
+#: The comparison each atom class makes between its two sides.
+RELATIONS = {Eq: operator.eq, Gt: operator.gt, Lt: operator.lt}
+
+
+def compile_law(f: Formula, s: StructureSpec, scope: Scope):
+    """A closure giving the classical truth (a bool) of a quantifier-free
+    formula in a total structure, from a frame laid out by `scope`."""
+    if s.mode is not Mode.TOTAL:
+        raise ValueError("classical truth needs a structure with total mode")
+    term = term_compiler(s, scope)
+
+    def comp(f):
+        cls = type(f)
+        if cls in RELATIONS:
+            a, b, rel = term(f.left), term(f.right), RELATIONS[cls]
+            return lambda e: rel(a(e), b(e))
+        if cls is Not:
+            a = comp(f.arg)
+            return lambda e: not a(e)
+        if cls is And or cls is Or or cls is Implies:
+            a, b = comp(f.left), comp(f.right)
+            if cls is And:
+                return lambda e: a(e) and b(e)
+            if cls is Or:
+                return lambda e: a(e) or b(e)
+            return lambda e: not a(e) or b(e)
+        raise TypeError(f"not a quantifier-free formula: {f!r}")
+
+    return comp(f)
+
+
 def classical_truth(f, env, s: StructureSpec) -> bool:
     """Two-valued truth of a quantifier-free formula in a total structure."""
-    if isinstance(f, Eq):
-        return eval_total(f.left, env, s) == eval_total(f.right, env, s)
-    if isinstance(f, Gt):
-        return eval_total(f.left, env, s) > eval_total(f.right, env, s)
-    if isinstance(f, Lt):
-        return eval_total(f.left, env, s) < eval_total(f.right, env, s)
-    if isinstance(f, Not):
-        return not classical_truth(f.arg, env, s)
-    if isinstance(f, And):
-        return classical_truth(f.left, env, s) and classical_truth(f.right, env, s)
-    if isinstance(f, Or):
-        return classical_truth(f.left, env, s) or classical_truth(f.right, env, s)
-    if isinstance(f, Implies):
-        return (not classical_truth(f.left, env, s)) or classical_truth(f.right, env, s)
-    raise TypeError(f"not a quantifier-free formula: {f!r}")
+    scope = Scope()
+    law = compile_law(f, s, scope)
+    return law(scope.frame(env, s.carrier))
 
 
 @dataclass(frozen=True)
@@ -186,20 +358,23 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _environments(names, s: StructureSpec, strategy):
-    names = sorted(names)
+def _environments(k: int, s: StructureSpec, strategy):
+    """Environments of k variables as tuples, in itertools.product order."""
+    c = s.carrier
     if isinstance(strategy, Exhaustive):
-        if not s.carrier.enumerable:
+        if not c.enumerable:
             raise ValueError("exhaustive verification needs an enumerable carrier")
-        for combo in itertools.product(s.carrier.elements(), repeat=len(names)):
-            yield dict(zip(names, combo))
-    elif isinstance(strategy, RandomSample):
-        # a closed law has one environment, the empty one: check it once
-        rng = random.Random(strategy.seed)
-        for _ in range(strategy.count if names else 1):
-            yield {n: random_rational(rng) for n in names}
-    else:
-        raise TypeError(f"unknown strategy: {strategy!r}")
+        return itertools.product(checked_elements(c, k), repeat=k)
+    if isinstance(strategy, RandomSample):
+        return _samples(k, c, strategy)
+    raise TypeError(f"unknown strategy: {strategy!r}")
+
+
+def _samples(k: int, c: Carrier, strategy: RandomSample):
+    rng = random.Random(strategy.seed)
+    # a closed law has one environment, the empty one: check it once
+    for _ in range(strategy.count if k else 1):
+        yield tuple([c.check(random_rational(rng)) for _ in range(k)])
 
 
 @dataclass(frozen=True)
@@ -241,11 +416,12 @@ def verify_axiom_spec(spec: AxiomSpec, s: StructureSpec, strategy) -> AxiomRepor
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
     text = print_formula(spec.formula)
+    names = sorted(free_vars(spec.formula))
+    law = compile_law(spec.formula, s, Scope(names, grow=False))
     samples = 0
-    for env in _environments(free_vars(spec.formula), s, strategy):
-        samples += 1
-        if not classical_truth(spec.formula, env, s):
-            return AxiomReport(spec.name, text, False, samples, dict(env))
+    for samples, env in enumerate(_environments(len(names), s, strategy), 1):
+        if not law(env):
+            return AxiomReport(spec.name, text, False, samples, dict(zip(names, env)))
     return AxiomReport(spec.name, text, True, samples)
 
 

@@ -115,3 +115,18 @@ def random_closed_quantified_formula(rng: random.Random, depth: int = 3):
         return Implies(build(d - 1, bound), build(d - 1, bound))
 
     return build(depth, [])
+
+
+def random_scoped_formula(rng: random.Random, depth: int = 3, names=("x", "y")):
+    """Formula over a small pool of names whose quantifiers re-bind names
+    that are already bound (shadowing) or free (bound by an environment)."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_atom(rng, names, depth=2)
+    node = rng.randrange(6)
+    if node < 2:
+        body = random_scoped_formula(rng, depth - 1, names)
+        return (Forall if node == 0 else Exists)(rng.choice(names), body)
+    if node == 2:
+        return Not(random_scoped_formula(rng, depth - 1, names))
+    cls = (And, Or, Implies)[node - 3]
+    return cls(random_scoped_formula(rng, depth - 1, names), random_scoped_formula(rng, depth - 1, names))

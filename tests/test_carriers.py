@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from meadowkit.carriers import (
+    PRIME_LIMIT,
     RATIONALS,
     CarrierMismatchError,
     FiniteProbeSet,
     PrimeField,
     format_element,
+    _is_prime,
     parse_rational,
 )
 
@@ -138,6 +140,22 @@ class TestPrimeField:
 
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
     def test_composite_modulus_rejected(self, p):
+        with pytest.raises(ValueError):
+            PrimeField(p)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [p for p in range(3000) if _is_prime(p)] == [p for p in range(3000) if trial(p)]
+
+    def test_huge_prime_modulus(self):
+        gf = PrimeField(2**61 - 1)
+        assert gf.div_total(1, 2) == 2**60
+
+    @pytest.mark.parametrize("p", [2**61 + 1, 561, 3215031751, PRIME_LIMIT, PRIME_LIMIT + 2])
+    def test_huge_or_pseudoprime_modulus_rejected(self, p):
+        # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
         with pytest.raises(ValueError):
             PrimeField(p)
 

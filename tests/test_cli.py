@@ -1,9 +1,13 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from meadowkit.cli import main
+from meadowkit.parser import parse_formula
+from meadowkit.terms import free_vars
+from oracle import oracle_formula
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -38,6 +42,28 @@ class TestEval:
     def test_unbound_variable_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "x + 1")
         assert code == 2
+
+    def test_unbound_variable_next_to_punched_application(self, capsys):
+        code, out, err = run(capsys, "eval", "--mode", "punch-div-all", "1/0 + y")
+        assert (code, out) == (2, "")
+        assert err == "error: unbound variable 'y'\n"
+
+    def test_huge_prime_modulus(self, capsys):
+        # 2^61 - 1 is prime; 1/2 is (p + 1)/2 = 2^60
+        code, out, _ = run(capsys, "eval", "--carrier", "gf2305843009213693951", "1/2")
+        assert (code, out.strip()) == (0, "1152921504606846976")
+
+    @pytest.mark.parametrize("modulus", [
+        "2305843009213693953",  # 2^61 + 1 = 3 * 768614336404564651
+        "561",  # a Carmichael number
+        "4",
+        "3317044064679887385961981",  # the first modulus past the exact primality test
+        "x",
+    ])
+    def test_rejected_modulus_ends_in_one_line(self, capsys, modulus):
+        code, out, err = run(capsys, "eval", "--carrier", "gf" + modulus, "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_zero_denominator_binding_rejected(self, capsys):
         code, out, err = run(capsys, "eval", "-b", "x=1/0", "x")
@@ -80,6 +106,25 @@ class TestLogic:
     def test_quantifier_over_rationals_exit_code(self, capsys):
         code, _, err = run(capsys, "logic", "forall x. x = x")
         assert code == 2
+
+    def test_unbound_variable_on_the_side_mccarthy_skips(self, capsys):
+        code, out, err = run(capsys, "logic", "0 = 1 & y = 1")
+        assert (code, out) == (2, "")
+        assert err == "error: unbound variable 'y'\n"
+
+    def test_classify_with_bindings(self, capsys):
+        code, out, _ = run(capsys, "logic", "--classify", "-b", "x=1", "x = 1")
+        assert (code, out.strip()) == (0, "USABLE(T)")
+        code, out, err = run(capsys, "logic", "--classify", "-b", "x=1", "x = y")
+        assert (code, out, err) == (1, "", "error: classify_sentence needs a closed formula\n")
+
+    def test_quantifier_enumeration_over_budget(self, capsys):
+        code, out, err = run(
+            capsys, "logic", "--carrier", "gf1000003", "forall x. forall y. forall z. x = x"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: enumeration of 1000003^3 environments")
+        assert len(err.strip().splitlines()) == 1
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "logic", "--format", "json", "1 = 1")
@@ -143,6 +188,38 @@ class TestAxioms:
         doc = json.loads(out)
         assert len(doc["reports"]) == 15
         assert all(r["passed"] for r in doc["reports"])
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("law", [
+        "x/x = 1",
+        "x*y = x + y",
+        "y - x = x/y",
+        "z*x = y + 1",
+        "x != y => x^-1 != z",
+        "y*y > x",
+    ])
+    def test_witness_is_the_first_failing_environment(self, capsys, p, law):
+        names = sorted(free_vars(parse_formula(law)))
+        failing = [
+            env for env in (dict(zip(names, values))
+                            for values in itertools.product(range(p), repeat=len(names)))
+            if oracle_formula(parse_formula(law), env, p, "total", "weak", "bochvar", "bochvar") == "F"
+        ]
+        assert failing, law
+        code, out, _ = run(capsys, "axioms", "--carrier", f"gf{p}", "--format", "json", "--extra", law)
+        report = json.loads(out)["reports"][-1]
+        assert code == 4 and not report["passed"]
+        assert report["witness"] == {k: str(v) for k, v in failing[0].items()}
+        assert report["samples"] == 1 + next(
+            i for i, values in enumerate(itertools.product(range(p), repeat=len(names)))
+            if dict(zip(names, values)) == failing[0]
+        )
+
+    def test_enumeration_over_budget(self, capsys):
+        code, out, err = run(capsys, "axioms", "--carrier", "gf1000003")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: enumeration of 1000003^3 environments")
+        assert len(err.strip().splitlines()) == 1
 
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "axioms", "--samples", "50", "--seed", "3")

@@ -119,8 +119,10 @@ class TestZeroWitness:
         assert eval_total(parse_term("(x + 1)*y"), w, TOTAL_Q) == 0
 
     def test_condition_filters_candidates(self):
-        w = find_zero_witness(parse_term("x"), condition=lambda env: env["x"] != 0)
+        w = find_zero_witness(parse_term("x"), nonzero=[parse_term("x")])
         assert w is None
+        w = find_zero_witness(parse_term("x*y"), nonzero=[parse_term("x")])
+        assert w == {"x": Fraction(-1, 4), "y": Fraction(0)}
 
     def test_budget_limits_variables(self):
         t = parse_term("x*y*z*w")

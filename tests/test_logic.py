@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from generators import random_formula, random_rational
+from generators import random_formula, random_rational, random_scoped_formula
+from oracle import oracle_formula
 from meadowkit.carriers import RATIONALS, FiniteProbeSet, PrimeField
 from meadowkit.logic import (
     LPMD,
@@ -264,6 +265,58 @@ class TestClassify:
     def test_open_formula_rejected(self):
         with pytest.raises(ValueError):
             classify_sentence(parse_formula("x = 1"), LPMD, PUNCH_ALL)
+
+    def test_bound_free_names_make_a_sentence(self):
+        f = parse_formula("x = 1")
+        v = classify_sentence(f, LPMD, PUNCH_ALL, env={"x": Fraction(1)})
+        assert v.usable and v.value is T
+        with pytest.raises(ValueError):
+            classify_sentence(parse_formula("x = y"), LPMD, PUNCH_ALL, env={"x": Fraction(1)})
+
+
+ALL_CONFIGS = [
+    LogicConfig(e, c, q)
+    for e in EqualityKind for c in ConnectiveFamily for q in QuantifierFamily
+]
+
+
+def _agrees_with_oracle(f, env, p, mode, config):
+    got = eval_formula(f, config, env, StructureSpec(PrimeField(p), mode))
+    expected = oracle_formula(
+        f, env, p, mode.value, config.equality.value,
+        config.connectives.value, config.quantifiers.value,
+    )
+    return str(got) == expected
+
+
+class TestLexicalScope:
+    """Each quantifier has its own slot: an inner quantifier over a bound
+    name shadows it, and a quantified name given by a binding is the
+    quantifier's inside its body and the binding's outside."""
+
+    @pytest.mark.parametrize("text, env, value", [
+        ("forall x. exists x. x*x = x", {}, T),
+        ("exists x. x = 1 & (forall x. x = x) & x = 1", {}, T),
+        ("forall x. (exists x. x = 0) & x = x", {}, T),
+        ("x = 1 & (forall x. x = 1)", {"x": 1}, F),
+        ("(forall x. x*0 = 0) & x = 1", {"x": 1}, T),
+        ("(exists x. x = 2) & x = 1", {"x": 1}, T),
+        ("exists y. y = x & (forall x. y*x = y*x)", {"x": 3}, T),
+    ])
+    def test_hand_written(self, text, env, value):
+        f = parse_formula(text)
+        assert eval_formula(f, LPMD, env, StructureSpec(PrimeField(5))) is value
+        assert _agrees_with_oracle(f, env, 5, Mode.TOTAL, LPMD)
+
+    def test_agrees_with_oracle_on_rebound_names(self):
+        rng = random.Random(2024)
+        for p in (2, 3, 5, 7):
+            for mode in Mode:
+                for config in ALL_CONFIGS:
+                    for _ in range(3):
+                        f = random_scoped_formula(rng, depth=4)
+                        env = {n: rng.randrange(p) for n in ("x", "y")}
+                        assert _agrees_with_oracle(f, env, p, mode, config), (f, env, p, mode, config)
 
 
 class TestConfigParsing:

@@ -6,16 +6,18 @@ import pytest
 
 from generators import random_rational, random_term
 from oracle import oracle_term
-from meadowkit.carriers import RATIONALS, PrimeField
+from meadowkit.carriers import RATIONALS, CarrierMismatchError, PrimeField
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
     Exhaustive,
     Mode,
     RandomSample,
+    Scope,
     StructureSpec,
     UnboundVariableError,
     axiom_catalog,
+    compile_term,
     eval_partial,
     eval_total,
     verify_axiom,
@@ -113,6 +115,29 @@ class TestEvalPartial:
         sep = parse_term("0/0")
         assert eval_partial(sep, {}, PUNCH_ALL) is UNDEFINED
         assert eval_partial(sep, {}, PUNCH_NONZERO) == 0
+
+
+class TestCompileTerm:
+    def test_shared_subterm_compiled_once(self):
+        class CountingScope(Scope):
+            lookups = 0
+
+            def lookup(self, name):
+                self.lookups += 1
+                return super().lookup(name)
+
+        # `x^1024` is ten squarings of one shared `x`: a tree of 1024 leaves
+        scope = CountingScope()
+        fn = compile_term(parse_term("x^1024"), StructureSpec(PrimeField(7)), scope)
+        assert scope.lookups == 1
+        assert fn(scope.frame({"x": 3}, PrimeField(7))) == pow(3, 1024, 7)
+
+    def test_operands_checked_where_they_enter(self):
+        gf5 = StructureSpec(PrimeField(5))
+        with pytest.raises(CarrierMismatchError):
+            eval_partial(parse_term("x + 1"), {"x": 5}, gf5)
+        with pytest.raises(CarrierMismatchError):
+            eval_partial(parse_term("x + 1"), {"x": Fraction(1)}, gf5)
 
 
 class TestVerifyAxiom:
