@@ -13,11 +13,11 @@ three choices fixed, and then run on a frame of variable slots.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from .semantics import (
-    RELATIONS,
     UNDEFINED,
     Scope,
     StructureSpec,
@@ -31,7 +31,9 @@ from .terms import (
     Eq,
     Exists,
     Forall,
+    Gt,
     Implies,
+    Lt,
     Not,
     Or,
     free_vars,
@@ -149,24 +151,17 @@ def _negation(a):
     return lambda e: not_tv(a(e))
 
 
-def _combine(family: ConnectiveFamily, conjunctive: bool, a: TruthValue, b: TruthValue):
-    """The rule `_connective` compiles, applied to two truth values."""
-    if family is ConnectiveFamily.MCCARTHY_RIGHT:
-        a, b = b, a
-    if family is ConnectiveFamily.MCCARTHY_LEFT or family is ConnectiveFamily.MCCARTHY_RIGHT:
-        return b if a is (T if conjunctive else F) else a
-    top, mid = _rule(family is ConnectiveFamily.BOCHVAR, conjunctive)
-    if a is top or b is top:
-        return top
-    return mid if (a is mid or b is mid) else a
+#: Operand closures reading a frame of two values.
+_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def or_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    return _combine(family, False, a, b)
+    # the closure every compiled disjunction runs
+    return _connective(family, False, _FIRST, _SECOND)((a, b))
 
 
 def and_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    return _combine(family, True, a, b)
+    return _connective(family, True, _FIRST, _SECOND)((a, b))
 
 
 def implies_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
@@ -183,6 +178,10 @@ def connective_table(family: ConnectiveFamily) -> dict:
         "or": {(a, b): or_tv(family, a, b) for a in values for b in values},
         "implies": {(a, b): implies_tv(family, a, b) for a in values for b in values},
     }
+
+
+#: The comparison each atom class makes between its two sides.
+RELATIONS = {Eq: operator.eq, Gt: operator.gt, Lt: operator.lt}
 
 
 def _atom(cls, kind: EqualityKind, a, b):
@@ -279,10 +278,8 @@ def _quantifier(top, mid, universal: bool, slot: int, body, elements):
 
 def eval_equality(t, u, kind: EqualityKind, env, s: StructureSpec) -> TruthValue:
     """Truth value of t = u under the given equality kind."""
-    scope = Scope()
-    term = term_compiler(s, scope)
-    atom = _atom(Eq, kind, term(t), term(u))
-    return atom(scope.frame(env, s.carrier))
+    cfg = LogicConfig(kind, LPMD.connectives, LPMD.quantifiers)
+    return eval_formula(Eq(t, u), cfg, env, s)
 
 
 def eval_formula(f, cfg: LogicConfig, env, s: StructureSpec) -> TruthValue:

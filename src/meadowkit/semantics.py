@@ -17,8 +17,9 @@ variables from a frame of slots (`compile_term`, `Scope`); carrier
 membership is checked where a value enters a frame, not per operation.
 
 An axiom is a name plus a quantifier-free formula whose free variables
-are read universally; it is compiled once (`compile_law`) and run on
-each environment of the enumeration with classical (two-valued) truth.
+are read universally; it is compiled once (`logic.compile_formula`,
+which gives only T or F in a total structure) and run on each
+environment of the enumeration.
 """
 
 from __future__ import annotations
@@ -37,22 +38,17 @@ from .printer import print_formula
 from .printer import print_term  # unused here; bench/tracing.py wraps this module attribute
 from .terms import (
     Add,
-    And,
     Div,
     Eq,
     Exists,
     Forall,
     Formula,
-    Gt,
     Implies,
     Inv,
-    Lt,
     Mul,
     Neg,
-    Not,
     NumLit,
     One,
-    Or,
     Term,
     Var,
     Zero,
@@ -97,14 +93,17 @@ ENUMERATION_BUDGET = 10**7
 def checked_elements(carrier: Carrier, depth: int) -> list:
     """The carrier's elements, each checked once, for an enumeration
     `depth` variables deep; refused before the list is built when the
-    enumeration would exceed ENUMERATION_BUDGET."""
+    enumeration would exceed ENUMERATION_BUDGET.  At depth 0 the one
+    (empty) environment needs no elements."""
     values = carrier.elements()
-    if len(values) ** depth > ENUMERATION_BUDGET:
+    # len() of a range overflows past sys.maxsize, and GF(p) goes further
+    n = values.stop - values.start if isinstance(values, range) else len(values)
+    if n**depth > ENUMERATION_BUDGET:
         raise ValueError(
-            f"enumeration of {len(values)}^{depth} environments is over "
+            f"enumeration of {n}^{depth} environments is over "
             f"the budget of {ENUMERATION_BUDGET}"
         )
-    return [carrier.check(v) for v in values]
+    return [carrier.check(v) for v in values] if depth else []
 
 
 class _Punched(Exception):
@@ -296,42 +295,14 @@ def eval_total(t: Term, env, s: StructureSpec):
     return eval_partial(t, env, s)
 
 
-#: The comparison each atom class makes between its two sides.
-RELATIONS = {Eq: operator.eq, Gt: operator.gt, Lt: operator.lt}
-
-
-def compile_law(f: Formula, s: StructureSpec, scope: Scope):
-    """A closure giving the classical truth (a bool) of a quantifier-free
-    formula in a total structure, from a frame laid out by `scope`."""
-    if s.mode is not Mode.TOTAL:
-        raise ValueError("classical truth needs a structure with total mode")
-    term = term_compiler(s, scope)
-
-    def comp(f):
-        cls = type(f)
-        if cls in RELATIONS:
-            a, b, rel = term(f.left), term(f.right), RELATIONS[cls]
-            return lambda e: rel(a(e), b(e))
-        if cls is Not:
-            a = comp(f.arg)
-            return lambda e: not a(e)
-        if cls is And or cls is Or or cls is Implies:
-            a, b = comp(f.left), comp(f.right)
-            if cls is And:
-                return lambda e: a(e) and b(e)
-            if cls is Or:
-                return lambda e: a(e) or b(e)
-            return lambda e: not a(e) or b(e)
-        raise TypeError(f"not a quantifier-free formula: {f!r}")
-
-    return comp(f)
-
-
 def classical_truth(f, env, s: StructureSpec) -> bool:
     """Two-valued truth of a quantifier-free formula in a total structure."""
-    scope = Scope()
-    law = compile_law(f, s, scope)
-    return law(scope.frame(env, s.carrier))
+    from .logic import LPMD, T, eval_formula  # logic builds on this module
+
+    if s.mode is not Mode.TOTAL:
+        raise ValueError("classical truth needs a structure with total mode")
+    # nothing is punched in a total structure, so every logic gives T or F
+    return eval_formula(f, LPMD, env, s) is T
 
 
 @dataclass(frozen=True)
@@ -413,14 +384,16 @@ class AxiomReport:
 
 
 def verify_axiom_spec(spec: AxiomSpec, s: StructureSpec, strategy) -> AxiomReport:
+    from .logic import LPMD, T, compile_formula  # logic builds on this module
+
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
     text = print_formula(spec.formula)
     names = sorted(free_vars(spec.formula))
-    law = compile_law(spec.formula, s, Scope(names, grow=False))
+    law = compile_formula(spec.formula, LPMD, s, Scope(names, grow=False))
     samples = 0
     for samples, env in enumerate(_environments(len(names), s, strategy), 1):
-        if not law(env):
+        if law(env) is not T:
             return AxiomReport(spec.name, text, False, samples, dict(zip(names, env)))
     return AxiomReport(spec.name, text, True, samples)
 

@@ -153,9 +153,14 @@ class TestPrimeField:
         gf = PrimeField(2**61 - 1)
         assert gf.div_total(1, 2) == 2**60
 
-    @pytest.mark.parametrize("p", [2**61 + 1, 561, 3215031751, PRIME_LIMIT, PRIME_LIMIT + 2])
+    @pytest.mark.parametrize(
+        "p",
+        [2**61 + 1, 561, 3215031751, 318665857834031151167461, PRIME_LIMIT, PRIME_LIMIT + 2],
+    )
     def test_huge_or_pseudoprime_modulus_rejected(self, p):
-        # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+        # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7;
+        # 318665857834031151167461 = 399165290221 * 798330580441 is one
+        # to every prime base up to 37
         with pytest.raises(ValueError):
             PrimeField(p)
 

@@ -57,6 +57,7 @@ class TestEval:
         "2305843009213693953",  # 2^61 + 1 = 3 * 768614336404564651
         "561",  # a Carmichael number
         "4",
+        "318665857834031151167461",  # a strong pseudoprime to every base up to 37
         "3317044064679887385961981",  # the first modulus past the exact primality test
         "x",
     ])
@@ -124,6 +125,15 @@ class TestLogic:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: enumeration of 1000003^3 environments")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_quantifier_over_field_past_word_size(self, capsys):
+        # 2^64 - 59 is prime; its element range has no len()
+        code, out, err = run(
+            capsys, "logic", "--carrier", "gf18446744073709551557", "exists x. x = 0"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: enumeration of 18446744073709551557^1 environments")
         assert len(err.strip().splitlines()) == 1
 
     def test_json_output(self, capsys):
@@ -215,10 +225,11 @@ class TestAxioms:
             if dict(zip(names, values)) == failing[0]
         )
 
-    def test_enumeration_over_budget(self, capsys):
-        code, out, err = run(capsys, "axioms", "--carrier", "gf1000003")
+    @pytest.mark.parametrize("p", ["1000003", "18446744073709551557"])
+    def test_enumeration_over_budget(self, capsys, p):
+        code, out, err = run(capsys, "axioms", "--carrier", "gf" + p)
         assert (code, out) == (1, "")
-        assert err.startswith("error: enumeration of 1000003^3 environments")
+        assert err.startswith(f"error: enumeration of {p}^3 environments")
         assert len(err.strip().splitlines()) == 1
 
     def test_deterministic_given_seed(self, capsys):

@@ -147,6 +147,12 @@ class TestVerifyAxiom:
         )
         assert report.passed and report.samples == 7
 
+    def test_closed_law_over_huge_field_visits_one_environment(self):
+        report = verify_axiom(
+            parse_term("1 + 1"), parse_term("2"), StructureSpec(PrimeField(2**61 - 1)), Exhaustive()
+        )
+        assert report.passed and report.samples == 1
+
     def test_random_sample_pass(self):
         report = verify_axiom(
             parse_term("(x*x)/x"), parse_term("x"), TOTAL_Q, RandomSample(1000, seed=1)
