@@ -10,7 +10,7 @@ so the linter is sound but incomplete in both directions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -154,14 +154,19 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Fact:
-    """A term known to be nonzero, recorded from a hypothesis statement."""
+    """A term known to be nonzero, recorded from a hypothesis statement.
+
+    Its canonical key and free names are computed once, when it is recorded.
+    """
 
     term: Term
     statement: int
+    key: tuple = field(init=False, repr=False, compare=False)
+    names: frozenset = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self):
-        return canonical_key(self.term)
+    def __post_init__(self):
+        object.__setattr__(self, "key", canonical_key(self.term))
+        object.__setattr__(self, "names", free_vars(self.term))
 
 
 def constant_fold(t: Term) -> Fraction | None:
@@ -199,16 +204,18 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
                 break
         if ok and squares > 0 and const > 0:
             return Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
-    if isinstance(t, Mul):
-        left = nonzero_certificate(t.left, facts)
-        right = nonzero_certificate(t.right, facts)
-        if left is not None and right is not None:
-            return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
+    if (
+        isinstance(t, Mul)
+        and nonzero_certificate(t.left, facts) is not None
+        and nonzero_certificate(t.right, facts) is not None
+    ):
+        return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
+    if not facts:
+        return None
     key = canonical_key(t)
-    matching = [f for f in facts if f.key == key]
+    matching = [f.statement for f in facts if f.key == key]
     if matching:
-        earliest = min(f.statement for f in matching)
-        return Certificate(CertificateKind.HYPOTHESIS_DERIVED, earliest)
+        return Certificate(CertificateKind.HYPOTHESIS_DERIVED, min(matching))
     return None
 
 
@@ -221,7 +228,11 @@ _WITNESS_VALUES = tuple(sorted(
 ))
 
 
-def find_zero_witness(t: Term, nonzero=(), extra_vars=(), max_vars: int = 3):
+#: The most variables the witness search binds (23^3 = 12,167 environments).
+WITNESS_MAX_VARS = 3
+
+
+def find_zero_witness(t: Term, nonzero=(), extra_vars=(), max_vars: int = WITNESS_MAX_VARS):
     """A small-rational environment making t evaluate to zero, if found.
 
     The search sweeps prime-field residues lifted to the rationals plus
@@ -318,52 +329,64 @@ def lint(corpus: list[Statement], convention: Convention) -> list[Verdict]:
     facts: list[Fact] = []
     verdicts: list[Verdict] = []
     for stmt in corpus:
-        facts = facts + _extract_facts(stmt)
+        facts.extend(_extract_facts(stmt))
         for occ in collect_occurrences(stmt.formula):
             verdicts.append(_judge(stmt.index, occ, convention, facts))
     return verdicts
 
 
-def _judge(index: int, occ: Occurrence, convention: Convention, facts) -> Verdict:
-    liberal = (
-        convention is Convention.LIBERAL_DIVISION and occ.numerator is not None
-    )
+def _is_liberal(occ: Occurrence, convention: Convention) -> bool:
+    return convention is Convention.LIBERAL_DIVISION and occ.numerator is not None
 
+
+def _search_inputs(occ: Occurrence, convention: Convention, facts):
+    """The names the witness search binds for occ, its extra names and the
+    terms it keeps nonzero: the facts that use no other names and, under
+    liberal division, the numerator."""
+    liberal = _is_liberal(occ, convention)
     extra = free_vars(occ.numerator) if liberal else frozenset()
-    # the witness search binds exactly these names, so it can test the
-    # facts that use no others (and a liberal division's numerator)
-    bound = free_vars(occ.guarded) | extra
-    nonzero = [fact.term for fact in facts if free_vars(fact.term) <= bound]
+    names = free_vars(occ.guarded) | extra
+    nonzero = [fact.term for fact in facts if fact.names <= names]
     if liberal:
         nonzero.append(occ.numerator)
+    return names, extra, nonzero
 
+
+def _judge(index: int, occ: Occurrence, convention: Convention, facts) -> Verdict:
+    # Certificates first: a nonzero guard, or a zero numerator under
+    # liberal division, proves that the witness search, which sweeps up to
+    # 23^3 environments, would come back empty.
+    certificate = nonzero_certificate(occ.guarded, facts)
+    if (
+        certificate is None
+        and _is_liberal(occ, convention)
+        and constant_fold(occ.numerator) == 0
+    ):
+        certificate = Certificate(CertificateKind.ZERO_NUMERATOR)
+    if certificate is not None:
+        if (
+            certificate.kind is CertificateKind.HYPOTHESIS_DERIVED
+            and certificate.statement == index
+        ):
+            return Verdict(
+                index,
+                occ.position,
+                occ.guarded,
+                VerdictKind.UNKNOWN,
+                certificate=certificate,
+                reason="same-statement hypothesis",
+            )
+        return Verdict(index, occ.position, occ.guarded, VerdictKind.COMPLIANT, certificate=certificate)
+
+    names, extra, nonzero = _search_inputs(occ, convention, facts)
     witness = find_zero_witness(occ.guarded, nonzero=nonzero, extra_vars=extra)
     if witness is not None:
         return Verdict(index, occ.position, occ.guarded, VerdictKind.VIOLATION, witness=witness)
-
-    certificate = nonzero_certificate(occ.guarded, facts)
-    if certificate is None and liberal:
-        numerator = constant_fold(occ.numerator)
-        if numerator is not None and numerator == 0:
-            certificate = Certificate(CertificateKind.ZERO_NUMERATOR)
-    if certificate is None:
-        return Verdict(
-            index,
-            occ.position,
-            occ.guarded,
-            VerdictKind.UNKNOWN,
-            reason="no certificate within budget",
+    if len(names) > WITNESS_MAX_VARS:
+        reason = f"search skipped: {len(names)} variables, over the budget of {WITNESS_MAX_VARS}"
+    else:
+        reason = (
+            f"no zero among {len(_WITNESS_VALUES)}^{len(names)} environments "
+            "and no certificate rule applies"
         )
-    if (
-        certificate.kind is CertificateKind.HYPOTHESIS_DERIVED
-        and certificate.statement == index
-    ):
-        return Verdict(
-            index,
-            occ.position,
-            occ.guarded,
-            VerdictKind.UNKNOWN,
-            certificate=certificate,
-            reason="same-statement hypothesis",
-        )
-    return Verdict(index, occ.position, occ.guarded, VerdictKind.COMPLIANT, certificate=certificate)
+    return Verdict(index, occ.position, occ.guarded, VerdictKind.UNKNOWN, reason=reason)

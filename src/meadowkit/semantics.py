@@ -180,6 +180,14 @@ def _binary(op, a, b):
     return lambda f: op(a(f), b(f))
 
 
+def _square(mul, a):
+    def square(f):
+        x = a(f)
+        return mul(x, x)
+
+    return square
+
+
 def _inverse_punched(inv, zero, a):
     def inverse(f):
         x = a(f)
@@ -248,7 +256,10 @@ def term_compiler(s: StructureSpec, scope: Scope):
         elif cls is Add:
             fn = _binary(add, comp(t.left, memo), comp(t.right, memo))
         elif cls is Mul:
-            fn = _binary(mul, comp(t.left, memo), comp(t.right, memo))
+            # the parser's squaring: run the shared child once, so that
+            # `x^n` costs O(log n) per call as well
+            a = comp(t.left, memo)
+            fn = _square(mul, a) if t.left is t.right else _binary(mul, a, comp(t.right, memo))
         elif cls is Div:
             fn = division(mul, inv, zero, comp(t.left, memo), comp(t.right, memo))
         elif cls is Neg:
@@ -316,8 +327,10 @@ class RandomSample:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"samples must be at least 1, got {self.count}")
+        if not 1 <= self.count <= ENUMERATION_BUDGET:
+            raise ValueError(
+                f"samples must be between 1 and {ENUMERATION_BUDGET}, got {self.count}"
+            )
 
 
 def random_rational(rng: random.Random) -> Fraction:

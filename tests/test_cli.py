@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,11 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--carrier", "gf" + modulus, "1")
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_huge_exponent_over_prime_field(self, capsys):
+        # 3 has order 6 mod 7 and 10^10 = 4 mod 6; x^n takes O(log n) steps
+        code, out, _ = run(capsys, "eval", "-b", "x=3", "--carrier", "gf7", "x^10000000000")
+        assert (code, out.strip()) == (0, "4")
 
     def test_zero_denominator_binding_rejected(self, capsys):
         code, out, err = run(capsys, "eval", "-b", "x=1/0", "x")
@@ -187,6 +195,11 @@ class TestAxioms:
         code, out, err = run(capsys, "axioms", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_samples_over_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "axioms", "--samples", "100000000")
+        assert code == 1 and out == ""
+        assert err == "error: samples must be between 1 and 10000000, got 100000000\n"
 
     def test_quantified_extra_law_rejected(self, capsys):
         code, out, err = run(capsys, "axioms", "--extra", "forall x. x = x")
@@ -317,6 +330,31 @@ class TestLint:
             capsys, "lint", "--convention", "division", str(CORPORA / "zero_numerator.mcorpus")
         )
         assert code == 4
+
+    @pytest.mark.parametrize("corpus, line", [
+        ("claim: 1/(x + y + z + w) = 1",
+         "detail=search skipped: 4 variables, over the budget of 3"),
+        ("claim: 1/(x*x - 2) = 1",
+         "detail=no zero among 23^1 environments and no certificate rule applies"),
+    ])
+    def test_unknown_reasons(self, capsys, tmp_path, corpus, line):
+        path = tmp_path / "c.mcorpus"
+        path.write_text(corpus + "\n")
+        code, out, _ = run(capsys, "lint", str(path))
+        assert code == 3
+        assert out.strip().endswith("verdict=UNKNOWN " + line)
+
+    def test_module_entry_point(self):
+        # `python -m meadowkit` runs the CLI, as in README's lint examples
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for corpus, code in (("one_over_zero", 4), ("theorem_s5", 3)):
+            done = subprocess.run(
+                [sys.executable, "-m", "meadowkit", "lint", "--convention", "division",
+                 str(CORPORA / f"{corpus}.mcorpus")],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == code, done.stderr
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "lint", "no-such-file.mcorpus")

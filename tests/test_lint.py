@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from meadowkit.lint import (
     Fact,
     StatementKind,
     VerdictKind,
+    _extract_facts,
+    _search_inputs,
     canonical_key,
     collect_occurrences,
     find_zero_witness,
@@ -239,6 +242,84 @@ class TestLint:
         )
         assert canonical_key(parse_term("x*y")) == canonical_key(parse_term("y*x"))
         assert canonical_key(parse_term("x/y")) != canonical_key(parse_term("y/x"))
+
+
+class TestUnknownReasons:
+    def test_numerator_names_count_under_liberal_division(self):
+        # x*x*y*y = 2 has no rational root; the numerator adds u and v
+        stmts = corpus("claim: (u + v)/(x*x*y*y - 2) = 1")
+        (strict,) = lint(stmts, Convention.DIVISION)
+        assert strict.kind is VerdictKind.UNKNOWN
+        assert strict.reason == "no zero among 23^2 environments and no certificate rule applies"
+        (liberal,) = lint(stmts, Convention.LIBERAL_DIVISION)
+        assert liberal.kind is VerdictKind.UNKNOWN
+        assert liberal.reason == "search skipped: 4 variables, over the budget of 3"
+
+
+# Shapes for the certificates-first invariant below, over the names p, q, r.
+_HYP_DENOMS = ("p", "q", "p*q", "q + r", "p*p + 1", "r - 1")
+_CLAIM_GUARDS = (
+    "p", "q", "q*p", "r + q", "p*p + q*q + 2", "(p*p + 1)*(q*q + 3)", "2/3", "1 - 1",
+    "p*(q*q + 1)", "(q + r)*(p*p + 1)", "p*q*r - 1", "p - q", "r*r + 1",
+)
+_NUMERATORS = ("1", "0", "p", "q + 1", "0*r", "r")
+
+
+def _random_corpus(rng):
+    lines = []
+    for _ in range(rng.randint(2, 6)):
+        numerator = rng.choice(_NUMERATORS)
+        if rng.random() < 0.4:
+            denom = rng.choice(_HYP_DENOMS)
+            lhs = f"({numerator})*({denom})^-1" if rng.random() < 0.3 else f"({numerator})/({denom})"
+            lines.append(f"hyp: {lhs} = {rng.randint(1, 4)}")
+            continue
+        guard = rng.choice(_CLAIM_GUARDS)
+        body = f"({numerator})/({guard}) = 1"
+        if rng.random() < 0.2:
+            body = f"({guard})^-1 > 0"
+        if rng.random() < 0.25:
+            body = f"{rng.choice(('forall', 'exists'))} {rng.choice('pqr')}. {body}"
+        lines.append(f"claim: {body}")
+    return corpus(*lines)
+
+
+class TestCertificatesFirst:
+    def test_certified_occurrences_have_no_witness(self):
+        # Every certificate must prove that the witness search, run on the
+        # inputs `_judge` gives it, comes back empty; that is what lets
+        # `_judge` skip the search once a certificate is found.
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(60):
+            stmts = _random_corpus(rng)
+            for convention in Convention:
+                verdicts = iter(lint(stmts, convention))
+                facts = []
+                for stmt in stmts:
+                    facts.extend(_extract_facts(stmt))
+                    for occ in collect_occurrences(stmt.formula):
+                        v = next(verdicts)
+                        if v.certificate is None:
+                            continue
+                        kinds.add(v.certificate.kind)
+                        _, extra, nonzero = _search_inputs(occ, convention, facts)
+                        assert find_zero_witness(
+                            occ.guarded, nonzero=nonzero, extra_vars=extra
+                        ) is None, (stmt, occ, v)
+        assert kinds == set(CertificateKind)
+
+    def test_certificate_needs_no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("witness search run for a certified guard")
+
+        # the package exports the function `lint` under the module's name
+        monkeypatch.setattr(
+            importlib.import_module("meadowkit.lint"), "find_zero_witness", no_search
+        )
+        (v,) = lint(corpus("claim: 1/(x*x + y*y + z*z + 1) = 1"), Convention.DIVISION)
+        assert v.kind is VerdictKind.COMPLIANT
+        assert v.certificate == Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
 
 
 def _as_claim(t):

@@ -132,6 +132,22 @@ class TestCompileTerm:
         assert scope.lookups == 1
         assert fn(scope.frame({"x": 3}, PrimeField(7))) == pow(3, 1024, 7)
 
+    def test_squaring_runs_the_shared_child_once(self):
+        class CountingFrame(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return super().__getitem__(i)
+
+        gf7 = StructureSpec(PrimeField(7))
+        # x^8 is three squarings of x; x^10 = (x^4*x)^2 reads x twice
+        for n, reads in ((8, 1), (10, 2), (2**40, 1)):
+            fn = compile_term(parse_term(f"x^{n}"), gf7, Scope(["x"], grow=False))
+            frame = CountingFrame([3])
+            assert fn(frame) == pow(3, n, 7)
+            assert frame.reads == reads
+
     def test_operands_checked_where_they_enter(self):
         gf5 = StructureSpec(PrimeField(5))
         with pytest.raises(CarrierMismatchError):
