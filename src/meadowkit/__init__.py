@@ -39,7 +39,6 @@ from .logic import (
     and_tv,
     classify_sentence,
     connective_table,
-    eval_equality,
     eval_formula,
     implies_tv,
     not_tv,
@@ -59,7 +58,6 @@ from .semantics import (
     axiom_catalog,
     eval_partial,
     eval_total,
-    verify_axiom,
     verify_axiom_spec,
 )
 from .terms import free_vars, is_divisive, is_inversive, to_divisive, to_inversive

@@ -52,6 +52,7 @@ class Ops(NamedTuple):
     mul: Callable
     neg: Callable
     inv_total: Callable
+    power: Callable  # (a, n) -> a^n for a natural number n
 
 
 class Carrier:
@@ -98,12 +99,28 @@ def _inv_rational(a: Fraction) -> Fraction:
     return 1 / a if a else a
 
 
+#: The most bits a rational power a^n may take, estimated before it is
+#: computed as (bits of a's numerator + bits of its denominator) * n.
+#: 3^(10^6), about 1.6 M bits, is within it; bases 0, 1 and -1 are exempt.
+MAX_POWER_BITS = 2**22
+
+
+def _power_rational(a: Fraction, n: int) -> Fraction:
+    bits = (a.numerator.bit_length() + a.denominator.bit_length()) * n
+    if bits > MAX_POWER_BITS and a not in (0, 1, -1):
+        raise ValueError(
+            f"{format_element(a)} to the power {n} would take about {bits} bits, "
+            f"over the bound of {MAX_POWER_BITS}"
+        )
+    return a**n
+
+
 @dataclass(frozen=True)
 class Rationals(Carrier):
     """The rational numbers with 0^-1 = 0."""
 
     enumerable = False
-    ops = Ops(operator.add, operator.mul, operator.neg, _inv_rational)
+    ops = Ops(operator.add, operator.mul, operator.neg, _inv_rational, _power_rational)
 
     def __str__(self):
         return "rationals"
@@ -167,6 +184,7 @@ class PrimeField(Carrier):
             lambda a, b: (a * b) % p,
             lambda a: (-a) % p,
             lambda a: pow(a, p - 2, p) if a else 0,
+            lambda a, n: pow(a, n, p),
         )
         object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
 

@@ -27,6 +27,7 @@ from .terms import (
     Neg,
     NumLit,
     One,
+    Pow,
     Term,
     Var,
     Zero,
@@ -109,15 +110,19 @@ _KEY_TAGS = {Zero: "0", One: "1", Neg: "-", Inv: "inv", Div: "/"}
 
 
 def canonical_key(t: Term):
-    """Structural key modulo argument order of + and * (flattened)."""
+    """Structural key modulo argument order of + and * (flattened); a
+    product is keyed by the multiset of its factors with their exponents,
+    so `q^2` and `q*q` get one key."""
     if isinstance(t, NumLit):
         return ("num", t.value)
     if isinstance(t, Var):
         return ("var", t.name)
-    if isinstance(t, (Add, Mul)):
-        op = "+" if isinstance(t, Add) else "*"
-        parts = sorted((canonical_key(p) for p in _flatten(t, type(t))), key=repr)
-        return (op, tuple(parts))
+    if isinstance(t, Add):
+        return ("+", tuple(sorted((canonical_key(p) for p in _flatten(t, Add)), key=repr)))
+    if isinstance(t, (Mul, Pow)):
+        powers = {}
+        _factor_powers(t, 1, powers)
+        return ("*", tuple(sorted(powers.items(), key=repr)))
     tag = _KEY_TAGS.get(type(t))
     if tag is None:
         raise TypeError(f"not a term: {t!r}")
@@ -131,6 +136,18 @@ def _flatten(t: Term, cls) -> list:
     if isinstance(t, cls):
         return _flatten(t.left, cls) + _flatten(t.right, cls)
     return [t]
+
+
+def _factor_powers(t: Term, n: int, powers: dict):
+    """Add the exponent of each factor of t^n to `powers`, by the factor's key."""
+    if isinstance(t, Mul):
+        _factor_powers(t.left, n, powers)
+        _factor_powers(t.right, n, powers)
+    elif isinstance(t, Pow):
+        _factor_powers(t.arg, n * t.n, powers)
+    else:
+        key = canonical_key(t)
+        powers[key] = powers.get(key, 0) + n
 
 
 class CertificateKind(Enum):
@@ -176,8 +193,9 @@ def constant_fold(t: Term) -> Fraction | None:
     return eval_total(t, {}, _TOTAL_RATIONALS)
 
 
-def _is_square(t: Term) -> bool:
-    return isinstance(t, Mul) and t.left == t.right
+def _is_even_power(t: Term) -> bool:
+    """`u*u` or `u^n` with n even, which is never negative over Q."""
+    return (isinstance(t, Mul) and t.left == t.right) or (isinstance(t, Pow) and t.n % 2 == 0)
 
 
 def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
@@ -188,6 +206,8 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
     value = constant_fold(t)
     if value is not None:
         return Certificate(CertificateKind.NONZERO_CONSTANT) if value != 0 else None
+    if isinstance(t, Pow) and t.n == 0:  # 1 in the total field, even where the base is 0
+        return Certificate(CertificateKind.NONZERO_CONSTANT)
     if isinstance(t, Add):
         summands = _flatten(t, Add)
         const = Fraction(0)
@@ -197,17 +217,16 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
             folded = constant_fold(part)
             if folded is not None:
                 const += folded
-            elif _is_square(part):
+            elif _is_even_power(part):
                 squares += 1
             else:
                 ok = False
                 break
         if ok and squares > 0 and const > 0:
             return Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
-    if (
-        isinstance(t, Mul)
-        and nonzero_certificate(t.left, facts) is not None
-        and nonzero_certificate(t.right, facts) is not None
+    # a field has no zero divisors: a product or power of nonzero factors is nonzero
+    if isinstance(t, (Mul, Pow)) and all(
+        nonzero_certificate(kid, facts) is not None for kid in children(t)
     ):
         return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
     if not facts:

@@ -276,12 +276,6 @@ def _quantifier(top, mid, universal: bool, slot: int, body, elements):
     return quantify
 
 
-def eval_equality(t, u, kind: EqualityKind, env, s: StructureSpec) -> TruthValue:
-    """Truth value of t = u under the given equality kind."""
-    cfg = LogicConfig(kind, LPMD.connectives, LPMD.quantifiers)
-    return eval_formula(Eq(t, u), cfg, env, s)
-
-
 def eval_formula(f, cfg: LogicConfig, env, s: StructureSpec) -> TruthValue:
     scope = Scope()
     fn = compile_formula(f, cfg, s, scope)

@@ -16,8 +16,8 @@ Grammar (authoritative):
     neg     := "!" neg | fatom ;
     fatom   := term ("="|"!="|">"|"<") term | "(" formula ")" ;
 
-`a - b` is sugar for `a + (-b)`, `t != u` for `!(t = u)`, and `t^n`
-expands to repeated multiplication (by squaring, so `x^4` is `(x^2)^2`).
+`a - b` is sugar for `a + (-b)` and `t != u` for `!(t = u)`; `t^n` is a
+`Pow` node for every natural n, 0 and 1 included.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .terms import (
     Not,
     NumLit,
     Or,
+    Pow,
     Var,
 )
 
@@ -91,17 +92,6 @@ def _tokenize(text: str) -> list[_Token]:
         i = m.end()
     tokens.append(_Token("eof", "", len(text)))
     return tokens
-
-
-def _expand_pow(t, n: int):
-    if n == 0:
-        return ONE
-    if n == 1:
-        return t
-    if n % 2 == 0:
-        half = _expand_pow(t, n // 2)
-        return Mul(half, half)
-    return Mul(_expand_pow(t, n - 1), t)
 
 
 class _Parser:
@@ -168,7 +158,7 @@ class _Parser:
                 t = Inv(t)
             else:
                 n = self.expect("nat")
-                t = _expand_pow(t, int(n.text))
+                t = Pow(t, int(n.text))
         return t
 
     def atom(self):

@@ -23,6 +23,7 @@ from .terms import (
     NumLit,
     One,
     Or,
+    Pow,
     Var,
     Zero,
 )
@@ -38,7 +39,7 @@ def _term_prec(t) -> int:
         return _MUL
     if isinstance(t, Neg):
         return _UNARY
-    if isinstance(t, Inv):
+    if isinstance(t, (Inv, Pow)):
         return _POSTFIX
     return _ATOM
 
@@ -66,6 +67,8 @@ def _term(t, min_prec: int) -> str:
         s = f"-{_term(t.arg, _UNARY)}"
     elif isinstance(t, Inv):
         s = f"{_term(t.arg, _POSTFIX)}^-1"
+    elif isinstance(t, Pow):
+        s = f"{_term(t.arg, _POSTFIX)}^{t.n}"
     else:
         raise TypeError(f"not a term: {t!r}")
     if prec < min_prec:

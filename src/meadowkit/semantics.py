@@ -39,16 +39,15 @@ from .printer import print_term  # unused here; bench/tracing.py wraps this modu
 from .terms import (
     Add,
     Div,
-    Eq,
     Exists,
     Forall,
     Formula,
-    Implies,
     Inv,
     Mul,
     Neg,
     NumLit,
     One,
+    Pow,
     Term,
     Var,
     Zero,
@@ -180,14 +179,6 @@ def _binary(op, a, b):
     return lambda f: op(a(f), b(f))
 
 
-def _square(mul, a):
-    def square(f):
-        x = a(f)
-        return mul(x, x)
-
-    return square
-
-
 def _inverse_punched(inv, zero, a):
     def inverse(f):
         x = a(f)
@@ -232,7 +223,7 @@ def term_compiler(s: StructureSpec, scope: Scope):
     in a frame was checked where it entered.
     """
     c = s.carrier
-    add, mul, neg, inv = c.ops
+    add, mul, neg, inv, power = c.ops
     zero = c.from_int(0)
     punch_inverse = s.mode is Mode.PUNCH_INV0
     division = (
@@ -241,40 +232,29 @@ def term_compiler(s: StructureSpec, scope: Scope):
         else _division
     )
 
-    def comp(t, memo=None):
-        # a subterm shared within the term (the parser builds `x^n` by
-        # squaring) is compiled once, so `x^n` makes O(log n) closures;
-        # the memo is per term, whose names all have one scope
-        if memo is None:
-            memo = {}
-        fn = memo.get(id(t))
-        if fn is not None:
-            return fn
+    def comp(t):
         cls = type(t)
         if cls is Var:
-            fn = operator.itemgetter(scope.lookup(t.name))
-        elif cls is Add:
-            fn = _binary(add, comp(t.left, memo), comp(t.right, memo))
-        elif cls is Mul:
-            # the parser's squaring: run the shared child once, so that
-            # `x^n` costs O(log n) per call as well
-            a = comp(t.left, memo)
-            fn = _square(mul, a) if t.left is t.right else _binary(mul, a, comp(t.right, memo))
-        elif cls is Div:
-            fn = division(mul, inv, zero, comp(t.left, memo), comp(t.right, memo))
-        elif cls is Neg:
-            fn = _unary(neg, comp(t.arg, memo))
-        elif cls is Inv:
-            a = comp(t.arg, memo)
-            fn = _inverse_punched(inv, zero, a) if punch_inverse else _unary(inv, a)
-        elif cls is NumLit:
-            fn = _constant(c.from_int(t.value))
-        elif cls is Zero or cls is One:
-            fn = _constant(c.from_int(int(cls is One)))
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        memo[id(t)] = fn
-        return fn
+            return operator.itemgetter(scope.lookup(t.name))
+        if cls is Add:
+            return _binary(add, comp(t.left), comp(t.right))
+        if cls is Mul:
+            return _binary(mul, comp(t.left), comp(t.right))
+        if cls is Div:
+            return division(mul, inv, zero, comp(t.left), comp(t.right))
+        if cls is Neg:
+            return _unary(neg, comp(t.arg))
+        if cls is Inv:
+            a = comp(t.arg)
+            return _inverse_punched(inv, zero, a) if punch_inverse else _unary(inv, a)
+        if cls is Pow:
+            a, n = comp(t.arg), t.n
+            return lambda f: power(a(f), n)
+        if cls is NumLit:
+            return _constant(c.from_int(t.value))
+        if cls is Zero or cls is One:
+            return _constant(c.from_int(int(cls is One)))
+        raise TypeError(f"not a term: {t!r}")
 
     return comp
 
@@ -304,16 +284,6 @@ def eval_total(t: Term, env, s: StructureSpec):
     if s.mode is not Mode.TOTAL:
         raise ValueError("eval_total requires a structure with total mode")
     return eval_partial(t, env, s)
-
-
-def classical_truth(f, env, s: StructureSpec) -> bool:
-    """Two-valued truth of a quantifier-free formula in a total structure."""
-    from .logic import LPMD, T, eval_formula  # logic builds on this module
-
-    if s.mode is not Mode.TOTAL:
-        raise ValueError("classical truth needs a structure with total mode")
-    # nothing is punched in a total structure, so every logic gives T or F
-    return eval_formula(f, LPMD, env, s) is T
 
 
 @dataclass(frozen=True)
@@ -409,12 +379,6 @@ def verify_axiom_spec(spec: AxiomSpec, s: StructureSpec, strategy) -> AxiomRepor
         if law(env) is not T:
             return AxiomReport(spec.name, text, False, samples, dict(zip(names, env)))
     return AxiomReport(spec.name, text, True, samples)
-
-
-def verify_axiom(lhs: Term, rhs: Term, s: StructureSpec, strategy, guard=None) -> AxiomReport:
-    """Verify lhs = rhs (optionally under a classical guard) in a total structure."""
-    law = Eq(lhs, rhs) if guard is None else Implies(guard, Eq(lhs, rhs))
-    return verify_axiom_spec(AxiomSpec("axiom", law), s, strategy)
 
 
 def _ax(name: str, text: str) -> AxiomSpec:

@@ -62,6 +62,14 @@ class Div(Term):
     right: Term
 
 
+@dataclass(frozen=True)
+class Pow(Term):
+    """`arg^n` for a natural number n (`arg^0` is 1)."""
+
+    arg: Term
+    n: int
+
+
 ZERO = Zero()
 ONE = One()
 
@@ -134,7 +142,7 @@ def children(node) -> tuple:
     cls = type(node)
     if cls in _BINARY:
         return (node.left, node.right)
-    if cls in _UNARY:
+    if cls in _UNARY or cls is Pow:
         return (node.arg,)
     if cls in _QUANTIFIERS:
         return (node.body,)
@@ -145,10 +153,12 @@ def children(node) -> tuple:
 
 def rebuild(node, kids):
     """The same kind of node as `node` with children `kids`; a quantifier
-    keeps its variable."""
+    keeps its variable and a power its exponent."""
     cls = type(node)
     if cls in _BINARY or cls in _UNARY:
         return cls(*kids)
+    if cls is Pow:
+        return Pow(*kids, node.n)
     if cls in _QUANTIFIERS:
         return cls(node.var, *kids)
     if cls in _LEAVES:

@@ -23,6 +23,7 @@ from meadowkit.terms import (
     NumLit,
     Or,
     And,
+    Pow,
     Var,
     _contains,
 )
@@ -48,7 +49,7 @@ def random_term(rng: random.Random, depth: int = 4, names=VAR_NAMES):
         if leaf == 2:
             return NumLit(rng.randint(2, 9))
         return Var(rng.choice(names))
-    node = rng.randrange(5)
+    node = rng.randrange(6)
     if node == 0:
         return Add(random_term(rng, depth - 1, names), random_term(rng, depth - 1, names))
     if node == 1:
@@ -57,6 +58,8 @@ def random_term(rng: random.Random, depth: int = 4, names=VAR_NAMES):
         return Neg(random_term(rng, depth - 1, names))
     if node == 3:
         return Inv(random_term(rng, depth - 1, names))
+    if node == 4:
+        return Pow(random_term(rng, depth - 1, names), rng.randint(0, 4))
     return Div(random_term(rng, depth - 1, names), random_term(rng, depth - 1, names))
 
 

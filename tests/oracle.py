@@ -25,6 +25,7 @@ from meadowkit.terms import (
     NumLit,
     One,
     Or,
+    Pow,
     Var,
     Zero,
 )
@@ -103,6 +104,14 @@ def oracle_term(t, env, p, mode):
     if isinstance(t, Neg):
         a = oracle_term(t.arg, env, p, mode)
         return None if a is None else (-a) % p
+    if isinstance(t, Pow):
+        a = oracle_term(t.arg, env, p, mode)
+        if a is None:
+            return None
+        value = 1 % p
+        for _ in range(t.n):
+            value = (value * a) % p
+        return value
     if isinstance(t, Inv):
         a = oracle_term(t.arg, env, p, mode)
         if a is None:

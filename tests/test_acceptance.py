@@ -31,6 +31,7 @@ from meadowkit.logic import (
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
+    AxiomSpec,
     Exhaustive,
     Mode,
     RandomSample,
@@ -38,7 +39,6 @@ from meadowkit.semantics import (
     axiom_catalog,
     eval_partial,
     eval_total,
-    verify_axiom,
     verify_axiom_spec,
 )
 from meadowkit.terms import free_vars, to_divisive, to_inversive
@@ -112,9 +112,8 @@ def test_criterion_3_axiom_suite():
         ok &= all(verify_axiom_spec(a, s, Exhaustive()).passed for a in catalog)
     strategy = RandomSample(1000, seed=0)
     ok &= all(verify_axiom_spec(a, TOTAL_Q, strategy).passed for a in catalog)
-    defining = verify_axiom(
-        parse_term("(1 + x^2 + y^2)/(1 + x^2 + y^2)"),
-        parse_term("1"),
+    defining = verify_axiom_spec(
+        AxiomSpec("defining", parse_formula("(1 + x^2 + y^2)/(1 + x^2 + y^2) = 1")),
         TOTAL_Q,
         RandomSample(1000, seed=1),
     )

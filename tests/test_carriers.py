@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from meadowkit import carriers
 from meadowkit.carriers import (
     PRIME_LIMIT,
     RATIONALS,
@@ -113,6 +114,25 @@ class TestRationalOps:
         with pytest.raises(CarrierMismatchError):
             RATIONALS.add(Fraction(1), 1)
 
+    def test_power(self):
+        power = RATIONALS.ops.power
+        assert power(Fraction(-2, 3), 3) == Fraction(-8, 27)
+        assert power(Fraction(5), 0) == 1
+
+    def test_power_size_bound(self, monkeypatch):
+        # 7 is estimated at 3 + 1 bits, so 7^n at 4n bits
+        monkeypatch.setattr(carriers, "MAX_POWER_BITS", 40)
+        assert RATIONALS.ops.power(Fraction(7), 10) == 7**10
+        with pytest.raises(ValueError, match="over the bound of 40"):
+            RATIONALS.ops.power(Fraction(7), 11)
+        with pytest.raises(ValueError):
+            RATIONALS.ops.power(Fraction(1, 7), 11)
+
+    def test_power_of_zero_and_units_is_never_refused(self):
+        n = 10 * carriers.MAX_POWER_BITS
+        assert [RATIONALS.ops.power(Fraction(b), n) for b in (0, 1, -1)] == [0, 1, 1]
+        assert RATIONALS.ops.power(Fraction(-1), n + 1) == -1
+
 
 class TestPrimeField:
     def test_modular_sum(self):
@@ -163,6 +183,11 @@ class TestPrimeField:
         # to every prime base up to 37
         with pytest.raises(ValueError):
             PrimeField(p)
+
+    def test_power_has_no_size_bound(self):
+        n = 10 * carriers.MAX_POWER_BITS
+        assert PrimeField(7).ops.power(3, n) == pow(3, n, 7)
+        assert PrimeField(7).ops.power(0, 0) == 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(CarrierMismatchError):

@@ -74,6 +74,16 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "-b", "x=3", "--carrier", "gf7", "x^10000000000")
         assert (code, out.strip()) == (0, "4")
 
+    def test_huge_exponent_over_rationals_refused(self, capsys):
+        code, out, err = run(capsys, "eval", "-b", "x=3", "x^10000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 3 to the power 10000000000 would take")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_punched_base_of_zeroth_power(self, capsys):
+        code, out, _ = run(capsys, "eval", "--mode", "punch-div-all", "(1/0)^0")
+        assert (code, out.strip()) == (3, "UNDEFINED")
+
     def test_zero_denominator_binding_rejected(self, capsys):
         code, out, err = run(capsys, "eval", "-b", "x=1/0", "x")
         assert code == 1 and out == ""
@@ -177,7 +187,7 @@ class TestAxioms:
         assert "witness=x=0" in fails[0]
 
     @pytest.mark.parametrize("carrier, law, line", [
-        ("rationals", "x^2 + 1 > 0", "PASS axiom=x*x + 1 > 0 samples=1000"),
+        ("rationals", "x^2 + 1 > 0", "PASS axiom=x^2 + 1 > 0 samples=1000"),
         ("gf5", "x = 0 | x != 0", "PASS axiom=x = 0 | x != 0 samples=5"),
         ("gf5", "x != 0 => x*(y/x) = y", "PASS axiom=x != 0 => x*(y/x) = y samples=25"),
     ])
@@ -343,6 +353,24 @@ class TestLint:
         code, out, _ = run(capsys, "lint", str(path))
         assert code == 3
         assert out.strip().endswith("verdict=UNKNOWN " + line)
+
+    @pytest.mark.parametrize("corpus, code, line", [
+        ("claim: 1/x^10000000000 = 1", 4, "guarded=x^10000000000 verdict=VIOLATION detail=x=0"),
+        ("claim: (1/0)^0 = 1", 4, "guarded=0 verdict=VIOLATION detail={}"),
+    ])
+    def test_powers(self, capsys, tmp_path, corpus, code, line):
+        path = tmp_path / "c.mcorpus"
+        path.write_text(corpus + "\n")
+        assert run(capsys, "lint", "--convention", "division", str(path))[:2] == (
+            code, f"statement=0 pos=0 {line}\n"
+        )
+
+    def test_huge_closed_power_ends_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "c.mcorpus"
+        path.write_text("claim: 1/2^10000000000 = 1\n")
+        code, out, err = run(capsys, "lint", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_module_entry_point(self):
         # `python -m meadowkit` runs the CLI, as in README's lint examples

@@ -90,6 +90,18 @@ class TestCertificates:
         cert = nonzero_certificate(parse_term("z*y + x"), facts)
         assert cert == Certificate(CertificateKind.HYPOTHESIS_DERIVED, 4)
 
+    def test_powers(self):
+        # a power of a certified base is a product of certified factors,
+        # and an even power is a square
+        cert = nonzero_certificate(parse_term("(1 + y^2)^2"))
+        assert cert == Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
+        cert = nonzero_certificate(parse_term("x^4 + 1"))
+        assert cert == Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
+        assert nonzero_certificate(parse_term("x^3 + 1")) is None
+        assert nonzero_certificate(parse_term("x^2")) is None
+        # x^0 is 1, as the parser's old expansion of it was
+        assert nonzero_certificate(parse_term("x^0")) == Certificate(CertificateKind.NONZERO_CONSTANT)
+
     def test_negative_constant_plus_square_not_certified(self):
         assert nonzero_certificate(parse_term("x^2 - 1")) is None
 
@@ -101,6 +113,9 @@ class TestCertificates:
             parse_term("2/3"),
             parse_term("(x^2 + 1)*(y^2 + 2)"),
             parse_term("3 + x^2"),
+            parse_term("(1 + y^2)^2"),
+            parse_term("x^4 + (x*y)^2 + 1"),
+            parse_term("(x - x)^0"),
         ]
         for t in certified:
             assert nonzero_certificate(t) is not None
@@ -242,6 +257,30 @@ class TestLint:
         )
         assert canonical_key(parse_term("x*y")) == canonical_key(parse_term("y*x"))
         assert canonical_key(parse_term("x/y")) != canonical_key(parse_term("y/x"))
+
+    def test_canonical_key_counts_exponents(self):
+        key = canonical_key
+        assert key(parse_term("q^2")) == key(parse_term("q*q"))
+        assert key(parse_term("(x*y)^2*x")) == key(parse_term("y*x^3*y"))
+        assert key(parse_term("q^2")) != key(parse_term("q^3"))
+        assert key(parse_term("q^2")) != key(parse_term("q"))
+
+    @pytest.mark.parametrize("hyp, claim", [("1/q^2 = 2", "1/(q*q) = 1"), ("1/(q*q) = 2", "1/q^2 = 1")])
+    def test_power_and_product_facts_match(self, hyp, claim):
+        _, v = lint(corpus(f"hyp: {hyp}", f"claim: {claim}"), Convention.DIVISION)
+        assert v.kind is VerdictKind.COMPLIANT
+        assert v.certificate == Certificate(CertificateKind.HYPOTHESIS_DERIVED, 0)
+
+    def test_huge_power_guard(self):
+        # x = 0 is the first value searched, and 0^n needs no size bound
+        (v,) = lint(corpus("claim: 1/x^10000000000 = 1"), Convention.DIVISION)
+        assert v.kind is VerdictKind.VIOLATION and v.witness == {"x": 0}
+        assert v.format_line().startswith("statement=0 pos=0 guarded=x^10000000000 ")
+
+    def test_division_under_a_zeroth_power_is_seen(self):
+        (v,) = lint(corpus("claim: (1/0)^0 = 1"), Convention.DIVISION)
+        assert v.guarded == parse_term("0")
+        assert v.kind is VerdictKind.VIOLATION and v.witness == {}
 
 
 class TestUnknownReasons:

@@ -18,7 +18,6 @@ from meadowkit.logic import (
     and_tv,
     classify_sentence,
     connective_table,
-    eval_equality,
     eval_formula,
     implies_tv,
     not_tv,
@@ -27,11 +26,12 @@ from meadowkit.logic import (
 )
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import Mode, StructureSpec
-from meadowkit.terms import Div, Inv, _contains, free_vars
+from meadowkit.terms import Div, Eq, Inv, _contains, free_vars
 
 T, F, U = TruthValue.T, TruthValue.F, TruthValue.U
 TV = (T, F, U)
 
+TOTAL_Q = StructureSpec(RATIONALS)
 PUNCH_ALL = StructureSpec(RATIONALS, Mode.PUNCH_DIV_ALL0)
 PUNCH_ALL_GF7 = StructureSpec(PrimeField(7), Mode.PUNCH_DIV_ALL0)
 
@@ -40,29 +40,34 @@ def cfg(eq, conn, quant):
     return LogicConfig(EqualityKind(eq), ConnectiveFamily(conn), QuantifierFamily(quant))
 
 
+def equality(kind):
+    """LPMD with its equality kind replaced."""
+    return LogicConfig(kind, LPMD.connectives, LPMD.quantifiers)
+
+
 class TestEquality:
     def test_strong_equality_of_two_nondenoting_sides(self):
         f = parse_formula("1/0 = 1/0 + 1")
-        assert eval_equality(f.left, f.right, EqualityKind.STRONG, {}, PUNCH_ALL) is T
+        assert eval_formula(f, equality(EqualityKind.STRONG), {}, PUNCH_ALL) is T
 
     def test_existential_equality_is_false_on_nondenoting(self):
         t = parse_term("1/0")
-        assert eval_equality(t, t, EqualityKind.EXISTENTIAL, {}, PUNCH_ALL) is F
+        assert eval_formula(Eq(t, t), equality(EqualityKind.EXISTENTIAL), {}, PUNCH_ALL) is F
 
     def test_weak_equality_is_undef_on_nondenoting(self):
         t = parse_term("1/0")
-        assert eval_equality(t, t, EqualityKind.WEAK, {}, PUNCH_ALL) is U
+        assert eval_formula(Eq(t, t), equality(EqualityKind.WEAK), {}, PUNCH_ALL) is U
 
     def test_all_kinds_classical_when_denoting(self):
         lhs, rhs = parse_term("1 + 1"), parse_term("2")
         for kind in EqualityKind:
-            assert eval_equality(lhs, rhs, kind, {}, PUNCH_ALL) is T
+            assert eval_formula(Eq(lhs, rhs), equality(kind), {}, PUNCH_ALL) is T
 
     def test_strong_is_equivalence_on_partial_values(self):
         # terms denoting 0, 1, and two distinct non-denoting terms
         terms = [parse_term(s) for s in ("0", "1", "1/0", "2/0", "1 - 1")]
         def eq(a, b):
-            return eval_equality(a, b, EqualityKind.STRONG, {}, PUNCH_ALL)
+            return eval_formula(Eq(a, b), equality(EqualityKind.STRONG), {}, PUNCH_ALL)
         for a in terms:
             assert eq(a, a) is T
         for a, b in itertools.product(terms, repeat=2):
@@ -75,7 +80,7 @@ class TestEquality:
         defined = parse_term("1")
         undefined = parse_term("1/0")
         for a, b in [(defined, undefined), (undefined, defined), (undefined, undefined)]:
-            assert eval_equality(a, b, EqualityKind.EXISTENTIAL, {}, PUNCH_ALL) is F
+            assert eval_formula(Eq(a, b), equality(EqualityKind.EXISTENTIAL), {}, PUNCH_ALL) is F
 
 
 class TestConnectives:
@@ -202,7 +207,7 @@ class TestEvalFormula:
             while _contains(f, (Div, Inv)):
                 f = random_formula(rng, depth=3)
             env = {n: random_rational(rng) for n in free_vars(f)}
-            expected = _classical(f, env)
+            expected = eval_formula(f, LPMD, env, TOTAL_Q)
             for c in configs:
                 assert eval_formula(f, c, env, PUNCH_ALL) is expected
 
@@ -236,13 +241,6 @@ class TestEvalFormula:
                     eval_formula(parse_formula("x/x = 1"), kleene, {"x": v}, s),
                 )
             assert eval_formula(f, kleene, {}, s) is folded
-
-
-def _classical(f, env):
-    from meadowkit.semantics import classical_truth, StructureSpec as SS
-    from meadowkit.carriers import RATIONALS as Q
-
-    return T if classical_truth(f, env, SS(Q)) else F
 
 
 class TestClassify:

@@ -10,6 +10,7 @@ from meadowkit.carriers import RATIONALS, CarrierMismatchError, PrimeField
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
+    AxiomSpec,
     Exhaustive,
     Mode,
     RandomSample,
@@ -20,7 +21,6 @@ from meadowkit.semantics import (
     compile_term,
     eval_partial,
     eval_total,
-    verify_axiom,
     verify_axiom_spec,
 )
 from meadowkit.terms import free_vars
@@ -55,6 +55,12 @@ class TestEvalTotal:
 class TestEvalPartial:
     def test_punched_division(self):
         assert eval_partial(parse_term("1/0"), {}, PUNCH_ALL) is UNDEFINED
+
+    def test_power_is_strict(self):
+        # `t^0` is 1 only where t denotes
+        assert eval_partial(parse_term("(1/0)^0"), {}, PUNCH_ALL) is UNDEFINED
+        assert eval_partial(parse_term("(0^-1)^2"), {}, PUNCH_INV) is UNDEFINED
+        assert eval_total(parse_term("(1/0)^0"), {}, TOTAL_Q) == 1
 
     def test_zero_over_zero_survives_nonzero_punch(self):
         assert eval_partial(parse_term("0/0"), {}, PUNCH_NONZERO) == 0
@@ -118,21 +124,7 @@ class TestEvalPartial:
 
 
 class TestCompileTerm:
-    def test_shared_subterm_compiled_once(self):
-        class CountingScope(Scope):
-            lookups = 0
-
-            def lookup(self, name):
-                self.lookups += 1
-                return super().lookup(name)
-
-        # `x^1024` is ten squarings of one shared `x`: a tree of 1024 leaves
-        scope = CountingScope()
-        fn = compile_term(parse_term("x^1024"), StructureSpec(PrimeField(7)), scope)
-        assert scope.lookups == 1
-        assert fn(scope.frame({"x": 3}, PrimeField(7))) == pow(3, 1024, 7)
-
-    def test_squaring_runs_the_shared_child_once(self):
+    def test_power_reads_its_base_once(self):
         class CountingFrame(list):
             reads = 0
 
@@ -141,12 +133,15 @@ class TestCompileTerm:
                 return super().__getitem__(i)
 
         gf7 = StructureSpec(PrimeField(7))
-        # x^8 is three squarings of x; x^10 = (x^4*x)^2 reads x twice
-        for n, reads in ((8, 1), (10, 2), (2**40, 1)):
-            fn = compile_term(parse_term(f"x^{n}"), gf7, Scope(["x"], grow=False))
-            frame = CountingFrame([3])
-            assert fn(frame) == pow(3, n, 7)
-            assert frame.reads == reads
+        fn = compile_term(parse_term(f"x^{2**40}"), gf7, Scope(["x"], grow=False))
+        frame = CountingFrame([3])
+        assert fn(frame) == pow(3, 2**40, 7)
+        assert frame.reads == 1
+
+    def test_rational_power_over_the_size_bound_refused(self):
+        with pytest.raises(ValueError, match="over the bound"):
+            eval_total(parse_term("x^10000000000"), {"x": Fraction(3)}, TOTAL_Q)
+        assert eval_total(parse_term("x^10000000000"), {"x": Fraction(-1)}, TOTAL_Q) == 1
 
     def test_operands_checked_where_they_enter(self):
         gf5 = StructureSpec(PrimeField(5))
@@ -156,52 +151,40 @@ class TestCompileTerm:
             eval_partial(parse_term("x + 1"), {"x": Fraction(1)}, gf5)
 
 
+def law(text: str) -> AxiomSpec:
+    return AxiomSpec("axiom", parse_formula(text))
+
+
 class TestVerifyAxiom:
     def test_exhaustive_pass(self):
-        report = verify_axiom(
-            parse_term("x*(x*x^-1)"), parse_term("x"), StructureSpec(PrimeField(7)), Exhaustive()
-        )
+        report = verify_axiom_spec(law("x*(x*x^-1) = x"), StructureSpec(PrimeField(7)), Exhaustive())
         assert report.passed and report.samples == 7
 
     def test_closed_law_over_huge_field_visits_one_environment(self):
-        report = verify_axiom(
-            parse_term("1 + 1"), parse_term("2"), StructureSpec(PrimeField(2**61 - 1)), Exhaustive()
-        )
+        report = verify_axiom_spec(law("1 + 1 = 2"), StructureSpec(PrimeField(2**61 - 1)), Exhaustive())
         assert report.passed and report.samples == 1
 
     def test_random_sample_pass(self):
-        report = verify_axiom(
-            parse_term("(x*x)/x"), parse_term("x"), TOTAL_Q, RandomSample(1000, seed=1)
-        )
+        report = verify_axiom_spec(law("(x*x)/x = x"), TOTAL_Q, RandomSample(1000, seed=1))
         assert report.passed and report.samples == 1000
 
     def test_fail_with_witness(self):
-        report = verify_axiom(
-            parse_term("x/x"), parse_term("1"), StructureSpec(PrimeField(5)), Exhaustive()
-        )
+        report = verify_axiom_spec(law("x/x = 1"), StructureSpec(PrimeField(5)), Exhaustive())
         assert not report.passed
         assert report.witness == {"x": 0}
         assert report.format_line().startswith("FAIL")
         assert "witness=x=0" in report.format_line()
 
     def test_guarded_law(self):
-        report = verify_axiom(
-            parse_term("x/x"),
-            parse_term("1"),
-            StructureSpec(PrimeField(5)),
-            Exhaustive(),
-            guard=parse_formula("x != 0"),
-        )
+        report = verify_axiom_spec(law("x != 0 => x/x = 1"), StructureSpec(PrimeField(5)), Exhaustive())
         assert report.passed
 
     def test_exhaustive_on_rationals_rejected(self):
         with pytest.raises(ValueError):
-            verify_axiom(parse_term("x"), parse_term("x"), TOTAL_Q, Exhaustive())
+            verify_axiom_spec(law("x = x"), TOTAL_Q, Exhaustive())
 
     def test_report_line_format(self):
-        report = verify_axiom(
-            parse_term("x + 0"), parse_term("x"), StructureSpec(PrimeField(3)), Exhaustive()
-        )
+        report = verify_axiom_spec(law("x + 0 = x"), StructureSpec(PrimeField(3)), Exhaustive())
         assert report.format_line() == "PASS axiom=x + 0 = x samples=3"
 
 

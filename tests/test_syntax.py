@@ -21,6 +21,7 @@ from meadowkit.terms import (
     Not,
     NumLit,
     Or,
+    Pow,
     Var,
     children,
     free_vars,
@@ -57,10 +58,13 @@ class TestParseTerm:
         assert parse_term("7") == NumLit(7)
 
     def test_power_sugar(self):
-        assert parse_term("x^2") == Mul(X, X)
-        assert parse_term("x^4") == Mul(Mul(X, X), Mul(X, X))
-        assert parse_term("x^0") == ONE
-        assert parse_term("x^1") == X
+        assert parse_term("x^2") == Pow(X, 2)
+        assert parse_term("x^4") == Pow(X, 4)
+        assert parse_term("x^0") == Pow(X, 0)
+        assert parse_term("x^1") == Pow(X, 1)
+        assert parse_term("x^2^3") == Pow(Pow(X, 2), 3)
+        assert parse_term("-x^2") == Neg(Pow(X, 2))
+        assert parse_term("x^-1^2") == Pow(Inv(X), 2)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -121,6 +125,13 @@ class TestPrinting:
         assert print_term(Div(X, Div(Y, Z))) == "x/(y/z)"
         assert print_term(Inv(Add(X, Y))) == "(x + y)^-1"
         assert print_term(Neg(Add(X, Y))) == "-(x + y)"
+
+    def test_power_is_postfix(self):
+        assert print_term(Pow(Add(X, Y), 2)) == "(x + y)^2"
+        assert print_term(Pow(Inv(X), 2)) == "x^-1^2"
+        assert print_term(Neg(Pow(X, 2))) == "-x^2"
+        assert print_term(Pow(Neg(X), 2)) == "(-x)^2"
+        assert print_term(Inv(Pow(X, 0))) == "x^0^-1"
 
     def test_formula_output(self):
         f = parse_formula("forall x. x != 0 => x/x = 1")
@@ -195,6 +206,11 @@ class TestTraversal:
         assert children(Div(X, Y)) == (X, Y)
         assert children(Add(X, Y)) == (X, Y)
         assert children(Eq(X, Y)) == (X, Y)
+
+    def test_power_keeps_its_exponent(self):
+        assert children(Pow(X, 3)) == (X,)
+        assert rebuild(Pow(X, 3), (Y,)) == Pow(Y, 3)
+        assert free_vars(Pow(X, 0)) == {"x"}
 
     def test_non_node_rejected(self):
         with pytest.raises(TypeError):
