@@ -8,8 +8,10 @@ the inverse of zero is zero, which makes inverse and division total.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -34,12 +36,23 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # over the interpreter's integer-to-text limit
+        digits = int(n.bit_length() * math.log10(2)) + 1
+        raise ValueError(
+            f"the value has about {digits} digits, over the printing limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def format_element(a) -> str:
     """Text form of a carrier element (`num/den`, `den` omitted when 1)."""
     if isinstance(a, Fraction):
         if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+            return _int_text(a.numerator)
+        return f"{_int_text(a.numerator)}/{_int_text(a.denominator)}"
     return str(a)
 
 
@@ -99,6 +112,10 @@ def _inv_rational(a: Fraction) -> Fraction:
     return 1 / a if a else a
 
 
+class PowerBoundError(ValueError):
+    """A rational power would be over MAX_POWER_BITS."""
+
+
 #: The most bits a rational power a^n may take, estimated before it is
 #: computed as (bits of a's numerator + bits of its denominator) * n.
 #: 3^(10^6), about 1.6 M bits, is within it; bases 0, 1 and -1 are exempt.
@@ -106,10 +123,12 @@ MAX_POWER_BITS = 2**22
 
 
 def _power_rational(a: Fraction, n: int) -> Fraction:
-    bits = (a.numerator.bit_length() + a.denominator.bit_length()) * n
+    size = a.numerator.bit_length() + a.denominator.bit_length()
+    bits = size * n
     if bits > MAX_POWER_BITS and a not in (0, 1, -1):
-        raise ValueError(
-            f"{format_element(a)} to the power {n} would take about {bits} bits, "
+        base = format_element(a) if size <= 256 else f"a base of {size} bits"
+        raise PowerBoundError(
+            f"{base} to the power {n} would take about {bits} bits, "
             f"over the bound of {MAX_POWER_BITS}"
         )
     return a**n

@@ -4,7 +4,8 @@ Exit codes: 0 success / defined / all-pass; 1 parse or usage error,
 a `gf<p>` modulus that is not a prime below 3317044064679887385961981,
 an enumeration over the budget of 10^7 environments (p^k for a law
 with k variables, |carrier|^d for quantifiers nested d deep), a power
-over the rationals above carriers.MAX_POWER_BITS, or input nested too
+over the rationals above carriers.MAX_POWER_BITS (in `lint`, an UNKNOWN
+verdict instead), a value too long to print, or input nested too
 deeply; 2 unbound variable or non-enumerable quantifier carrier; 3
 "third value" (UNDEFINED, U, or an Unknown lint verdict); 4 axiom
 failure or lint violation.

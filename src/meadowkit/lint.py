@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .carriers import RATIONALS, format_element
+from .carriers import RATIONALS, PowerBoundError, PrimeField, format_element
 from .parser import ParseError, parse_formula
 from .printer import print_term
-from .semantics import Scope, StructureSpec, compile_term, eval_total
+from .semantics import Mode, Scope, StructureSpec, _Punched, compile_term, eval_total
 from .terms import (
     Add,
     Div,
@@ -33,6 +33,7 @@ from .terms import (
     Zero,
     children,
     free_vars,
+    to_inversive,
 )
 
 _TOTAL_RATIONALS = StructureSpec(RATIONALS)
@@ -251,28 +252,63 @@ _WITNESS_VALUES = tuple(sorted(
 WITNESS_MAX_VARS = 3
 
 
+#: The witness search's prefilter computes modulo this prime, 2^61 - 1,
+#: where 0^-1 is punched.
+_P = 2**61 - 1
+_MODULAR = StructureSpec(PrimeField(_P), Mode.PUNCH_INV0)
+#: Each witness value n/d as its residue n * d^-1 mod _P, and back.
+_RESIDUES = tuple(v.numerator * pow(v.denominator, -1, _P) % _P for v in _WITNESS_VALUES)
+_FROM_RESIDUE = dict(zip(_RESIDUES, _WITNESS_VALUES))
+
+
+def _zero_test(t: Term, scope: Scope):
+    """A function telling whether t is zero at an environment of residues:
+    a nonzero residue proves it is not, otherwise the exact value decides."""
+    modular = compile_term(to_inversive(t), _MODULAR, scope)
+    exact = compile_term(t, _TOTAL_RATIONALS, scope)
+
+    def is_zero(residues) -> bool:
+        try:
+            if modular(residues):
+                return False
+        except _Punched:  # the inverse of a zero residue
+            pass
+        return exact([_FROM_RESIDUE[r] for r in residues]) == 0
+
+    return is_zero
+
+
 def find_zero_witness(t: Term, nonzero=(), extra_vars=(), max_vars: int = WITNESS_MAX_VARS):
     """A small-rational environment making t evaluate to zero, if found.
 
     The search sweeps prime-field residues lifted to the rationals plus
     fractions with |num|, den <= 4, over at most `max_vars` variables, in
-    itertools.product order of the sorted names, with exact rational
-    evaluation.  Environments where a term of `nonzero` (e.g. a recorded
-    fact) is zero are skipped; those terms may only use the searched names.
+    itertools.product order of the sorted names.  Environments where a
+    term of `nonzero` (e.g. a recorded fact) is zero are skipped; those
+    terms may only use the searched names.
+
+    Each term is computed first modulo P = 2^61 - 1, on the residues of
+    the values, with 0^-1 punched; its exact rational value is computed
+    only where that residue is zero or an inverse met a zero residue.
+    This decides exactly as exact evaluation alone: the rationals whose
+    denominators are prime to P, which hold every searched value and
+    every literal, map onto GF(P) by a ring homomorphism, and an exact
+    value the prefilter inverts has a nonzero residue, so it is a unit of
+    that ring too; hence a nonzero residue proves a nonzero exact value.
     """
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > max_vars:
         return None
     scope = Scope(names, grow=False)
-    target = compile_term(t, _TOTAL_RATIONALS, scope)
-    guards = [compile_term(u, _TOTAL_RATIONALS, scope) for u in nonzero]
-    for env in itertools.product(_WITNESS_VALUES, repeat=len(names)):
+    target = _zero_test(t, scope)
+    guards = [_zero_test(u, scope) for u in nonzero]
+    for residues in itertools.product(_RESIDUES, repeat=len(names)):
         for guard in guards:
-            if guard(env) == 0:
+            if guard(residues):
                 break
         else:
-            if target(env) == 0:
-                return dict(zip(names, env))
+            if target(residues):
+                return {name: _FROM_RESIDUE[r] for name, r in zip(names, residues)}
     return None
 
 
@@ -333,7 +369,10 @@ def _extract_facts(stmt: Statement) -> list[Fact]:
     f = stmt.formula
     if not isinstance(f, Eq):
         return []
-    rhs = constant_fold(f.right) if not free_vars(f.right) else None
+    try:
+        rhs = constant_fold(f.right)
+    except PowerBoundError:  # dropping a fact is sound
+        return []
     if rhs is None or rhs == 0:
         return []
     lhs = f.left
@@ -350,7 +389,13 @@ def lint(corpus: list[Statement], convention: Convention) -> list[Verdict]:
     for stmt in corpus:
         facts.extend(_extract_facts(stmt))
         for occ in collect_occurrences(stmt.formula):
-            verdicts.append(_judge(stmt.index, occ, convention, facts))
+            try:
+                verdict = _judge(stmt.index, occ, convention, facts)
+            except PowerBoundError as exc:
+                verdict = Verdict(
+                    stmt.index, occ.position, occ.guarded, VerdictKind.UNKNOWN, reason=str(exc)
+                )
+            verdicts.append(verdict)
     return verdicts
 
 

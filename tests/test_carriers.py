@@ -125,8 +125,15 @@ class TestRationalOps:
         assert RATIONALS.ops.power(Fraction(7), 10) == 7**10
         with pytest.raises(ValueError, match="over the bound of 40"):
             RATIONALS.ops.power(Fraction(7), 11)
-        with pytest.raises(ValueError):
+        with pytest.raises(carriers.PowerBoundError):
             RATIONALS.ops.power(Fraction(1, 7), 11)
+
+    def test_power_bound_names_a_long_base_by_its_size(self):
+        # a base too long to print (4300 digits at most) must not turn the
+        # bound's error into a printing error
+        base = Fraction(3) ** 20000
+        with pytest.raises(carriers.PowerBoundError, match="^a base of 31701 bits to the power 200 "):
+            RATIONALS.ops.power(base, 200)
 
     def test_power_of_zero_and_units_is_never_refused(self):
         n = 10 * carriers.MAX_POWER_BITS

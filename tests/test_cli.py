@@ -80,6 +80,13 @@ class TestEval:
         assert err.startswith("error: 3 to the power 10000000000 would take")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_over_the_printing_limit(self, capsys, fmt):
+        # 3^1000000 is within the power bound but has 477,122 digits
+        code, out, err = run(capsys, "eval", "--format", fmt, "3^1000000")
+        assert (code, out) == (1, "")
+        assert err == "error: the value has about 477122 digits, over the printing limit of 4300 digits\n"
+
     def test_punched_base_of_zeroth_power(self, capsys):
         code, out, _ = run(capsys, "eval", "--mode", "punch-div-all", "(1/0)^0")
         assert (code, out.strip()) == (3, "UNDEFINED")
@@ -365,18 +372,36 @@ class TestLint:
             code, f"statement=0 pos=0 {line}\n"
         )
 
-    def test_huge_closed_power_ends_in_one_line(self, capsys, tmp_path):
+    def test_huge_closed_power_is_unknown(self, capsys, tmp_path):
+        # the power bound makes its own occurrence UNKNOWN; the run goes on
         path = tmp_path / "c.mcorpus"
-        path.write_text("claim: 1/2^10000000000 = 1\n")
-        code, out, err = run(capsys, "lint", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        path.write_text("claim: 1/2^10000000000 = 1\nclaim: 1/x = 1\n")
+        assert run(capsys, "lint", str(path)) == (4, (
+            "statement=0 pos=0 guarded=2^10000000000 verdict=UNKNOWN detail=2 to the power "
+            "10000000000 would take about 30000000000 bits, over the bound of 4194304\n"
+            "statement=1 pos=0 guarded=x verdict=VIOLATION detail=x=0\n"
+        ), "")
+
+    @pytest.mark.parametrize("convention", ["division", "inversive", "liberal-division"])
+    def test_huge_power_corpus(self, capsys, convention):
+        code, out, _ = run(
+            capsys, "lint", "--convention", convention, str(CORPORA / "huge_power.mcorpus")
+        )
+        assert code == 4
+        assert out.splitlines() == [
+            "statement=0 pos=0 guarded=x^0 verdict=COMPLIANT detail=NonzeroConstant",
+            "statement=1 pos=0 guarded=x^10000000001 + 2 verdict=UNKNOWN "
+            "detail=no zero among 23^1 environments and no certificate rule applies",
+            "statement=2 pos=0 guarded=2^10000000000 verdict=UNKNOWN detail=2 to the power "
+            "10000000000 would take about 30000000000 bits, over the bound of 4194304",
+            "statement=3 pos=0 guarded=x verdict=VIOLATION detail=x=0",
+        ]
 
     def test_module_entry_point(self):
-        # `python -m meadowkit` runs the CLI, as in README's lint examples
+        # `python -m meadowkit` runs the CLI, as in the CI lint step
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        for corpus, code in (("one_over_zero", 4), ("theorem_s5", 3)):
+        for corpus, code in (("one_over_zero", 4), ("theorem_s5", 3), ("huge_power", 4)):
             done = subprocess.run(
                 [sys.executable, "-m", "meadowkit", "lint", "--convention", "division",
                  str(CORPORA / f"{corpus}.mcorpus")],

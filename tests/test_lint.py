@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from generators import random_rational, random_term
 from meadowkit.carriers import RATIONALS
 from meadowkit.lint import (
+    _WITNESS_VALUES,
     Certificate,
     CertificateKind,
     Convention,
@@ -23,7 +25,7 @@ from meadowkit.lint import (
     parse_corpus,
 )
 from meadowkit.parser import parse_formula, parse_term
-from meadowkit.semantics import StructureSpec, eval_total
+from meadowkit.semantics import Scope, StructureSpec, compile_term, eval_total
 from meadowkit.terms import free_vars
 
 TOTAL_Q = StructureSpec(RATIONALS)
@@ -359,6 +361,83 @@ class TestCertificatesFirst:
         (v,) = lint(corpus("claim: 1/(x*x + y*y + z*z + 1) = 1"), Convention.DIVISION)
         assert v.kind is VerdictKind.COMPLIANT
         assert v.certificate == Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
+
+
+def _exact_sweep(t, nonzero, names):
+    """find_zero_witness without the modular prefilter: every term computed
+    exactly at every environment."""
+    scope = Scope(names, grow=False)
+    target = compile_term(t, TOTAL_Q, scope)
+    guards = [compile_term(u, TOTAL_Q, scope) for u in nonzero]
+    for env in itertools.product(_WITNESS_VALUES, repeat=len(names)):
+        if all(g(env) != 0 for g in guards) and target(env) == 0:
+            return dict(zip(names, env))
+    return None
+
+
+#: 2^61 - 1, the prefilter's modulus: its residue is 0 while its exact value is not.
+P = 2305843009213693951
+
+
+class TestModularPrefilter:
+    def test_agrees_with_the_exact_sweep(self):
+        rng = random.Random(16)
+        found = 0
+        for _ in range(240):
+            names = ("x", "y", "z")[: rng.choice((1, 2, 2, 2, 3))]
+            t = random_term(rng, 4, names)
+            nonzero = [random_term(rng, 3, names) for _ in range(rng.randint(0, 3))]
+            extra = set().union(*map(free_vars, nonzero))
+            expected = _exact_sweep(t, nonzero, sorted(free_vars(t) | extra))
+            assert find_zero_witness(t, nonzero=nonzero, extra_vars=extra) == expected, (t, nonzero)
+            found += expected is not None
+        assert 60 < found < 200
+
+    def test_zero_residue_of_a_nonzero_value(self):
+        # P and P^-1 * P are nonzero over Q, but P's residue is zero and
+        # P^-1 is the inverse of a zero residue
+        t = parse_term(f"x + {P}^-1*{P} - 1")
+        assert find_zero_witness(parse_term(f"x + {P}")) is None
+        assert find_zero_witness(parse_term("x"), nonzero=[parse_term(f"{P}")]) == {"x": 0}
+        assert find_zero_witness(t) == {"x": 0}
+        v = lint(corpus(f"claim: 1/(x + {P}^-1*{P} - 1) = 1"), Convention.DIVISION)[0]
+        assert v.kind is VerdictKind.VIOLATION and v.witness == {"x": 0}
+
+    def test_fact_with_a_zero_residue_still_skips(self):
+        fact = parse_term(f"q + {P}^-1*{P} - 1")
+        assert find_zero_witness(parse_term("q"), nonzero=[fact]) is None
+        verdicts = lint(
+            corpus(f"hyp: 1/(q + {P}^-1*{P} - 1) = 2", "claim: 1/q = 1"), Convention.DIVISION
+        )
+        assert verdicts[-1].kind is VerdictKind.UNKNOWN
+        assert verdicts[-1].reason.startswith("no zero among 23^1 environments")
+
+
+class TestPowerBound:
+    # a power over carriers.MAX_POWER_BITS makes its own occurrence UNKNOWN
+    def test_closed_power_in_a_guard(self):
+        first, second = lint(corpus("claim: 1/2^10000000000 = 1", "claim: 1/x = 1"), Convention.DIVISION)
+        assert first.kind is VerdictKind.UNKNOWN
+        assert first.reason == (
+            "2 to the power 10000000000 would take about 30000000000 bits, over the bound of 4194304"
+        )
+        assert second.kind is VerdictKind.VIOLATION and second.witness == {"x": 0}
+
+    def test_closed_power_in_a_liberal_numerator(self):
+        (v,) = lint(corpus("claim: 3^10000000000/(x - 1) = 1"), Convention.LIBERAL_DIVISION)
+        assert v.kind is VerdictKind.UNKNOWN and v.reason.startswith("3 to the power 10000000000")
+
+    def test_power_in_an_exact_confirmation(self):
+        # x = -1/4 gives a zero residue; its exact check needs (-1/4)^10000000001
+        verdicts = lint(corpus("claim: 1/(x^10000000001 - (-1/4)^10000000001) = 1"), Convention.DIVISION)
+        (v,) = [v for v in verdicts if v.kind is not VerdictKind.COMPLIANT]
+        assert v.kind is VerdictKind.UNKNOWN
+        assert v.reason.startswith("-1/4 to the power 10000000001 would take about")
+
+    def test_fact_over_the_bound_is_dropped(self):
+        stmts = corpus("hyp: 1/q = 2^10000000000", "claim: 1/q = 1")
+        assert _extract_facts(stmts[0]) == []
+        assert lint(stmts, Convention.DIVISION)[-1].witness == {"q": 0}
 
 
 def _as_claim(t):
