@@ -5,8 +5,10 @@ a `gf<p>` modulus that is not a prime below 3317044064679887385961981,
 an enumeration over the budget of 10^7 environments (p^k for a law
 with k variables, |carrier|^d for quantifiers nested d deep), a power
 over the rationals above carriers.MAX_POWER_BITS (in `lint`, an UNKNOWN
-verdict instead), a value too long to print, or input nested too
-deeply; 2 unbound variable or non-enumerable quantifier carrier; 3
+verdict instead), a value too long to print, or input nested more than
+parser.MAX_DEPTH = 900 deep, counting operators and parenthesis pairs
+together ("input nested too deeply"); 2 unbound variable or
+non-enumerable quantifier carrier; 3
 "third value" (UNDEFINED, U, or an Unknown lint verdict); 4 axiom
 failure or lint violation.
 """
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RecursionError:
+    except RecursionError:  # a backstop: the parser refuses input over MAX_DEPTH
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE
 

@@ -110,45 +110,61 @@ def _occurrences(node, out: list):
 _KEY_TAGS = {Zero: "0", One: "1", Neg: "-", Inv: "inv", Div: "/"}
 
 
-def canonical_key(t: Term):
+def canonical_key(t: Term) -> str:
     """Structural key modulo argument order of + and * (flattened); a
     product is keyed by the multiset of its factors with their exponents,
-    so `q^2` and `q*q` get one key."""
-    if isinstance(t, NumLit):
-        return ("num", t.value)
-    if isinstance(t, Var):
-        return ("var", t.name)
-    if isinstance(t, Add):
-        return ("+", tuple(sorted((canonical_key(p) for p in _flatten(t, Add)), key=repr)))
-    if isinstance(t, (Mul, Pow)):
+    so `q^2` and `q*q` get one key.
+
+    The key is a string (`x`, `#7`, `+(x,y)`, `*(x^2,y^1)`, `/(x,y)`), so
+    comparing and sorting keys does not recurse however deep the term.
+    """
+    cls = type(t)
+    if cls is Var:
+        return t.name
+    if cls is NumLit:
+        return f"#{t.value}"
+    if cls is Add:
+        keys = []
+        for part in _flatten(t, Add):
+            keys.append(canonical_key(part))
+        keys.sort()
+        return "+(" + ",".join(keys) + ")"
+    if cls is Mul or cls is Pow:
+        # the exponent of each factor of t, by the factor's key
         powers = {}
-        _factor_powers(t, 1, powers)
-        return ("*", tuple(sorted(powers.items(), key=repr)))
-    tag = _KEY_TAGS.get(type(t))
+        stack = [(t, 1)]
+        while stack:
+            u, n = stack.pop()
+            if type(u) is Mul:
+                stack.append((u.left, n))
+                stack.append((u.right, n))
+            elif type(u) is Pow:
+                stack.append((u.arg, n * u.n))
+            else:
+                key = canonical_key(u)
+                powers[key] = powers.get(key, 0) + n
+        return "*(" + ",".join(f"{key}^{n}" for key, n in sorted(powers.items())) + ")"
+    tag = _KEY_TAGS.get(cls)
     if tag is None:
         raise TypeError(f"not a term: {t!r}")
-    key = [tag]
+    keys = []
     for kid in children(t):
-        key.append(canonical_key(kid))
-    return tuple(key)
+        keys.append(canonical_key(kid))
+    return tag + "(" + ",".join(keys) + ")" if keys else tag
 
 
 def _flatten(t: Term, cls) -> list:
-    if isinstance(t, cls):
-        return _flatten(t.left, cls) + _flatten(t.right, cls)
-    return [t]
-
-
-def _factor_powers(t: Term, n: int, powers: dict):
-    """Add the exponent of each factor of t^n to `powers`, by the factor's key."""
-    if isinstance(t, Mul):
-        _factor_powers(t.left, n, powers)
-        _factor_powers(t.right, n, powers)
-    elif isinstance(t, Pow):
-        _factor_powers(t.arg, n * t.n, powers)
-    else:
-        key = canonical_key(t)
-        powers[key] = powers.get(key, 0) + n
+    """The operands of the chain of `cls` nodes at the top of t, in order."""
+    parts = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, cls):
+            stack.append(u.right)
+            stack.append(u.left)
+        else:
+            parts.append(u)
+    return parts
 
 
 class CertificateKind(Enum):
@@ -179,7 +195,7 @@ class Fact:
 
     term: Term
     statement: int
-    key: tuple = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, repr=False, compare=False)
     names: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -226,10 +242,12 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
         if ok and squares > 0 and const > 0:
             return Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
     # a field has no zero divisors: a product or power of nonzero factors is nonzero
-    if isinstance(t, (Mul, Pow)) and all(
-        nonzero_certificate(kid, facts) is not None for kid in children(t)
-    ):
-        return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
+    if isinstance(t, (Mul, Pow)):
+        for kid in children(t):
+            if nonzero_certificate(kid, facts) is None:
+                break
+        else:
+            return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
     if not facts:
         return None
     key = canonical_key(t)

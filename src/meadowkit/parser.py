@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the term and formula surface syntax.
+"""Operator-precedence parser for the term and formula surface syntax.
 
 Grammar (authoritative):
 
@@ -18,12 +18,31 @@ Grammar (authoritative):
 
 `a - b` is sugar for `a + (-b)` and `t != u` for `!(t = u)`; `t^n` is a
 `Pow` node for every natural n, 0 and 1 included.
+
+The grammar is implemented by one table, `BINARY`, `PREFIX` and
+`POSTFIX_PREC`, which the printer reads too: each operator's node
+class, precedence (higher binds tighter), associativity and the sort of
+its operands (`Term` or `Formula`).  The parser is one loop over the
+tokens with an operand stack and an operator stack (operator-precedence
+parsing; Pratt, "Top down operator precedence", POPL 1973), without
+recursion.  An operator whose operand has the wrong sort, such as a
+relation over a formula or `&` over a term, is a `ParseError`; so
+relations do not chain (`x = y = z`).  A quantifier may start the input
+or follow `(` or `.`, and its body extends as far right as possible.
+
+Input nested deeper than `MAX_DEPTH` is refused with a `ValueError`
+(not a `ParseError`) reading "input nested too deeply".  The depth of
+a leaf is 0; each operator and each pair of parentheses adds 1 to the
+depth of what it encloses, so `((1))` and `1 + 1 + 1` are both 2 deep.
+The bound keeps every recursive walker of a parsed tree (printer,
+compiler, linter) below Python's default recursion limit of 1000.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .terms import (
     ONE,
@@ -34,6 +53,7 @@ from .terms import (
     Eq,
     Exists,
     Forall,
+    Formula,
     Gt,
     Implies,
     Inv,
@@ -44,8 +64,13 @@ from .terms import (
     NumLit,
     Or,
     Pow,
+    Term,
     Var,
 )
+
+#: The deepest input the parser accepts, counting operators and
+#: parenthesis pairs on one root-to-leaf path.
+MAX_DEPTH = 900
 
 
 class ParseError(ValueError):
@@ -54,8 +79,39 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class Operator(NamedTuple):
+    build: Callable  # the node class, or a function for sugar
+    prec: int
+    right: bool  # right-associative
+    sort: type  # Term or Formula, the sort of the operands
+
+
+BINARY = {
+    "=>": Operator(Implies, 1, True, Formula),
+    "|": Operator(Or, 2, False, Formula),
+    "&": Operator(And, 3, False, Formula),
+    "=": Operator(Eq, 5, False, Term),
+    "!=": Operator(lambda a, b: Not(Eq(a, b)), 5, False, Term),
+    ">": Operator(Gt, 5, False, Term),
+    "<": Operator(Lt, 5, False, Term),
+    "+": Operator(Add, 6, False, Term),
+    "-": Operator(lambda a, b: Add(a, Neg(b)), 6, False, Term),
+    "*": Operator(Mul, 7, False, Term),
+    "/": Operator(Div, 7, False, Term),
+}
+PREFIX = {
+    "forall": Operator(Forall, 0, True, Formula),
+    "exists": Operator(Exists, 0, True, Formula),
+    "!": Operator(Not, 4, True, Formula),
+    "-": Operator(Neg, 8, True, Term),
+}
+#: `t^-1` and `t^n` bind tighter than every other operator.
+POSTFIX_PREC = 9
+#: An open parenthesis on the operator stack: no operator reduces past it.
+_OPEN = Operator(None, -1, False, None)
+
+
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -94,174 +150,116 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _found(tok: _Token) -> str:
+    return repr(tok.text or "end of input")
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        t = self.tok
-        self.i += 1
-        return t
+def _check_sort(node, sort: type, pos: int):
+    if not isinstance(node, sort):
+        wanted, got = ("formula", "term") if sort is Formula else ("term", "formula")
+        raise ParseError(f"expected a {wanted}, found a {got}", pos)
 
-    def expect(self, kind: str) -> _Token:
-        if self.tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {self.tok.text or 'end of input'!r}",
-                self.tok.pos,
-            )
-        return self.advance()
 
-    def at_end(self) -> bool:
-        return self.tok.kind == "eof"
+def _check_depth(depth: int) -> int:
+    if depth > MAX_DEPTH:
+        raise ValueError("input nested too deeply")
+    return depth
 
-    # terms
 
-    def term(self):
-        return self.sum()
+def _parse(text: str, sort: type):
+    tokens = _tokenize(text)
+    operands: list = []  # (node, depth)
+    ops: list = []  # pending (Operator, position, binary), _OPEN for "("
 
-    def sum(self):
-        t = self.prod()
-        while self.tok.kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.prod()
-            t = Add(t, Neg(rhs)) if op.kind == "-" else Add(t, rhs)
-        return t
-
-    def prod(self):
-        t = self.unary()
-        while self.tok.kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.unary()
-            t = Mul(t, rhs) if op.kind == "*" else Div(t, rhs)
-        return t
-
-    def unary(self):
-        if self.tok.kind == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.postfix()
-
-    def postfix(self):
-        t = self.atom()
-        while self.tok.kind == "^":
-            self.advance()
-            if self.tok.kind == "-":
-                pos = self.advance().pos
-                one = self.expect("nat")
-                if one.text != "1":
-                    raise ParseError("only ^-1 is a valid negative power", pos)
-                t = Inv(t)
+    def reduce(above: int):
+        # build the pending operators that bind tighter than `above`
+        while ops and ops[-1][0].prec > above:
+            op, pos, binary = ops.pop()
+            node, depth = operands.pop()
+            _check_sort(node, op.sort, pos)
+            if binary:
+                left, left_depth = operands.pop()
+                _check_sort(left, op.sort, pos)
+                node, depth = op.build(left, node), max(left_depth, depth)
             else:
-                n = self.expect("nat")
-                t = Pow(t, int(n.text))
-        return t
+                node = op.build(node)
+            operands.append((node, _check_depth(depth + 1)))
 
-    def atom(self):
-        tok = self.tok
-        if tok.kind == "nat":
-            self.advance()
+    i = 0
+    while True:
+        # an operand: prefix operators and "(" up to a leaf
+        tok = tokens[i]
+        i += 1
+        kind = tok.kind
+        if kind == "nat":
             n = int(tok.text)
-            if n == 0:
-                return ZERO
-            if n == 1:
-                return ONE
-            return NumLit(n)
-        if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            t = self.term()
-            self.expect(")")
-            return t
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+            operands.append((ZERO if n == 0 else ONE if n == 1 else NumLit(n), 0))
+        elif kind == "ident":
+            operands.append((Var(tok.text), 0))
+        elif kind == "(" or kind in PREFIX:
+            op = PREFIX.get(kind, _OPEN)
+            if kind in _KEYWORDS:
+                if i > 1 and tokens[i - 2].kind not in ("(", "."):
+                    raise ParseError(f"expected a term, found {_found(tok)}", tok.pos)
+                for expected in ("ident", "."):
+                    if tokens[i].kind != expected:
+                        raise ParseError(
+                            f"expected {expected!r}, found {_found(tokens[i])}", tokens[i].pos
+                        )
+                    i += 1
+                op = op._replace(build=partial(op.build, tokens[i - 2].text))
+            ops.append((op, tok.pos, False))
+            # every pending operator and "(" encloses the next operand
+            _check_depth(len(ops))
+            continue
+        else:
+            raise ParseError(f"expected a term, found {_found(tok)}", tok.pos)
 
-    # formulas
+        # after an operand: postfix powers and ")", then a binary operator
+        while True:
+            tok = tokens[i]
+            i += 1
+            kind = tok.kind
+            if kind == "^":
+                node, depth = operands.pop()
+                _check_sort(node, Term, tok.pos)
+                minus = tokens[i].kind == "-"
+                nat = tokens[i + minus]
+                if nat.kind != "nat":
+                    raise ParseError(f"expected 'nat', found {_found(nat)}", nat.pos)
+                if minus and nat.text != "1":
+                    raise ParseError("only ^-1 is a valid negative power", tokens[i].pos)
+                i += 1 + minus
+                node = Inv(node) if minus else Pow(node, int(nat.text))
+                operands.append((node, _check_depth(depth + 1)))
+            elif kind == ")":
+                reduce(_OPEN.prec)
+                if not ops:
+                    raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+                ops.pop()
+                node, depth = operands.pop()
+                operands.append((node, _check_depth(depth + 1)))
+            else:
+                break
 
-    def formula(self):
-        if self.tok.kind in ("forall", "exists"):
-            quant = self.advance()
-            var = self.expect("ident")
-            self.expect(".")
-            body = self.formula()
-            cls = Forall if quant.kind == "forall" else Exists
-            return cls(var.text, body)
-        return self.impl()
-
-    def impl(self):
-        f = self.disj()
-        if self.tok.kind == "=>":
-            self.advance()
-            return Implies(f, self.impl())
-        return f
-
-    def disj(self):
-        f = self.conj()
-        while self.tok.kind == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.neg()
-        while self.tok.kind == "&":
-            self.advance()
-            f = And(f, self.neg())
-        return f
-
-    def neg(self):
-        if self.tok.kind == "!":
-            self.advance()
-            return Not(self.neg())
-        return self.fatom()
-
-    def fatom(self):
-        if self.tok.kind == "(":
-            # "(" may open a parenthesized formula or a parenthesized term;
-            # try the formula reading first and backtrack on failure.
-            mark = self.i
-            try:
-                self.advance()
-                f = self.formula()
-                self.expect(")")
-                return f
-            except ParseError:
-                self.i = mark
-        left = self.term()
-        tok = self.tok
-        if tok.kind == "=":
-            self.advance()
-            return Eq(left, self.term())
-        if tok.kind == "!=":
-            self.advance()
-            return Not(Eq(left, self.term()))
-        if tok.kind == ">":
-            self.advance()
-            return Gt(left, self.term())
-        if tok.kind == "<":
-            self.advance()
-            return Lt(left, self.term())
-        raise ParseError(
-            f"expected a comparison, found {tok.text or 'end of input'!r}", tok.pos
-        )
+        op = BINARY.get(kind)
+        if op is None:
+            reduce(_OPEN.prec)
+            if ops:
+                raise ParseError(f"expected ')', found {_found(tok)}", tok.pos)
+            if kind != "eof":
+                raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+            node = operands.pop()[0]
+            _check_sort(node, sort, tok.pos)
+            return node
+        reduce(op.prec if op.right else op.prec - 1)
+        ops.append((op, tok.pos, True))
+        _check_depth(len(ops))
 
 
 def parse_term(text: str):
-    p = _Parser(text)
-    t = p.term()
-    if not p.at_end():
-        raise ParseError(f"trailing input {p.tok.text!r}", p.tok.pos)
-    return t
+    return _parse(text, Term)
 
 
 def parse_formula(text: str):
-    p = _Parser(text)
-    f = p.formula()
-    if not p.at_end():
-        raise ParseError(f"trailing input {p.tok.text!r}", p.tok.pos)
-    return f
+    return _parse(text, Formula)

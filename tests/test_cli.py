@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from meadowkit.cli import main
-from meadowkit.parser import parse_formula
+from meadowkit.parser import MAX_DEPTH, parse_formula
 from meadowkit.terms import free_vars
 from oracle import oracle_formula
 
@@ -272,6 +272,34 @@ def _sum(summand: str, n: int) -> str:
     return " + ".join([summand] * n)
 
 
+# Inputs exactly `depth` deep, counting operators and parenthesis pairs.
+
+
+def _parens(depth: int) -> str:
+    return "(" * depth + "1" + ")" * depth
+
+
+def _right_product(depth: int) -> str:
+    """x*(x*(…(x)…)), each level one `*` and one pair of parentheses."""
+    k, odd = divmod(depth, 2)
+    return "(" * odd + "x*(" * k + "x" + ")" * (k + odd)
+
+
+def _product_claim(depth: int) -> str:
+    """`1/(x*x*…*x) = 1`: the relation, the division and the parentheses
+    are 3 levels and each `*` one more."""
+    return "claim: 1/(" + "*".join(["x"] * (depth - 2)) + ") = 1"
+
+
+def _nested_guard_claim(depth: int) -> str:
+    """`1/(x*(1 + x*(1 + …))) = 1`, each level one `*`, one `+` and one
+    pair of parentheses, with parentheses around the innermost x to make
+    up the rest."""
+    m, r = divmod(depth - 3, 3)
+    guard = "x*(1 + " * m + "(" * r + "x" + ")" * r + ")" * m
+    return f"claim: 1/({guard}) = 1"
+
+
 class TestDeepInput:
     @pytest.mark.parametrize("argv", [
         ["axioms", "--carrier", "gf2", "--extra", _sum("x", 3000) + " = 0"],
@@ -290,6 +318,34 @@ class TestDeepInput:
         code, out, _ = run(capsys, "axioms", "--carrier", "gf2", "--extra", _sum("x", 900) + " = 0")
         assert code == 0
         assert out.splitlines()[-1].startswith("PASS")
+
+    def test_901_summand_law_is_refused(self, capsys):
+        code, out, err = run(capsys, "axioms", "--extra", _sum("x", 901) + " = 0")
+        assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+    @pytest.mark.parametrize("shape, argv, expected", [
+        (_parens, ["eval"], "1"),
+        (lambda d: _sum("x", d + 1), ["eval", "-b", "x=1"], str(MAX_DEPTH + 1)),
+        (_right_product, ["eval", "-b", "x=1"], "1"),
+    ], ids=["parens", "left-sum", "right-product"])
+    def test_eval_at_the_bound(self, capsys, shape, argv, expected):
+        assert run(capsys, *argv, shape(MAX_DEPTH)) == (0, expected + "\n", "")
+        code, out, err = run(capsys, *argv, shape(MAX_DEPTH + 1))
+        assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+    @pytest.mark.parametrize("claim", [_product_claim, _nested_guard_claim],
+                             ids=["product", "nested-guard"])
+    def test_lint_at_the_bound_with_a_fact_in_scope(self, capsys, tmp_path, claim):
+        corpus = tmp_path / "deep.mcorpus"
+        corpus.write_text(f"hyp: 1/q = 2\n{claim(MAX_DEPTH)}\n")
+        code, out, err = run(capsys, "lint", str(corpus))
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (4, "", 2)
+        assert lines[1].startswith("statement=1 pos=0 guarded=x*")
+        assert lines[1].endswith("verdict=VIOLATION detail=x=0")
+        corpus.write_text(f"hyp: 1/q = 2\n{claim(MAX_DEPTH + 1)}\n")
+        code, out, err = run(capsys, "lint", str(corpus))
+        assert (code, out, err) == (1, "", "error: input nested too deeply\n")
 
 
 class TestTables:

@@ -2,8 +2,13 @@ import random
 
 import pytest
 
-from generators import random_formula, random_term
-from meadowkit.parser import ParseError, parse_formula, parse_term
+from generators import (
+    random_closed_quantified_formula,
+    random_formula,
+    random_scoped_formula,
+    random_term,
+)
+from meadowkit.parser import MAX_DEPTH, ParseError, parse_formula, parse_term
 from meadowkit.printer import print_formula, print_term
 from meadowkit.terms import (
     ONE,
@@ -71,7 +76,11 @@ class TestParseTerm:
             parse_term("x + * y")
         assert err.value.position == 4
 
-    @pytest.mark.parametrize("text", ["", "x +", "(x", "x^-2", "1 2", "x$"])
+    @pytest.mark.parametrize("text", [
+        "", "x +", "(x", "x^-2", "1 2", "x$",
+        # a formula where a term is needed
+        "(x = 1) + 2", "-(x = 1)", "x = 1", "(x = 1)^2",
+    ])
     def test_malformed_input(self, text):
         with pytest.raises(ParseError):
             parse_term(text)
@@ -110,10 +119,37 @@ class TestParseFormula:
         assert isinstance(f, Forall)
         assert isinstance(f.body, Or)
 
-    @pytest.mark.parametrize("text", ["forall . x = 1", "x =", "x == 1", "forall x x = 1"])
+    @pytest.mark.parametrize("text", [
+        "forall . x = 1", "x =", "x == 1", "forall x x = 1",
+        # an operand of the wrong sort
+        "(x = 1) + 2", "x = y = z", "-(x = 1)", "x + (y = 1) = 0", "x", "!x", "x & y = 1",
+        # a quantifier only starts the input or follows "(" or "."
+        "x = 0 & forall y. y = 0", "!forall x. x = 0", "x = 0 => exists y. y = 0",
+    ])
     def test_malformed_input(self, text):
         with pytest.raises(ParseError):
             parse_formula(text)
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("parse, shape", [
+        (parse_term, lambda d: "(" * d + "x" + ")" * d),
+        (parse_term, lambda d: "-" * d + "x"),
+        (parse_term, lambda d: "x" + "^2" * d),
+        (parse_term, lambda d: " + ".join(["x"] * (d + 1))),
+        (parse_formula, lambda d: "x = 0" + " => x = 0" * (d - 1)),
+        (parse_formula, lambda d: "forall x. " * (d - 1) + "x = 0"),
+    ], ids=["parens", "prefix", "postfix", "left-sum", "right-implication", "quantifiers"])
+    def test_operators_and_parentheses_share_one_bound(self, parse, shape):
+        parse(shape(MAX_DEPTH))
+        with pytest.raises(ValueError, match="^input nested too deeply$") as err:
+            parse(shape(MAX_DEPTH + 1))
+        assert not isinstance(err.value, ParseError)
+
+    def test_unclosed_deep_input_is_refused_as_too_deep(self):
+        # the operator stack is checked as it grows, before any ")" or the end
+        with pytest.raises(ValueError, match="^input nested too deeply$"):
+            parse_term("(" * 10**4)
 
 
 class TestPrinting:
@@ -145,9 +181,15 @@ class TestPrinting:
 
     def test_round_trip_random_formulas(self):
         rng = random.Random(8)
-        for _ in range(500):
-            f = random_formula(rng, depth=3)
-            assert parse_formula(print_formula(f)) == f
+        for generate in (random_formula, random_scoped_formula, random_closed_quantified_formula):
+            for _ in range(500):
+                f = generate(rng, depth=3)
+                assert parse_formula(print_formula(f)) == f
+
+    def test_quantifier_is_parenthesized_after_a_connective(self):
+        f = And(Eq(X, ZERO), Forall("y", Eq(Y, ZERO)))
+        assert print_formula(f) == "x = 0 & (forall y. y = 0)"
+        assert print_formula(Not(Exists("x", Eq(X, ZERO)))) == "!(exists x. x = 0)"
 
 
 class TestTranslation:
