@@ -56,6 +56,13 @@ def format_element(a) -> str:
     return str(a)
 
 
+def format_env(env) -> str:
+    """Text form of an environment: `x=1,y=-1/2` by name, `{}` when empty."""
+    if not env:
+        return "{}"
+    return ",".join(f"{k}={format_element(v)}" for k, v in sorted(env.items()))
+
+
 class Ops(NamedTuple):
     """A carrier's field operations without membership checks, for
     operands already checked where they entered (a binding, an
@@ -71,8 +78,8 @@ class Ops(NamedTuple):
 class Carrier:
     """Base carrier: a set of elements with totalized field operations.
 
-    A subclass defines the unchecked operations as `ops`; the public
-    operations below check every operand and then call them.
+    A subclass defines the operations as `ops`.  They do not check their
+    operands: membership is checked once, where a value enters (`check`).
     """
 
     enumerable: bool = False
@@ -91,21 +98,6 @@ class Carrier:
 
     def elements(self):
         raise ValueError(f"{self} is not enumerable")
-
-    def add(self, a, b):
-        return self.ops.add(self.check(a), self.check(b))
-
-    def mul(self, a, b):
-        return self.ops.mul(self.check(a), self.check(b))
-
-    def neg(self, a):
-        return self.ops.neg(self.check(a))
-
-    def inv_total(self, a):
-        return self.ops.inv_total(self.check(a))
-
-    def div_total(self, a, b):
-        return self.ops.mul(self.check(a), self.ops.inv_total(self.check(b)))
 
 
 def _inv_rational(a: Fraction) -> Fraction:

@@ -33,12 +33,11 @@ from .logic import (
 from .parser import ParseError, parse_formula, parse_term
 from .semantics import (
     UNDEFINED,
-    Exhaustive,
     Mode,
-    RandomSample,
     StructureSpec,
     UnboundVariableError,
     axiom_catalog,
+    check_samples,
     eval_partial,
     verify_axiom_spec,
     _ax,
@@ -187,12 +186,11 @@ def _cmd_logic(args) -> int:
 def _cmd_axioms(args) -> int:
     carrier = _parse_carrier(args.carrier)
     structure = StructureSpec(carrier)
-    sampled = RandomSample(args.samples, args.seed)  # rejects --samples < 1 on every carrier
-    strategy = Exhaustive() if carrier.enumerable else sampled
+    check_samples(args.samples)  # on every carrier, before any law is read
     catalog = list(axiom_catalog())
     for i, text in enumerate(args.extra or ()):
         catalog.append(_ax(f"extra-{i}", text))
-    reports = [verify_axiom_spec(spec, structure, strategy) for spec in catalog]
+    reports = [verify_axiom_spec(spec, structure, args.samples, args.seed) for spec in catalog]
     if args.format == "json":
         print(json.dumps({"reports": [
             {

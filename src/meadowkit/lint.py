@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .carriers import RATIONALS, PowerBoundError, PrimeField, format_element
+from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
 from .parser import ParseError, parse_formula
 from .printer import print_term
 from .semantics import Mode, Scope, StructureSpec, _Punched, compile_term, eval_total
@@ -215,46 +215,58 @@ def _is_even_power(t: Term) -> bool:
     return (isinstance(t, Mul) and t.left == t.right) or (isinstance(t, Pow) and t.n % 2 == 0)
 
 
+def _free_names(t: Term, names: dict) -> frozenset:
+    """The free names of t, each node's recorded in `names` by its id."""
+    free = frozenset((t.name,)) if type(t) is Var else frozenset()
+    for kid in children(t):
+        free |= _free_names(kid, names)
+    names[id(t)] = free
+    return free
+
+
 def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
     """A syntactic reason why t cannot evaluate to zero, if one is found.
 
-    Absence of a certificate is never a proof of zero.
+    Absence of a certificate is never a proof of zero.  The free names of
+    every subterm are computed once, up front; a subterm's canonical key
+    only where some fact has exactly its names, since equal keys mean
+    equal names.
     """
-    value = constant_fold(t)
-    if value is not None:
-        return Certificate(CertificateKind.NONZERO_CONSTANT) if value != 0 else None
-    if isinstance(t, Pow) and t.n == 0:  # 1 in the total field, even where the base is 0
-        return Certificate(CertificateKind.NONZERO_CONSTANT)
-    if isinstance(t, Add):
-        summands = _flatten(t, Add)
-        const = Fraction(0)
-        squares = 0
-        ok = True
-        for part in summands:
-            folded = constant_fold(part)
-            if folded is not None:
-                const += folded
-            elif _is_even_power(part):
-                squares += 1
+    names = {}
+    _free_names(t, names)
+
+    def certify(u: Term) -> Certificate | None:
+        free = names[id(u)]
+        if not free:
+            value = eval_total(u, {}, _TOTAL_RATIONALS)
+            return Certificate(CertificateKind.NONZERO_CONSTANT) if value != 0 else None
+        if isinstance(u, Pow) and u.n == 0:  # 1 in the total field, even where the base is 0
+            return Certificate(CertificateKind.NONZERO_CONSTANT)
+        if isinstance(u, Add):
+            const, squares = Fraction(0), 0
+            for part in _flatten(u, Add):
+                if not names[id(part)]:
+                    const += eval_total(part, {}, _TOTAL_RATIONALS)
+                elif _is_even_power(part):
+                    squares += 1
+                else:
+                    break
             else:
-                ok = False
-                break
-        if ok and squares > 0 and const > 0:
-            return Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
-    # a field has no zero divisors: a product or power of nonzero factors is nonzero
-    if isinstance(t, (Mul, Pow)):
-        for kid in children(t):
-            if nonzero_certificate(kid, facts) is None:
-                break
-        else:
-            return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
-    if not facts:
-        return None
-    key = canonical_key(t)
-    matching = [f.statement for f in facts if f.key == key]
-    if matching:
-        return Certificate(CertificateKind.HYPOTHESIS_DERIVED, min(matching))
-    return None
+                if squares > 0 and const > 0:
+                    return Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
+        # a field has no zero divisors: a product or power of nonzero factors is nonzero
+        if isinstance(u, (Mul, Pow)):
+            for kid in children(u):
+                if certify(kid) is None:
+                    break
+            else:
+                return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
+        same = [f for f in facts if f.names == free]
+        key = canonical_key(u) if same else None
+        matching = [f.statement for f in same if f.key == key]
+        return Certificate(CertificateKind.HYPOTHESIS_DERIVED, min(matching)) if matching else None
+
+    return certify(t)
 
 
 #: Prime-field residues lifted to the rationals, then fractions with
@@ -296,14 +308,14 @@ def _zero_test(t: Term, scope: Scope):
     return is_zero
 
 
-def find_zero_witness(t: Term, nonzero=(), extra_vars=(), max_vars: int = WITNESS_MAX_VARS):
+def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     """A small-rational environment making t evaluate to zero, if found.
 
     The search sweeps prime-field residues lifted to the rationals plus
-    fractions with |num|, den <= 4, over at most `max_vars` variables, in
-    itertools.product order of the sorted names.  Environments where a
-    term of `nonzero` (e.g. a recorded fact) is zero are skipped; those
-    terms may only use the searched names.
+    fractions with |num|, den <= 4, over at most WITNESS_MAX_VARS
+    variables, in itertools.product order of the sorted names.
+    Environments where a term of `nonzero` (e.g. a recorded fact) is zero
+    are skipped; those terms may only use the searched names.
 
     Each term is computed first modulo P = 2^61 - 1, on the residues of
     the values, with 0^-1 punched; its exact rational value is computed
@@ -315,7 +327,7 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=(), max_vars: int = WITNES
     that ring too; hence a nonzero residue proves a nonzero exact value.
     """
     names = sorted(free_vars(t) | set(extra_vars))
-    if len(names) > max_vars:
+    if len(names) > WITNESS_MAX_VARS:
         return None
     scope = Scope(names, grow=False)
     target = _zero_test(t, scope)
@@ -354,11 +366,7 @@ class Verdict:
         return self.reason or ""
 
     def format_line(self) -> str:
-        return (
-            f"statement={self.statement} pos={self.position} "
-            f"guarded={print_term(self.guarded)} verdict={self.kind.value} "
-            f"detail={self.detail()}"
-        )
+        return " ".join(f"{k}={v}" for k, v in self.to_dict().items())
 
     def to_dict(self) -> dict:
         return {
@@ -368,12 +376,6 @@ class Verdict:
             "verdict": self.kind.value,
             "detail": self.detail(),
         }
-
-
-def format_env(env) -> str:
-    if not env:
-        return "{}"
-    return ",".join(f"{k}={format_element(v)}" for k, v in sorted(env.items()))
 
 
 def _extract_facts(stmt: Statement) -> list[Fact]:

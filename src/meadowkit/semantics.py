@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .carriers import Carrier, format_element
+from .carriers import Carrier, format_env
 from .parser import parse_formula
 from .parser import parse_term  # unused here; bench/tracing.py wraps this module attribute
 from .printer import print_formula
@@ -286,21 +286,10 @@ def eval_total(t: Term, env, s: StructureSpec):
     return eval_partial(t, env, s)
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    pass
-
-
-@dataclass(frozen=True)
-class RandomSample:
-    count: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.count <= ENUMERATION_BUDGET:
-            raise ValueError(
-                f"samples must be between 1 and {ENUMERATION_BUDGET}, got {self.count}"
-            )
+def check_samples(samples: int) -> None:
+    """Refuse a sample count outside 1..ENUMERATION_BUDGET."""
+    if not 1 <= samples <= ENUMERATION_BUDGET:
+        raise ValueError(f"samples must be between 1 and {ENUMERATION_BUDGET}, got {samples}")
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -312,23 +301,17 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _environments(k: int, s: StructureSpec, strategy):
-    """Environments of k variables as tuples, in itertools.product order."""
-    c = s.carrier
-    if isinstance(strategy, Exhaustive):
-        if not c.enumerable:
-            raise ValueError("exhaustive verification needs an enumerable carrier")
+def _environments(k: int, c: Carrier, samples: int, seed: int):
+    """Environments of k variables as tuples: over an enumerable carrier
+    all of them, in itertools.product order; otherwise `samples` seeded
+    random ones, and the one empty environment of a closed law once."""
+    if c.enumerable:
         return itertools.product(checked_elements(c, k), repeat=k)
-    if isinstance(strategy, RandomSample):
-        return _samples(k, c, strategy)
-    raise TypeError(f"unknown strategy: {strategy!r}")
-
-
-def _samples(k: int, c: Carrier, strategy: RandomSample):
-    rng = random.Random(strategy.seed)
-    # a closed law has one environment, the empty one: check it once
-    for _ in range(strategy.count if k else 1):
-        yield tuple([c.check(random_rational(rng)) for _ in range(k)])
+    rng = random.Random(seed)
+    return (
+        tuple([c.check(random_rational(rng)) for _ in range(k)])
+        for _ in range(samples if k else 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -359,26 +342,28 @@ class AxiomReport:
         status = "PASS" if self.passed else "FAIL"
         line = f"{status} axiom={self.equation} samples={self.samples}"
         if self.witness is not None:
-            bindings = ",".join(
-                f"{k}={format_element(v)}" for k, v in sorted(self.witness.items())
-            )
-            line += f" witness={bindings}"
+            line += f" witness={format_env(self.witness)}"
         return line
 
 
-def verify_axiom_spec(spec: AxiomSpec, s: StructureSpec, strategy) -> AxiomReport:
+def verify_axiom_spec(
+    spec: AxiomSpec, s: StructureSpec, samples: int = 1000, seed: int = 0
+) -> AxiomReport:
+    """Check a law on every environment of an enumerable carrier, else on
+    `samples` random environments drawn with `seed`."""
     from .logic import LPMD, T, compile_formula  # logic builds on this module
 
+    check_samples(samples)
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
     text = print_formula(spec.formula)
     names = sorted(free_vars(spec.formula))
     law = compile_formula(spec.formula, LPMD, s, Scope(names, grow=False))
-    samples = 0
-    for samples, env in enumerate(_environments(len(names), s, strategy), 1):
+    checked = 0
+    for checked, env in enumerate(_environments(len(names), s.carrier, samples, seed), 1):
         if law(env) is not T:
-            return AxiomReport(spec.name, text, False, samples, dict(zip(names, env)))
-    return AxiomReport(spec.name, text, True, samples)
+            return AxiomReport(spec.name, text, False, checked, dict(zip(names, env)))
+    return AxiomReport(spec.name, text, True, checked)
 
 
 def _ax(name: str, text: str) -> AxiomSpec:

@@ -193,16 +193,6 @@ def _contains(node, kind) -> bool:
     return False
 
 
-def is_inversive(t: Term) -> bool:
-    """True iff the term is in pure inversive notation (no division)."""
-    return not _contains(t, Div)
-
-
-def is_divisive(t: Term) -> bool:
-    """True iff the term is in pure divisive notation (no inverse)."""
-    return not _contains(t, Inv)
-
-
 def to_inversive(t: Term) -> Term:
     """Replace every division x/y by x * y^-1."""
     kids = []

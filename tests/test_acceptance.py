@@ -32,9 +32,7 @@ from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
     AxiomSpec,
-    Exhaustive,
     Mode,
-    RandomSample,
     StructureSpec,
     axiom_catalog,
     eval_partial,
@@ -109,13 +107,13 @@ def test_criterion_3_axiom_suite():
     ok &= len(catalog) == 15
     for p in (2, 3, 5, 7):
         s = StructureSpec(PrimeField(p))
-        ok &= all(verify_axiom_spec(a, s, Exhaustive()).passed for a in catalog)
-    strategy = RandomSample(1000, seed=0)
-    ok &= all(verify_axiom_spec(a, TOTAL_Q, strategy).passed for a in catalog)
+        ok &= all(verify_axiom_spec(a, s).passed for a in catalog)
+    ok &= all(verify_axiom_spec(a, TOTAL_Q, samples=1000, seed=0).passed for a in catalog)
     defining = verify_axiom_spec(
         AxiomSpec("defining", parse_formula("(1 + x^2 + y^2)/(1 + x^2 + y^2) = 1")),
         TOTAL_Q,
-        RandomSample(1000, seed=1),
+        samples=1000,
+        seed=1,
     )
     ok &= defining.passed and defining.samples == 1000
     elapsed = time.perf_counter() - start

@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ from meadowkit.parser import MAX_DEPTH, parse_formula
 from meadowkit.terms import free_vars
 from oracle import oracle_formula
 
-CORPORA = Path(__file__).resolve().parent.parent / "corpora"
+ROOT = Path(__file__).resolve().parent.parent
+CORPORA = ROOT / "corpora"
 
 
 def run(capsys, *argv):
@@ -217,6 +220,11 @@ class TestAxioms:
         code, out, err = run(capsys, "axioms", "--samples", "100000000")
         assert code == 1 and out == ""
         assert err == "error: samples must be between 1 and 10000000, got 100000000\n"
+
+    def test_failing_closed_law_has_an_empty_witness(self, capsys):
+        code, out, _ = run(capsys, "axioms", "--carrier", "gf2", "--extra", "0 = 1")
+        assert code == 4
+        assert out.splitlines()[-1] == "FAIL axiom=0 = 1 samples=1 witness={}"
 
     def test_quantified_extra_law_rejected(self, capsys):
         code, out, err = run(capsys, "axioms", "--extra", "forall x. x = x")
@@ -475,3 +483,31 @@ class TestLint:
         )
         doc = json.loads(out)
         assert [v["verdict"] for v in doc["verdicts"]] == ["UNKNOWN", "COMPLIANT"]
+
+
+def readme_commands():
+    """The `meadowkit ...` commands of README's CLI block, with the comment
+    after each (`# -> <first output line>[, exit <code>]...`)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", "").splitlines():
+        if line.startswith("meadowkit "):
+            command, _, comment = line.partition("#")
+            commands.append((command.strip(), comment.strip()))
+    return commands
+
+
+class TestReadme:
+    def test_the_cli_block_is_found(self):
+        assert len(readme_commands()) == 16
+
+    @pytest.mark.parametrize("command, comment", readme_commands())
+    def test_cli_example(self, capsys, monkeypatch, command, comment):
+        monkeypatch.chdir(ROOT)  # the lint examples name corpora/ relatively
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        exit_code = re.search(r"\bexit (\d+)", comment)
+        assert code == (int(exit_code.group(1)) if exit_code else 0)
+        value = re.match(r"-> ([^\s,:]+)", comment)
+        if value:
+            assert out.splitlines()[0] == value.group(1)

@@ -126,6 +126,30 @@ class TestCertificates:
                 assert eval_total(t, env, TOTAL_Q) != 0
 
 
+class TestCertificateCost:
+    """Judging a guard walks it once: free names and canonical keys are
+    not recomputed per level of a deep product."""
+
+    @staticmethod
+    def calls(monkeypatch, factors, hyp):
+        module = importlib.import_module("meadowkit.lint")
+        counts = {"canonical_key": 0, "free_vars": 0}
+        claim = "claim: 1/(" + "*".join(["x"] * factors) + ") = 1"
+        with monkeypatch.context() as patch:
+            for name in counts:
+                def counted(t, _name=name, _original=getattr(module, name)):
+                    counts[_name] += 1
+                    return _original(t)
+                patch.setattr(module, name, counted)
+            (*_, v) = lint(corpus(hyp, claim), Convention.DIVISION)
+        assert v.kind is VerdictKind.VIOLATION and v.witness == {"x": 0}
+        return counts
+
+    @pytest.mark.parametrize("hyp", ["hyp: 1/q = 2", "# no fact"])
+    def test_calls_do_not_grow_with_the_factor_count(self, monkeypatch, hyp):
+        assert self.calls(monkeypatch, 10, hyp) == self.calls(monkeypatch, 400, hyp)
+
+
 class TestZeroWitness:
     def test_plain_variable(self):
         assert find_zero_witness(parse_term("x")) == {"x": Fraction(0)}
@@ -252,6 +276,17 @@ class TestLint:
             verdicts[0].format_line()
             == "statement=0 pos=0 guarded=0 verdict=VIOLATION detail={}"
         )
+
+    def test_text_and_json_lines_share_their_fields(self):
+        verdicts = lint(
+            corpus("hyp: 1/q = 2", "claim: 1/x + 1/(x*x + 1) + 1/q + 1/(x + 2*y) = 1"),
+            Convention.DIVISION,
+        )
+        assert {v.kind for v in verdicts} == set(VerdictKind)
+        for v in verdicts:
+            fields = v.to_dict()
+            assert list(fields) == ["statement", "pos", "guarded", "verdict", "detail"]
+            assert v.format_line() == " ".join(f"{k}={value}" for k, value in fields.items())
 
     def test_canonical_key_flattens(self):
         assert canonical_key(parse_term("x + (y + z)")) == canonical_key(

@@ -11,9 +11,7 @@ from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
     AxiomSpec,
-    Exhaustive,
     Mode,
-    RandomSample,
     Scope,
     StructureSpec,
     UnboundVariableError,
@@ -157,34 +155,45 @@ def law(text: str) -> AxiomSpec:
 
 class TestVerifyAxiom:
     def test_exhaustive_pass(self):
-        report = verify_axiom_spec(law("x*(x*x^-1) = x"), StructureSpec(PrimeField(7)), Exhaustive())
+        report = verify_axiom_spec(law("x*(x*x^-1) = x"), StructureSpec(PrimeField(7)))
         assert report.passed and report.samples == 7
 
     def test_closed_law_over_huge_field_visits_one_environment(self):
-        report = verify_axiom_spec(law("1 + 1 = 2"), StructureSpec(PrimeField(2**61 - 1)), Exhaustive())
+        report = verify_axiom_spec(law("1 + 1 = 2"), StructureSpec(PrimeField(2**61 - 1)))
         assert report.passed and report.samples == 1
 
     def test_random_sample_pass(self):
-        report = verify_axiom_spec(law("(x*x)/x = x"), TOTAL_Q, RandomSample(1000, seed=1))
+        report = verify_axiom_spec(law("(x*x)/x = x"), TOTAL_Q, samples=1000, seed=1)
         assert report.passed and report.samples == 1000
 
     def test_fail_with_witness(self):
-        report = verify_axiom_spec(law("x/x = 1"), StructureSpec(PrimeField(5)), Exhaustive())
+        report = verify_axiom_spec(law("x/x = 1"), StructureSpec(PrimeField(5)))
         assert not report.passed
         assert report.witness == {"x": 0}
         assert report.format_line().startswith("FAIL")
         assert "witness=x=0" in report.format_line()
 
+    def test_failing_closed_law_has_an_empty_witness(self):
+        report = verify_axiom_spec(law("0 = 1"), StructureSpec(PrimeField(2)))
+        assert report.witness == {}
+        assert report.format_line() == "FAIL axiom=0 = 1 samples=1 witness={}"
+
+    def test_sampled_closed_law_is_checked_once(self):
+        report = verify_axiom_spec(law("1 + 1 = 2"), TOTAL_Q, samples=1000, seed=3)
+        assert report.passed and report.samples == 1
+
+    def test_sample_count_is_checked_on_every_carrier(self):
+        for s in (TOTAL_Q, StructureSpec(PrimeField(5))):
+            for samples in (0, 10**7 + 1):
+                with pytest.raises(ValueError, match="samples must be between 1 and 10000000"):
+                    verify_axiom_spec(law("x = x"), s, samples=samples)
+
     def test_guarded_law(self):
-        report = verify_axiom_spec(law("x != 0 => x/x = 1"), StructureSpec(PrimeField(5)), Exhaustive())
+        report = verify_axiom_spec(law("x != 0 => x/x = 1"), StructureSpec(PrimeField(5)))
         assert report.passed
 
-    def test_exhaustive_on_rationals_rejected(self):
-        with pytest.raises(ValueError):
-            verify_axiom_spec(law("x = x"), TOTAL_Q, Exhaustive())
-
     def test_report_line_format(self):
-        report = verify_axiom_spec(law("x + 0 = x"), StructureSpec(PrimeField(3)), Exhaustive())
+        report = verify_axiom_spec(law("x + 0 = x"), StructureSpec(PrimeField(3)))
         assert report.format_line() == "PASS axiom=x + 0 = x samples=3"
 
 
@@ -196,11 +205,11 @@ class TestAxiomCatalog:
     def test_all_pass_exhaustively(self, p):
         s = StructureSpec(PrimeField(p))
         for spec in axiom_catalog():
-            assert verify_axiom_spec(spec, s, Exhaustive()).passed, spec.name
+            assert verify_axiom_spec(spec, s).passed, spec.name
 
     def test_all_pass_on_sampled_rationals(self):
         for spec in axiom_catalog():
-            assert verify_axiom_spec(spec, TOTAL_Q, RandomSample(200, seed=2)).passed
+            assert verify_axiom_spec(spec, TOTAL_Q, samples=200, seed=2).passed
 
     def test_separation_in_catalog(self):
         names = [spec.name for spec in axiom_catalog()]
