@@ -64,22 +64,24 @@ def format_env(env) -> str:
 
 
 class Ops(NamedTuple):
-    """A carrier's field operations without membership checks, for
-    operands already checked where they entered (a binding, an
-    enumerated element)."""
+    """A carrier's field operations over columns: each takes sequences
+    of elements, one per row of a block, and returns the list of
+    results.  Operands are not checked: they were checked where they
+    entered (a binding, an enumerated element)."""
 
     add: Callable
     mul: Callable
     neg: Callable
     inv_total: Callable
-    power: Callable  # (a, n) -> a^n for a natural number n
+    power: Callable  # (xs, n) -> [x^n for x in xs], n a natural number
 
 
 class Carrier:
     """Base carrier: a set of elements with totalized field operations.
 
-    A subclass defines the operations as `ops`.  They do not check their
-    operands: membership is checked once, where a value enters (`check`).
+    A subclass defines the operations, over columns, as `ops`.  They do
+    not check their operands: membership is checked once, where a value
+    enters (`check`).
     """
 
     enumerable: bool = False
@@ -131,7 +133,13 @@ class Rationals(Carrier):
     """The rational numbers with 0^-1 = 0."""
 
     enumerable = False
-    ops = Ops(operator.add, operator.mul, operator.neg, _inv_rational, _power_rational)
+    ops = Ops(
+        lambda xs, ys: list(map(operator.add, xs, ys)),
+        lambda xs, ys: list(map(operator.mul, xs, ys)),
+        lambda xs: list(map(operator.neg, xs)),
+        lambda xs: list(map(_inv_rational, xs)),
+        lambda xs, n: [_power_rational(x, n) for x in xs],
+    )
 
     def __str__(self):
         return "rationals"
@@ -191,11 +199,11 @@ class PrimeField(Carrier):
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         ops = Ops(
-            lambda a, b: (a + b) % p,
-            lambda a, b: (a * b) % p,
-            lambda a: (-a) % p,
-            lambda a: pow(a, p - 2, p) if a else 0,
-            lambda a, n: pow(a, n, p),
+            lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)],
+            lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
+            lambda xs: [-x % p for x in xs],
+            lambda xs: [pow(x, -1, p) if x else 0 for x in xs],
+            lambda xs, n: [pow(x, n, p) for x in xs],
         )
         object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
 

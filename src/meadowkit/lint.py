@@ -9,7 +9,6 @@ so the linter is sound but incomplete in both directions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -17,11 +16,22 @@ from fractions import Fraction
 from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
 from .parser import ParseError, parse_formula
 from .printer import print_term
-from .semantics import Mode, Scope, StructureSpec, _Punched, compile_term, eval_total
+from .semantics import (
+    Mode,
+    Scope,
+    StructureSpec,
+    compile_term,
+    eval_total,
+    first_hit,
+    product_blocks,
+    zero_rows,
+)
 from .terms import (
     Add,
     Div,
     Eq,
+    Exists,
+    Forall,
     Inv,
     Mul,
     Neg,
@@ -31,6 +41,7 @@ from .terms import (
     Term,
     Var,
     Zero,
+    _contains,
     children,
     free_vars,
     to_inversive,
@@ -84,27 +95,30 @@ class Occurrence:
     position: int
     numerator: Term | None  # None for inverse occurrences
     guarded: Term
+    bound: frozenset = frozenset()  # the names quantified above it
 
 
 def collect_occurrences(node) -> list[Occurrence]:
     """All division/inverse occurrences of a term or formula, in order."""
-    pairs: list = []
-    _occurrences(node, pairs)
-    return [Occurrence(i, num, guarded) for i, (num, guarded) in enumerate(pairs)]
+    found: list = []
+    _occurrences(node, found, frozenset())
+    return [Occurrence(i, *occ) for i, occ in enumerate(found)]
 
 
-def _occurrences(node, out: list):
+def _occurrences(node, out: list, bound: frozenset):
     # in-order: a `/` follows its left operand and a `^-1` its argument,
     # which is the textual order of the symbols
+    if isinstance(node, (Forall, Exists)):
+        bound |= {node.var}
     kids = children(node)
     if kids:
-        _occurrences(kids[0], out)
+        _occurrences(kids[0], out, bound)
     if isinstance(node, Div):
-        out.append((node.left, node.right))
+        out.append((node.left, node.right, bound))
     elif isinstance(node, Inv):
-        out.append((None, node.arg))
+        out.append((None, node.arg, bound))
     for kid in kids[1:]:
-        _occurrences(kid, out)
+        _occurrences(kid, out, bound)
 
 
 _KEY_TAGS = {Zero: "0", One: "1", Neg: "-", Inv: "inv", Div: "/"}
@@ -292,20 +306,24 @@ _FROM_RESIDUE = dict(zip(_RESIDUES, _WITNESS_VALUES))
 
 
 def _zero_test(t: Term, scope: Scope):
-    """A function telling whether t is zero at an environment of residues:
-    a nonzero residue proves it is not, otherwise the exact value decides."""
+    """A function giving the rows, among `rows` of a block of residues,
+    where t is zero: a nonzero residue proves it is not, otherwise the
+    exact value decides, computed on the rows that `keep` returns of
+    those with a zero residue."""
     modular = compile_term(to_inversive(t), _MODULAR, scope)
     exact = compile_term(t, _TOTAL_RATIONALS, scope)
 
-    def is_zero(residues) -> bool:
-        try:
-            if modular(residues):
-                return False
-        except _Punched:  # the inverse of a zero residue
-            pass
-        return exact([_FROM_RESIDUE[r] for r in residues]) == 0
+    def zeros(columns, rows, keep=list) -> set:
+        block = [[column[i] for i in rows] for column in columns]
+        maybe = set()  # the rows that met the inverse of a zero residue, then zero ones
+        maybe.update(zero_rows(modular(block, len(rows), maybe)))
+        maybe = keep([rows[j] for j in sorted(maybe)])
+        if not maybe:
+            return set()
+        values = exact([[_FROM_RESIDUE[column[i]] for i in maybe] for column in columns], len(maybe), set())
+        return {i for i, v in zip(maybe, values) if not v}
 
-    return is_zero
+    return zeros
 
 
 def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
@@ -325,6 +343,8 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     every literal, map onto GF(P) by a ring homomorphism, and an exact
     value the prefilter inverts has a nonzero residue, so it is a unit of
     that ring too; hence a nonzero residue proves a nonzero exact value.
+    A term of `nonzero` is computed only where t may be zero, and also
+    before the witness if it has a power, which may raise.
     """
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > WITNESS_MAX_VARS:
@@ -332,14 +352,26 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     scope = Scope(names, grow=False)
     target = _zero_test(t, scope)
     guards = [_zero_test(u, scope) for u in nonzero]
-    for residues in itertools.product(_RESIDUES, repeat=len(names)):
-        for guard in guards:
-            if guard(residues):
-                break
-        else:
-            if target(residues):
-                return {name: _FROM_RESIDUE[r] for name, r in zip(names, residues)}
-    return None
+    # exact rational arithmetic raises only in a power over the size bound
+    guards_may_raise = any(_contains(u, (Pow,)) for u in nonzero)
+
+    def first_zero(columns, n):
+        def unguarded(rows):
+            for guard in guards:  # in order, each on the rows the ones before leave
+                zeros = guard(columns, rows)
+                rows = [i for i in rows if i not in zeros]
+            return rows
+
+        zeros = target(columns, range(n), unguarded)
+        hit = min(zeros) if zeros else None
+        if guards_may_raise:  # raise where a row-by-row search would
+            unguarded(range(n if hit is None else hit))
+        return hit
+
+    _, residues = first_hit(product_blocks(_RESIDUES, len(names)), first_zero)
+    if residues is None:
+        return None
+    return {name: _FROM_RESIDUE[r] for name, r in zip(names, residues)}
 
 
 class VerdictKind(Enum):
@@ -423,14 +455,20 @@ def _is_liberal(occ: Occurrence, convention: Convention) -> bool:
     return convention is Convention.LIBERAL_DIVISION and occ.numerator is not None
 
 
+def _in_scope(facts, occ: Occurrence) -> list:
+    """The facts about occ's free names: a fact naming a name quantified
+    above occ is about another variable."""
+    return [fact for fact in facts if not fact.names & occ.bound]
+
+
 def _search_inputs(occ: Occurrence, convention: Convention, facts):
     """The names the witness search binds for occ, its extra names and the
-    terms it keeps nonzero: the facts that use no other names and, under
-    liberal division, the numerator."""
+    terms it keeps nonzero: the facts in scope that use no other names
+    and, under liberal division, the numerator."""
     liberal = _is_liberal(occ, convention)
     extra = free_vars(occ.numerator) if liberal else frozenset()
     names = free_vars(occ.guarded) | extra
-    nonzero = [fact.term for fact in facts if fact.names <= names]
+    nonzero = [fact.term for fact in _in_scope(facts, occ) if fact.names <= names]
     if liberal:
         nonzero.append(occ.numerator)
     return names, extra, nonzero
@@ -440,7 +478,7 @@ def _judge(index: int, occ: Occurrence, convention: Convention, facts) -> Verdic
     # Certificates first: a nonzero guard, or a zero numerator under
     # liberal division, proves that the witness search, which sweeps up to
     # 23^3 environments, would come back empty.
-    certificate = nonzero_certificate(occ.guarded, facts)
+    certificate = nonzero_certificate(occ.guarded, _in_scope(facts, occ))
     if (
         certificate is None
         and _is_liberal(occ, convention)

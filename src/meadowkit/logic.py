@@ -8,7 +8,13 @@ equality, McCarthy's left-sequential connectives and Bochvar's
 quantifiers.
 
 A formula is compiled once (`compile_formula`) into a closure with the
-three choices fixed, and then run on a frame of variable slots.
+three choices fixed, and then run on a frame that holds a block of rows
+(see `semantics`); it gives a column of truth values.  An atom is U (or
+F) on the rows in its terms' undefined-row set.  A connective computes
+its second operand only on the rows that the first leaves open, and a
+quantifier sweeps its elements in groups (`_quantifier`).  A group that
+raises PowerBoundError is re-run one row at a time, in order, so
+laziness and errors are those of row-by-row evaluation.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
+from .carriers import PowerBoundError
 from .semantics import (
-    UNDEFINED,
+    BLOCK,
     Scope,
     StructureSpec,
-    _Punched,
     checked_elements,
     term_compiler,
 )
@@ -104,29 +110,42 @@ def not_tv(a: TruthValue) -> TruthValue:
     return U
 
 
+def _select(f, rows) -> list:
+    """The frame of the given rows of f."""
+    return [None if column is None else [column[i] for i in rows] for column in f]
+
+
 def _lattice(top: TruthValue, mid: TruthValue, first, second):
     """Bochvar and Kleene connectives: `top` decides at once, else `mid`
-    wins over the third value.  Compiled evaluation cannot fail, so the
-    second operand is skipped once `top` is seen."""
+    wins over the third value.  The second operand is computed only on
+    the rows where the first is not `top`."""
 
-    def fold(e):
-        x = first(e)
-        if x is top:
-            return top
-        y = second(e)
-        if y is top:
-            return top
-        return mid if (x is mid or y is mid) else x
+    def fold(f, n):
+        xs = first(f, n)
+        rows = [i for i, x in enumerate(xs) if x is not top]
+        if rows:
+            ys = second(f, n) if len(rows) == n else second(_select(f, rows), len(rows))
+            for i, y in zip(rows, ys):
+                if y is top or y is mid:
+                    xs[i] = y
+        return xs
 
     return fold
 
 
 def _sequential(passes: TruthValue, first, second):
-    """McCarthy: the first operand decides unless it is `passes`."""
+    """McCarthy: the first operand decides unless it is `passes`; the
+    second is computed only on the rows where it is."""
 
-    def fold(e):
-        x = first(e)
-        return second(e) if x is passes else x
+    def fold(f, n):
+        xs = first(f, n)
+        rows = [i for i, x in enumerate(xs) if x is passes]
+        if len(rows) == n:
+            return second(f, n)
+        if rows:
+            for i, y in zip(rows, second(_select(f, rows), len(rows))):
+                xs[i] = y
+        return xs
 
     return fold
 
@@ -148,20 +167,16 @@ def _connective(family: ConnectiveFamily, conjunctive: bool, a, b):
 
 
 def _negation(a):
-    return lambda e: not_tv(a(e))
-
-
-#: Operand closures reading a frame of two values.
-_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
+    return lambda f, n: [F if x is T else T if x is F else U for x in a(f, n)]
 
 
 def or_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    # the closure every compiled disjunction runs
-    return _connective(family, False, _FIRST, _SECOND)((a, b))
+    # the closure every compiled disjunction runs, on a block of one row
+    return _connective(family, False, lambda f, n: [a], lambda f, n: [b])(None, 1)[0]
 
 
 def and_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    return _connective(family, True, _FIRST, _SECOND)((a, b))
+    return _connective(family, True, lambda f, n: [a], lambda f, n: [b])(None, 1)[0]
 
 
 def implies_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
@@ -189,30 +204,27 @@ def _atom(cls, kind: EqualityKind, a, b):
 
     A non-denoting side gives U under weak equality and F otherwise,
     except that strong equality holds when both sides are non-denoting.
+    The sides share an undefined-row set, as a row-by-row evaluation
+    stops at the first, except in strong equality.
     """
     if cls is Eq and kind is EqualityKind.STRONG:
-        def strong(e):
-            try:
-                x = a(e)
-            except _Punched:
-                x = UNDEFINED
-            try:
-                y = b(e)
-            except _Punched:
-                y = UNDEFINED
-            if x is UNDEFINED or y is UNDEFINED:
-                return T if x is y else F
-            return T if x == y else F
+        def strong(f, n):
+            left, right = set(), set()
+            values = [T if v else F for v in map(operator.eq, a(f, n, left), b(f, n, right))]
+            for i in left | right:
+                values[i] = T if i in left and i in right else F
+            return values
 
         return strong
     rel = RELATIONS[cls]
     nondenoting = U if kind is EqualityKind.WEAK else F
 
-    def atom(e):
-        try:
-            return T if rel(a(e), b(e)) else F
-        except _Punched:
-            return nondenoting
+    def atom(f, n):
+        undefined = set()
+        values = [T if v else F for v in map(rel, a(f, n, undefined), b(f, n, undefined))]
+        for i in undefined:
+            values[i] = nondenoting
+        return values
 
     return atom
 
@@ -228,7 +240,7 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, scope: Scope):
     or bound name follows lexical scope."""
     c = s.carrier
     term = term_compiler(s, scope)
-    elements = []  # filled once the quantifier nesting depth is known
+    domain = []  # the carrier's elements, once the quantifier nesting depth is known
 
     def comp(g):
         cls = type(g)
@@ -248,29 +260,60 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, scope: Scope):
             scope.unbind(g.var, outer)
             universal = cls is Forall
             rule = _rule(cfg.quantifiers is QuantifierFamily.BOCHVAR, universal)
-            return _quantifier(*rule, universal, slot, body, elements)
+            return _quantifier(*rule, universal, slot, body, domain)
         raise TypeError(f"not a formula: {g!r}")
 
     fn = comp(f)
     if scope.max_depth:
-        elements.extend(checked_elements(c, scope.max_depth))
+        domain.append(checked_elements(c, scope.max_depth))
     return fn
 
 
-def _quantifier(top, mid, universal: bool, slot: int, body, elements):
+def _quantifier(top, mid, universal: bool, slot: int, body, domain):
     """Fold the body's value over the elements bound to `slot`, by the
-    same rule as a binary connective, stopping at `top`."""
+    same rule as a binary connective, stopping each row at `top`.
+
+    The body runs on groups of elements for the rows with no `top` yet:
+    g elements for m open rows make a block of m * g rows, element-major
+    (row j * m + i binds the j-th element to open row i).  A group fills
+    a block of BLOCK rows, except on one row (a closed formula's
+    outermost quantifier), where groups of 2, 4, 8, ... elements let an
+    early `top` end the sweep soon.
+    """
     bottom = T if universal else F
 
-    def quantify(e):
-        result = bottom
-        for value in elements:
-            e[slot] = value
-            x = body(e)
-            if x is top:
-                return top
-            if x is mid:
-                result = mid
+    def quantify(f, n):
+        elements = domain[0]
+        result = [bottom] * n
+        rows, frame = list(range(n)), f  # the open rows, and their frame
+        start, size = 0, 2 if n == 1 else BLOCK
+        while start < len(elements) and rows:
+            m = len(rows)
+            size = min(size, max(1, BLOCK // m))
+            group = elements[start:start + size]
+            start += size
+            block = [None if column is None else column * len(group) for column in frame]
+            block[slot] = [value for value in group for _ in range(m)]
+            try:
+                values = body(block, m * len(group))
+            except PowerBoundError:
+                if m > 1:  # the sweep that made these rows re-runs them one at a time
+                    raise
+                values = []  # one element at a time, in order, up to the first `top`
+                for j in range(len(group)):
+                    values += body(_select(block, (j,)), 1)
+                    if values[-1] is top:
+                        break
+            for i, r in enumerate(rows):
+                column = values[i::m]
+                if top in column:
+                    result[r] = top
+                elif mid in column:
+                    result[r] = mid
+            still = [i for i, r in enumerate(rows) if result[r] is not top]
+            if len(still) < m:
+                rows, frame = [rows[i] for i in still], _select(frame, still)
+            size *= 2
         return result
 
     return quantify
@@ -279,7 +322,8 @@ def _quantifier(top, mid, universal: bool, slot: int, body, elements):
 def eval_formula(f, cfg: LogicConfig, env, s: StructureSpec) -> TruthValue:
     scope = Scope()
     fn = compile_formula(f, cfg, s, scope)
-    return fn(scope.frame(env, s.carrier))
+    (value,) = fn(scope.frame(env, s.carrier), 1)
+    return value
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,25 @@ Undefinedness propagates strictly: a term with an undefined subterm is
 undefined.  Total evaluation is partial evaluation in the total mode,
 where nothing is punched.
 
-A term is compiled once per structure into a closure that reads its
-variables from a frame of slots (`compile_term`, `Scope`); carrier
-membership is checked where a value enters a frame, not per operation.
+A term is compiled once per structure into a closure over a frame
+(`compile_term`, `Scope`).  A frame holds a block of rows, a column per
+variable slot, and one closure call computes a whole column; a single
+value (`eval`, a constant fold) is a block of one row.  Carrier
+membership is checked where a value enters a frame.  A punched
+application adds its rows to an undefined-row set and keeps the total
+value there, which is exact because undefinedness is strict; a power
+skips the rows already in the set, so an undefined row never raises.
+
+A sweep (an axiom's environments, a quantifier's instances, the lint
+witness search) goes in itertools.product order, in blocks of at most
+BLOCK rows.  A block that raises PowerBoundError is re-run one row at a
+time, in order, so the first row that decides or raises is the one a
+row-by-row loop meets.
 
 An axiom is a name plus a quantifier-free formula whose free variables
 are read universally; it is compiled once (`logic.compile_formula`,
-which gives only T or F in a total structure) and run on each
-environment of the enumeration.
+which gives only T or F in a total structure) and run on the blocks of
+the enumeration.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .carriers import Carrier, format_env
+from .carriers import Carrier, PowerBoundError, format_env
 from .parser import parse_formula
 from .parser import parse_term  # unused here; bench/tracing.py wraps this module attribute
 from .printer import print_formula
@@ -89,11 +100,15 @@ UNDEFINED = _UndefinedType()
 ENUMERATION_BUDGET = 10**7
 
 
-def checked_elements(carrier: Carrier, depth: int) -> list:
-    """The carrier's elements, each checked once, for an enumeration
-    `depth` variables deep; refused before the list is built when the
-    enumeration would exceed ENUMERATION_BUDGET.  At depth 0 the one
-    (empty) environment needs no elements."""
+#: The most rows of a block: a sweep's memory is bounded by it.
+BLOCK = 4096
+
+
+def checked_elements(carrier: Carrier, depth: int):
+    """The carrier's elements (members by construction) for an
+    enumeration `depth` variables deep; refused when the enumeration
+    would exceed ENUMERATION_BUDGET.  At depth 0 the one (empty)
+    environment needs no elements."""
     values = carrier.elements()
     # len() of a range overflows past sys.maxsize, and GF(p) goes further
     n = values.stop - values.start if isinstance(values, range) else len(values)
@@ -102,18 +117,74 @@ def checked_elements(carrier: Carrier, depth: int) -> list:
             f"enumeration of {n}^{depth} environments is over "
             f"the budget of {ENUMERATION_BUDGET}"
         )
-    return [carrier.check(v) for v in values] if depth else []
+    return values if depth else ()
 
 
-class _Punched(Exception):
-    """A punched application was reached; caught where a term's value is read."""
+def _block_sizes():
+    """32, 64, ..., BLOCK, BLOCK, ... rows: a sweep that stops early
+    computes at most about as many rows again, or 32."""
+    size = min(32, BLOCK)
+    while True:
+        yield size
+        size = min(2 * size, BLOCK)
+
+
+def product_blocks(values, k: int):
+    """The rows of itertools.product(values, repeat=k) in blocks, each
+    block as (its columns, its number of rows)."""
+    total, start = len(values) ** k, 0
+    for size in _block_sizes():
+        if start == total:
+            return
+        stop = min(start + size, total)
+        yield [_product_column(values, len(values) ** (k - 1 - j), start, stop) for j in range(k)], stop - start
+        start = stop
+
+
+def _product_column(values, run: int, start: int, stop: int) -> list:
+    """Rows start..stop-1 of a product column whose value changes every
+    `run` rows."""
+    m, n = len(values), stop - start
+    if m * run <= n:  # whole periods: tile one
+        period = list(values) if run == 1 else [v for v in values for _ in range(run)]
+        offset = start % len(period)
+        return (period * (n // len(period) + 2))[offset:offset + n]
+    column = []
+    for q in range(start // run, (stop - 1) // run + 1):
+        column += [values[q % m]] * (min(stop, (q + 1) * run) - max(start, q * run))
+    return column
+
+
+def row_blocks(rows):
+    """The rows of an iterator of value tuples in blocks, as product_blocks."""
+    for size in _block_sizes():
+        block = list(itertools.islice(rows, size))
+        if not block:
+            return
+        yield list(zip(*block)), len(block)
+
+
+def first_hit(blocks, test):
+    """(rows visited, the first hit row as a tuple or None) of a sweep:
+    `test(columns, n)` gives the index of a block's first hit row or
+    None.  A block that raises is re-run one row at a time, in order."""
+    visited = 0
+    for columns, n in blocks:
+        try:
+            i = test(columns, n)
+        except PowerBoundError:
+            i = next((j for j in range(n) if test([c[j:j + 1] for c in columns], 1) is not None), None)
+        if i is not None:
+            return visited + i + 1, tuple(c[i] for c in columns)
+        visited += n
+    return visited, None
 
 
 class Scope:
     """Frame slots of one compiled term or formula.
 
     A compiled closure reads its variables from a frame, a sequence with
-    one value per slot.  `names` get slots 0, 1, ... in order; with
+    one column per slot.  `names` get slots 0, 1, ... in order; with
     `grow`, any other free name gets the next slot when the compiler
     meets it, otherwise it is unbound.  A quantifier binds its variable
     to a fresh slot for the extent of its body.
@@ -152,65 +223,77 @@ class Scope:
             self.slot[name] = outer
 
     def frame(self, env, carrier: Carrier) -> list:
-        """A frame holding env's value of every free name, each checked once."""
+        """A frame of one row: env's value of every free name, checked."""
         frame = [None] * self.size
         for name, i in self.free.items():
             try:
                 value = env[name]
             except KeyError:
                 raise UnboundVariableError(f"unbound variable {name!r}") from None
-            frame[i] = carrier.check(value)
+            frame[i] = [carrier.check(value)]
         return frame
 
 
 # Closure builders.  They live outside the compiler so that each closure
-# captures only what it uses.
+# captures only what it uses.  A term closure maps (frame, rows,
+# undefined-row set) to a column.
+
+
+def zero_rows(xs):
+    """The indices of the zero values of a column."""
+    return itertools.compress(itertools.count(), map(operator.not_, xs))
+
+
+def _variable(i):
+    return lambda f, n, u: f[i]
 
 
 def _constant(value):
-    return lambda f: value
+    return lambda f, n, u: [value] * n
 
 
 def _unary(op, a):
-    return lambda f: op(a(f))
+    return lambda f, n, u: op(a(f, n, u))
 
 
 def _binary(op, a, b):
-    return lambda f: op(a(f), b(f))
+    return lambda f, n, u: op(a(f, n, u), b(f, n, u))
 
 
-def _inverse_punched(inv, zero, a):
-    def inverse(f):
-        x = a(f)
-        if x == zero:
-            raise _Punched
-        return inv(x)
+def _power(power, zero, a, e):
+    def pw(f, n, u):
+        xs = a(f, n, u)
+        if u:  # never read, and 0^e is within any bound
+            xs = [zero if i in u else x for i, x in enumerate(xs)]
+        return power(xs, e)
+
+    return pw
+
+
+def _inverse_punched(inv, a):
+    def inverse(f, n, u):
+        xs = a(f, n, u)
+        u.update(zero_rows(xs))
+        return inv(xs)
 
     return inverse
 
 
-def _division(mul, inv, zero, a, b):
-    return lambda f: mul(a(f), inv(b(f)))
-
-
-def _division_punched_all(mul, inv, zero, a, b):
-    def division(f):
-        x, y = a(f), b(f)
-        if y == zero:
-            raise _Punched
-        return mul(x, inv(y))
+def _division(mul, inv, punched, a, b):
+    def division(f, n, u):
+        xs, ys = a(f, n, u), b(f, n, u)
+        if punched:
+            u.update(punched(xs, ys))
+        return mul(xs, inv(ys))
 
     return division
 
 
-def _division_punched_nonzero(mul, inv, zero, a, b):
-    def division(f):
-        x, y = a(f), b(f)
-        if y == zero and x != zero:
-            raise _Punched
-        return mul(x, inv(y))
-
-    return division
+#: The rows where a punching mode leaves x/y undefined.
+_PUNCHED_DIVISIONS = {
+    Mode.PUNCH_DIV_ALL0: lambda xs, ys: zero_rows(ys),
+    Mode.PUNCH_DIV_NONZERO0: lambda xs, ys: (i for i in zero_rows(ys) if xs[i]),
+}
 
 
 def term_compiler(s: StructureSpec, scope: Scope):
@@ -218,38 +301,33 @@ def term_compiler(s: StructureSpec, scope: Scope):
     from a frame laid out by `scope`.
 
     The punch tests of s's mode are chosen here and sit only in the Inv
-    and Div closures; a punched application raises _Punched, which the
-    caller turns into UNDEFINED.  Operands are not checked: every value
-    in a frame was checked where it entered.
+    and Div closures; a punched row goes into the undefined-row set.
+    Operands are not checked: every value in a frame was checked where
+    it entered.
     """
     c = s.carrier
     add, mul, neg, inv, power = c.ops
     zero = c.from_int(0)
     punch_inverse = s.mode is Mode.PUNCH_INV0
-    division = (
-        _division_punched_all if s.mode is Mode.PUNCH_DIV_ALL0
-        else _division_punched_nonzero if s.mode is Mode.PUNCH_DIV_NONZERO0
-        else _division
-    )
+    punched_division = _PUNCHED_DIVISIONS.get(s.mode)
 
     def comp(t):
         cls = type(t)
         if cls is Var:
-            return operator.itemgetter(scope.lookup(t.name))
+            return _variable(scope.lookup(t.name))
         if cls is Add:
             return _binary(add, comp(t.left), comp(t.right))
         if cls is Mul:
             return _binary(mul, comp(t.left), comp(t.right))
         if cls is Div:
-            return division(mul, inv, zero, comp(t.left), comp(t.right))
+            return _division(mul, inv, punched_division, comp(t.left), comp(t.right))
         if cls is Neg:
             return _unary(neg, comp(t.arg))
         if cls is Inv:
             a = comp(t.arg)
-            return _inverse_punched(inv, zero, a) if punch_inverse else _unary(inv, a)
+            return _inverse_punched(inv, a) if punch_inverse else _unary(inv, a)
         if cls is Pow:
-            a, n = comp(t.arg), t.n
-            return lambda f: power(a(f), n)
+            return _power(power, zero, comp(t.arg), t.n)
         if cls is NumLit:
             return _constant(c.from_int(t.value))
         if cls is Zero or cls is One:
@@ -260,7 +338,9 @@ def term_compiler(s: StructureSpec, scope: Scope):
 
 
 def compile_term(t: Term, s: StructureSpec, scope: Scope):
-    """A closure computing t in s from a frame laid out by `scope`."""
+    """A closure computing t in s from a frame laid out by `scope`:
+    `fn(frame, rows, undefined)` gives t's column and adds the rows where
+    t is undefined to the set `undefined`."""
     return term_compiler(s, scope)(t)
 
 
@@ -273,10 +353,9 @@ def eval_partial(t: Term, env, s: StructureSpec):
     scope = Scope()
     fn = compile_term(t, s, scope)
     frame = scope.frame(env, s.carrier)
-    try:
-        return fn(frame)
-    except _Punched:
-        return UNDEFINED
+    undefined = set()
+    (value,) = fn(frame, 1, undefined)
+    return UNDEFINED if undefined else value
 
 
 def eval_total(t: Term, env, s: StructureSpec):
@@ -302,13 +381,13 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def _environments(k: int, c: Carrier, samples: int, seed: int):
-    """Environments of k variables as tuples: over an enumerable carrier
+    """Blocks of environments of k variables: over an enumerable carrier
     all of them, in itertools.product order; otherwise `samples` seeded
     random ones, and the one empty environment of a closed law once."""
     if c.enumerable:
-        return itertools.product(checked_elements(c, k), repeat=k)
+        return product_blocks(checked_elements(c, k), k)
     rng = random.Random(seed)
-    return (
+    return row_blocks(
         tuple([c.check(random_rational(rng)) for _ in range(k)])
         for _ in range(samples if k else 1)
     )
@@ -350,7 +429,8 @@ def verify_axiom_spec(
     spec: AxiomSpec, s: StructureSpec, samples: int = 1000, seed: int = 0
 ) -> AxiomReport:
     """Check a law on every environment of an enumerable carrier, else on
-    `samples` random environments drawn with `seed`."""
+    `samples` random environments drawn with `seed`; the report names the
+    first environment where it is not T."""
     from .logic import LPMD, T, compile_formula  # logic builds on this module
 
     check_samples(samples)
@@ -359,10 +439,14 @@ def verify_axiom_spec(
     text = print_formula(spec.formula)
     names = sorted(free_vars(spec.formula))
     law = compile_formula(spec.formula, LPMD, s, Scope(names, grow=False))
-    checked = 0
-    for checked, env in enumerate(_environments(len(names), s.carrier, samples, seed), 1):
-        if law(env) is not T:
-            return AxiomReport(spec.name, text, False, checked, dict(zip(names, env)))
+
+    def failing(columns, n):
+        values = law(columns, n)
+        return None if values.count(T) == n else next(i for i, v in enumerate(values) if v is not T)
+
+    checked, env = first_hit(_environments(len(names), s.carrier, samples, seed), failing)
+    if env is not None:
+        return AxiomReport(spec.name, text, False, checked, dict(zip(names, env)))
     return AxiomReport(spec.name, text, True, checked)
 
 

@@ -73,17 +73,23 @@ class TestTextForm:
 
 
 class TestRationalOps:
+    # the operations take and give columns, one value per row of a block
+
     def test_textbook_sum(self):
-        assert RATIONALS.ops.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+        assert RATIONALS.ops.add([Fraction(1, 2), Fraction(1)], [Fraction(1, 3), Fraction(-1)]) == [
+            Fraction(5, 6), 0,
+        ]
 
     def test_reciprocal_product(self):
-        assert RATIONALS.ops.mul(Fraction(2, 3), Fraction(3, 2)) == 1
+        assert RATIONALS.ops.mul([Fraction(2, 3)], [Fraction(3, 2)]) == [1]
 
     def test_inverse_of_zero_is_zero(self):
-        assert RATIONALS.ops.inv_total(Fraction(0)) == 0
+        assert RATIONALS.ops.inv_total([Fraction(0)]) == [0]
 
     def test_fraction_flip(self):
-        assert RATIONALS.ops.inv_total(Fraction(2, 3)) == Fraction(3, 2)
+        assert RATIONALS.ops.inv_total([Fraction(2, 3), Fraction(0), Fraction(-5)]) == [
+            Fraction(3, 2), 0, Fraction(-1, 5),
+        ]
 
     def test_division_by_zero_is_zero(self):
         assert divide(RATIONALS, Fraction(1), Fraction(0)) == 0
@@ -94,12 +100,14 @@ class TestRationalOps:
     @given(rationals)
     def test_additive_unit_and_inverse(self, x):
         c = RATIONALS.ops
-        assert c.add(x, Fraction(0)) == x
-        assert c.add(c.neg(x), x) == 0
+        assert c.add([x], [Fraction(0)]) == [x]
+        assert c.add(c.neg([x]), [x]) == [0]
 
     @given(rationals, rationals, rationals)
     def test_ring_laws(self, x, y, z):
         c = RATIONALS.ops
+        # two rows: (x, y, z) and (z, x, y)
+        x, y, z = [x, z], [y, x], [z, y]
         assert c.add(x, y) == c.add(y, x)
         assert c.mul(x, y) == c.mul(y, x)
         assert c.add(c.add(x, y), z) == c.add(x, c.add(y, z))
@@ -109,15 +117,16 @@ class TestRationalOps:
     @given(rationals)
     def test_meadow_inverse_laws(self, x):
         c = RATIONALS.ops
-        assert c.inv_total(c.inv_total(x)) == x
-        assert c.mul(x, c.mul(x, c.inv_total(x))) == x
+        xs = [x, Fraction(0)]
+        assert c.inv_total(c.inv_total(xs)) == xs
+        assert c.mul(xs, c.mul(xs, c.inv_total(xs))) == xs
         if x != 0:
-            assert c.mul(x, c.inv_total(x)) == 1
+            assert c.mul([x], c.inv_total([x])) == [1]
 
     @given(rationals, rationals)
     def test_division_is_mul_inverse(self, x, y):
         c = RATIONALS.ops
-        assert divide(RATIONALS, x, y) == c.mul(x, c.inv_total(y))
+        assert [divide(RATIONALS, x, y)] == c.mul([x], c.inv_total([y]))
 
     @given(rationals, rationals)
     def test_results_canonical(self, x, y):
@@ -131,42 +140,42 @@ class TestRationalOps:
 
     def test_power(self):
         power = RATIONALS.ops.power
-        assert power(Fraction(-2, 3), 3) == Fraction(-8, 27)
-        assert power(Fraction(5), 0) == 1
+        assert power([Fraction(-2, 3), Fraction(2)], 3) == [Fraction(-8, 27), 8]
+        assert power([Fraction(5)], 0) == [1]
 
     def test_power_size_bound(self, monkeypatch):
         # 7 is estimated at 3 + 1 bits, so 7^n at 4n bits
         monkeypatch.setattr(carriers, "MAX_POWER_BITS", 40)
-        assert RATIONALS.ops.power(Fraction(7), 10) == 7**10
+        assert RATIONALS.ops.power([Fraction(7)], 10) == [7**10]
         with pytest.raises(ValueError, match="over the bound of 40"):
-            RATIONALS.ops.power(Fraction(7), 11)
+            RATIONALS.ops.power([Fraction(1), Fraction(7)], 11)
         with pytest.raises(carriers.PowerBoundError):
-            RATIONALS.ops.power(Fraction(1, 7), 11)
+            RATIONALS.ops.power([Fraction(1, 7)], 11)
 
     def test_power_bound_names_a_long_base_by_its_size(self):
         # a base too long to print (4300 digits at most) must not turn the
         # bound's error into a printing error
         base = Fraction(3) ** 20000
         with pytest.raises(carriers.PowerBoundError, match="^a base of 31701 bits to the power 200 "):
-            RATIONALS.ops.power(base, 200)
+            RATIONALS.ops.power([base], 200)
 
     def test_power_of_zero_and_units_is_never_refused(self):
         n = 10 * carriers.MAX_POWER_BITS
-        assert [RATIONALS.ops.power(Fraction(b), n) for b in (0, 1, -1)] == [0, 1, 1]
-        assert RATIONALS.ops.power(Fraction(-1), n + 1) == -1
+        assert RATIONALS.ops.power([Fraction(b) for b in (0, 1, -1)], n) == [0, 1, 1]
+        assert RATIONALS.ops.power([Fraction(-1)], n + 1) == [-1]
 
 
 class TestPrimeField:
     def test_modular_sum(self):
-        assert PrimeField(7).ops.add(4, 4) == 1
+        assert PrimeField(7).ops.add([4, 6], [4, 1]) == [1, 0]
 
     def test_modular_product(self):
-        assert PrimeField(7).ops.mul(3, 5) == 1
+        assert PrimeField(7).ops.mul([3, 6], [5, 6]) == [1, 1]
 
     def test_inverse_by_brute_force(self):
         gf7 = PrimeField(7).ops
         expected = next(z for z in range(7) if (3 * z) % 7 == 1)
-        assert gf7.inv_total(3) == expected == 5
+        assert gf7.inv_total([3]) == [expected] == [5]
 
     def test_division_by_exhaustive_oracle(self):
         inv4 = next(z for z in range(7) if (4 * z) % 7 == 1)
@@ -175,9 +184,9 @@ class TestPrimeField:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_general_inverse_law_exhaustive(self, p):
         gf = PrimeField(p).ops
-        assert gf.inv_total(0) == 0
-        for a in range(1, p):
-            assert gf.mul(a, gf.inv_total(a)) == 1
+        assert gf.inv_total([0]) == [0]
+        units = list(range(1, p))
+        assert gf.mul(units, gf.inv_total(units)) == [1] * (p - 1)
 
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
     def test_composite_modulus_rejected(self, p):
@@ -206,8 +215,8 @@ class TestPrimeField:
 
     def test_power_has_no_size_bound(self):
         n = 10 * carriers.MAX_POWER_BITS
-        assert PrimeField(7).ops.power(3, n) == pow(3, n, 7)
-        assert PrimeField(7).ops.power(0, 0) == 1
+        assert PrimeField(7).ops.power([3, 5], n) == [pow(3, n, 7), pow(5, n, 7)]
+        assert PrimeField(7).ops.power([0], 0) == [1]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(CarrierMismatchError):
@@ -224,7 +233,7 @@ class TestFiniteProbeSet:
 
     def test_arithmetic_is_rational(self):
         probe = FiniteProbeSet(values=(Fraction(1, 2),))
-        assert probe.ops.add(Fraction(1, 2), Fraction(1, 2)) == 1
+        assert probe.ops.add([Fraction(1, 2)], [Fraction(1, 2)]) == [1]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

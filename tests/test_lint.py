@@ -405,7 +405,8 @@ def _exact_sweep(t, nonzero, names):
     target = compile_term(t, TOTAL_Q, scope)
     guards = [compile_term(u, TOTAL_Q, scope) for u in nonzero]
     for env in itertools.product(_WITNESS_VALUES, repeat=len(names)):
-        if all(g(env) != 0 for g in guards) and target(env) == 0:
+        frame = [[v] for v in env]  # a block of one row
+        if all(g(frame, 1, set()) != [0] for g in guards) and target(frame, 1, set()) == [0]:
             return dict(zip(names, env))
     return None
 
