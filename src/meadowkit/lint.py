@@ -9,6 +9,7 @@ so the linter is sound but incomplete in both directions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -17,21 +18,12 @@ from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
 from .parser import ParseError, parse_formula
 from .printer import print_term
 from .semantics import (
-    Mode,
-    Scope,
-    StructureSpec,
-    compile_term,
-    eval_total,
-    first_hit,
-    product_blocks,
-    zero_rows,
+    Mode, Scope, StructureSpec, compile_term, eval_total, first_hit, row_blocks, zero_rows,
 )
 from .terms import (
     Add,
     Div,
     Eq,
-    Exists,
-    Forall,
     Inv,
     Mul,
     Neg,
@@ -95,30 +87,27 @@ class Occurrence:
     position: int
     numerator: Term | None  # None for inverse occurrences
     guarded: Term
-    bound: frozenset = frozenset()  # the names quantified above it
 
 
 def collect_occurrences(node) -> list[Occurrence]:
     """All division/inverse occurrences of a term or formula, in order."""
-    found: list = []
-    _occurrences(node, found, frozenset())
-    return [Occurrence(i, *occ) for i, occ in enumerate(found)]
+    pairs: list = []
+    _occurrences(node, pairs)
+    return [Occurrence(i, num, guarded) for i, (num, guarded) in enumerate(pairs)]
 
 
-def _occurrences(node, out: list, bound: frozenset):
+def _occurrences(node, out: list):
     # in-order: a `/` follows its left operand and a `^-1` its argument,
     # which is the textual order of the symbols
-    if isinstance(node, (Forall, Exists)):
-        bound |= {node.var}
     kids = children(node)
     if kids:
-        _occurrences(kids[0], out, bound)
+        _occurrences(kids[0], out)
     if isinstance(node, Div):
-        out.append((node.left, node.right, bound))
+        out.append((node.left, node.right))
     elif isinstance(node, Inv):
-        out.append((None, node.arg, bound))
+        out.append((None, node.arg))
     for kid in kids[1:]:
-        _occurrences(kid, out, bound)
+        _occurrences(kid, out)
 
 
 _KEY_TAGS = {Zero: "0", One: "1", Neg: "-", Inv: "inv", Div: "/"}
@@ -314,7 +303,8 @@ def _zero_test(t: Term, scope: Scope):
     exact = compile_term(t, _TOTAL_RATIONALS, scope)
 
     def zeros(columns, rows, keep=list) -> set:
-        block = [[column[i] for i in rows] for column in columns]
+        whole = not columns or len(rows) == len(columns[0])
+        block = columns if whole else [[column[i] for i in rows] for column in columns]
         maybe = set()  # the rows that met the inverse of a zero residue, then zero ones
         maybe.update(zero_rows(modular(block, len(rows), maybe)))
         maybe = keep([rows[j] for j in sorted(maybe)])
@@ -368,7 +358,7 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
             unguarded(range(n if hit is None else hit))
         return hit
 
-    _, residues = first_hit(product_blocks(_RESIDUES, len(names)), first_zero)
+    _, residues = first_hit(row_blocks(itertools.product(_RESIDUES, repeat=len(names))), first_zero)
     if residues is None:
         return None
     return {name: _FROM_RESIDUE[r] for name, r in zip(names, residues)}
@@ -455,20 +445,14 @@ def _is_liberal(occ: Occurrence, convention: Convention) -> bool:
     return convention is Convention.LIBERAL_DIVISION and occ.numerator is not None
 
 
-def _in_scope(facts, occ: Occurrence) -> list:
-    """The facts about occ's free names: a fact naming a name quantified
-    above occ is about another variable."""
-    return [fact for fact in facts if not fact.names & occ.bound]
-
-
 def _search_inputs(occ: Occurrence, convention: Convention, facts):
     """The names the witness search binds for occ, its extra names and the
-    terms it keeps nonzero: the facts in scope that use no other names
-    and, under liberal division, the numerator."""
+    terms it keeps nonzero: the facts that use no other names and, under
+    liberal division, the numerator."""
     liberal = _is_liberal(occ, convention)
     extra = free_vars(occ.numerator) if liberal else frozenset()
     names = free_vars(occ.guarded) | extra
-    nonzero = [fact.term for fact in _in_scope(facts, occ) if fact.names <= names]
+    nonzero = [fact.term for fact in facts if fact.names <= names]
     if liberal:
         nonzero.append(occ.numerator)
     return names, extra, nonzero
@@ -478,7 +462,7 @@ def _judge(index: int, occ: Occurrence, convention: Convention, facts) -> Verdic
     # Certificates first: a nonzero guard, or a zero numerator under
     # liberal division, proves that the witness search, which sweeps up to
     # 23^3 environments, would come back empty.
-    certificate = nonzero_certificate(occ.guarded, _in_scope(facts, occ))
+    certificate = nonzero_certificate(occ.guarded, facts)
     if (
         certificate is None
         and _is_liberal(occ, convention)

@@ -19,15 +19,16 @@ laziness and errors are those of row-by-row evaluation.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from .carriers import PowerBoundError
 from .semantics import (
-    BLOCK,
     Scope,
     StructureSpec,
+    block_sizes,
     checked_elements,
     term_compiler,
 )
@@ -110,6 +111,11 @@ def not_tv(a: TruthValue) -> TruthValue:
     return U
 
 
+def _rows_of(xs, value):
+    """The indices of the rows of a column that hold `value`."""
+    return itertools.compress(itertools.count(), map(operator.is_, xs, itertools.repeat(value)))
+
+
 def _select(f, rows) -> list:
     """The frame of the given rows of f."""
     return [None if column is None else [column[i] for i in rows] for column in f]
@@ -122,12 +128,14 @@ def _lattice(top: TruthValue, mid: TruthValue, first, second):
 
     def fold(f, n):
         xs = first(f, n)
-        rows = [i for i, x in enumerate(xs) if x is not top]
-        if rows:
-            ys = second(f, n) if len(rows) == n else second(_select(f, rows), len(rows))
-            for i, y in zip(rows, ys):
-                if y is top or y is mid:
-                    xs[i] = y
+        if top not in xs:
+            rows, ys = range(n), second(f, n)
+        else:
+            rows = [i for i, x in enumerate(xs) if x is not top]
+            ys = second(_select(f, rows), len(rows)) if rows else []
+        for value in (mid, top):  # the other value leaves x as it is
+            for j in _rows_of(ys, value):
+                xs[rows[j]] = value
         return xs
 
     return fold
@@ -139,7 +147,7 @@ def _sequential(passes: TruthValue, first, second):
 
     def fold(f, n):
         xs = first(f, n)
-        rows = [i for i, x in enumerate(xs) if x is passes]
+        rows = list(_rows_of(xs, passes))
         if len(rows) == n:
             return second(f, n)
         if rows:
@@ -170,13 +178,18 @@ def _negation(a):
     return lambda f, n: [F if x is T else T if x is F else U for x in a(f, n)]
 
 
+#: Operand closures reading a frame of two columns (a connective may
+#: write to the column it gets).
+_FIRST, _SECOND = (lambda f, n: list(f[0])), (lambda f, n: list(f[1]))
+
+
 def or_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
     # the closure every compiled disjunction runs, on a block of one row
-    return _connective(family, False, lambda f, n: [a], lambda f, n: [b])(None, 1)[0]
+    return _connective(family, False, _FIRST, _SECOND)([[a], [b]], 1)[0]
 
 
 def and_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    return _connective(family, True, lambda f, n: [a], lambda f, n: [b])(None, 1)[0]
+    return _connective(family, True, _FIRST, _SECOND)([[a], [b]], 1)[0]
 
 
 def implies_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
@@ -195,6 +208,9 @@ def connective_table(family: ConnectiveFamily) -> dict:
     }
 
 
+#: The truth value of a comparison's result, indexed by it.
+_TRUTH = (F, T)
+
 #: The comparison each atom class makes between its two sides.
 RELATIONS = {Eq: operator.eq, Gt: operator.gt, Lt: operator.lt}
 
@@ -210,7 +226,7 @@ def _atom(cls, kind: EqualityKind, a, b):
     if cls is Eq and kind is EqualityKind.STRONG:
         def strong(f, n):
             left, right = set(), set()
-            values = [T if v else F for v in map(operator.eq, a(f, n, left), b(f, n, right))]
+            values = list(map(_TRUTH.__getitem__, map(operator.eq, a(f, n, left), b(f, n, right))))
             for i in left | right:
                 values[i] = T if i in left and i in right else F
             return values
@@ -221,7 +237,7 @@ def _atom(cls, kind: EqualityKind, a, b):
 
     def atom(f, n):
         undefined = set()
-        values = [T if v else F for v in map(rel, a(f, n, undefined), b(f, n, undefined))]
+        values = list(map(_TRUTH.__getitem__, map(rel, a(f, n, undefined), b(f, n, undefined))))
         for i in undefined:
             values[i] = nondenoting
         return values
@@ -275,27 +291,29 @@ def _quantifier(top, mid, universal: bool, slot: int, body, domain):
 
     The body runs on groups of elements for the rows with no `top` yet:
     g elements for m open rows make a block of m * g rows, element-major
-    (row j * m + i binds the j-th element to open row i).  A group fills
-    a block of BLOCK rows, except on one row (a closed formula's
-    outermost quantifier), where groups of 2, 4, 8, ... elements let an
-    early `top` end the sweep soon.
+    (row j * m + i binds the j-th element to open row i), with g the
+    most that fits the next of `block_sizes` (at least one), so a row
+    stops soon after its `top`.
     """
     bottom = T if universal else F
 
     def quantify(f, n):
         elements = domain[0]
         result = [bottom] * n
-        rows, frame = list(range(n)), f  # the open rows, and their frame
-        start, size = 0, 2 if n == 1 else BLOCK
-        while start < len(elements) and rows:
+        rows, frame = range(n), f  # the open rows, and their frame
+        start = 0
+        for size in block_sizes():
             m = len(rows)
-            size = min(size, max(1, BLOCK // m))
-            group = elements[start:start + size]
-            start += size
+            if not m or start >= len(elements):
+                return result
+            group = elements[start:start + max(1, size // m)]
+            start += len(group)
             block = [None if column is None else column * len(group) for column in frame]
-            block[slot] = [value for value in group for _ in range(m)]
+            column = block[slot] = []
+            for value in group:
+                column += [value] * m
             try:
-                values = body(block, m * len(group))
+                values = body(block, len(column))
             except PowerBoundError:
                 if m > 1:  # the sweep that made these rows re-runs them one at a time
                     raise
@@ -304,17 +322,14 @@ def _quantifier(top, mid, universal: bool, slot: int, body, domain):
                     values += body(_select(block, (j,)), 1)
                     if values[-1] is top:
                         break
-            for i, r in enumerate(rows):
-                column = values[i::m]
-                if top in column:
-                    result[r] = top
-                elif mid in column:
-                    result[r] = mid
-            still = [i for i, r in enumerate(rows) if result[r] is not top]
-            if len(still) < m:
+            for j in _rows_of(values, mid):
+                result[rows[j % m]] = mid
+            if top in values:
+                done = {j % m for j in _rows_of(values, top)}
+                for i in done:
+                    result[rows[i]] = top
+                still = [i for i in range(m) if i not in done]
                 rows, frame = [rows[i] for i in still], _select(frame, still)
-            size *= 2
-        return result
 
     return quantify
 

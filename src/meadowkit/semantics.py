@@ -120,44 +120,19 @@ def checked_elements(carrier: Carrier, depth: int):
     return values if depth else ()
 
 
-def _block_sizes():
-    """32, 64, ..., BLOCK, BLOCK, ... rows: a sweep that stops early
-    computes at most about as many rows again, or 32."""
-    size = min(32, BLOCK)
+def block_sizes():
+    """16, 32, ..., BLOCK, BLOCK, ... rows: a sweep that stops early
+    computes at most about as many rows again, or 16."""
+    size = min(16, BLOCK)
     while True:
         yield size
         size = min(2 * size, BLOCK)
 
 
-def product_blocks(values, k: int):
-    """The rows of itertools.product(values, repeat=k) in blocks, each
-    block as (its columns, its number of rows)."""
-    total, start = len(values) ** k, 0
-    for size in _block_sizes():
-        if start == total:
-            return
-        stop = min(start + size, total)
-        yield [_product_column(values, len(values) ** (k - 1 - j), start, stop) for j in range(k)], stop - start
-        start = stop
-
-
-def _product_column(values, run: int, start: int, stop: int) -> list:
-    """Rows start..stop-1 of a product column whose value changes every
-    `run` rows."""
-    m, n = len(values), stop - start
-    if m * run <= n:  # whole periods: tile one
-        period = list(values) if run == 1 else [v for v in values for _ in range(run)]
-        offset = start % len(period)
-        return (period * (n // len(period) + 2))[offset:offset + n]
-    column = []
-    for q in range(start // run, (stop - 1) // run + 1):
-        column += [values[q % m]] * (min(stop, (q + 1) * run) - max(start, q * run))
-    return column
-
-
 def row_blocks(rows):
-    """The rows of an iterator of value tuples in blocks, as product_blocks."""
-    for size in _block_sizes():
+    """The rows of an iterator of value tuples in blocks, each block as
+    (its columns, its number of rows)."""
+    for size in block_sizes():
         block = list(itertools.islice(rows, size))
         if not block:
             return
@@ -385,7 +360,7 @@ def _environments(k: int, c: Carrier, samples: int, seed: int):
     all of them, in itertools.product order; otherwise `samples` seeded
     random ones, and the one empty environment of a closed law once."""
     if c.enumerable:
-        return product_blocks(checked_elements(c, k), k)
+        return row_blocks(itertools.product(checked_elements(c, k), repeat=k))
     rng = random.Random(seed)
     return row_blocks(
         tuple([c.check(random_rational(rng)) for _ in range(k)])

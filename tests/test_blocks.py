@@ -48,7 +48,6 @@ ALL_CONFIGS = [
 def block(request, monkeypatch):
     """Sweeps and quantifier groups of at most this many rows."""
     monkeypatch.setattr(semantics, "BLOCK", request.param)
-    monkeypatch.setattr(logic, "BLOCK", request.param)
     return request.param
 
 

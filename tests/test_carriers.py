@@ -177,6 +177,12 @@ class TestPrimeField:
         expected = next(z for z in range(7) if (3 * z) % 7 == 1)
         assert gf7.inv_total([3]) == [expected] == [5]
 
+    @pytest.mark.parametrize("p", [251, 257])  # either side of INVERSE_TABLE_LIMIT
+    def test_inverse_by_table_and_by_pow(self, p):
+        inverses = PrimeField(p).ops.inv_total(range(p))
+        assert inverses[0] == 0
+        assert all(x * y % p == 1 for x, y in zip(range(1, p), inverses[1:]))
+
     def test_division_by_exhaustive_oracle(self):
         inv4 = next(z for z in range(7) if (4 * z) % 7 == 1)
         assert divide(PrimeField(7), 6, 4) == (6 * inv4) % 7
