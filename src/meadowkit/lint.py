@@ -18,7 +18,8 @@ from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
 from .parser import ParseError, parse_formula
 from .printer import print_term
 from .semantics import (
-    Mode, Scope, StructureSpec, compile_term, eval_total, first_hit, row_blocks, zero_rows,
+    Mode, Scope, StructureSpec, compile_term, eval_total, first_hit, row_blocks,
+    select_rows, zero_rows,
 )
 from .terms import (
     Add,
@@ -304,7 +305,7 @@ def _zero_test(t: Term, scope: Scope):
 
     def zeros(columns, rows, keep=list) -> set:
         whole = not columns or len(rows) == len(columns[0])
-        block = columns if whole else [[column[i] for i in rows] for column in columns]
+        block = columns if whole else select_rows(columns, rows)
         maybe = set()  # the rows that met the inverse of a zero residue, then zero ones
         maybe.update(zero_rows(modular(block, len(rows), maybe)))
         maybe = keep([rows[j] for j in sorted(maybe)])

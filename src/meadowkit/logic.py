@@ -30,6 +30,7 @@ from .semantics import (
     StructureSpec,
     block_sizes,
     checked_elements,
+    select_rows,
     term_compiler,
 )
 from .semantics import eval_partial  # unused here; bench/tracing.py wraps this module attribute
@@ -116,11 +117,6 @@ def _rows_of(xs, value):
     return itertools.compress(itertools.count(), map(operator.is_, xs, itertools.repeat(value)))
 
 
-def _select(f, rows) -> list:
-    """The frame of the given rows of f."""
-    return [None if column is None else [column[i] for i in rows] for column in f]
-
-
 def _lattice(top: TruthValue, mid: TruthValue, first, second):
     """Bochvar and Kleene connectives: `top` decides at once, else `mid`
     wins over the third value.  The second operand is computed only on
@@ -132,7 +128,7 @@ def _lattice(top: TruthValue, mid: TruthValue, first, second):
             rows, ys = range(n), second(f, n)
         else:
             rows = [i for i, x in enumerate(xs) if x is not top]
-            ys = second(_select(f, rows), len(rows)) if rows else []
+            ys = second(select_rows(f, rows), len(rows)) if rows else []
         for value in (mid, top):  # the other value leaves x as it is
             for j in _rows_of(ys, value):
                 xs[rows[j]] = value
@@ -151,7 +147,7 @@ def _sequential(passes: TruthValue, first, second):
         if len(rows) == n:
             return second(f, n)
         if rows:
-            for i, y in zip(rows, second(_select(f, rows), len(rows))):
+            for i, y in zip(rows, second(select_rows(f, rows), len(rows))):
                 xs[i] = y
         return xs
 
@@ -319,7 +315,7 @@ def _quantifier(top, mid, universal: bool, slot: int, body, domain):
                     raise
                 values = []  # one element at a time, in order, up to the first `top`
                 for j in range(len(group)):
-                    values += body(_select(block, (j,)), 1)
+                    values += body(select_rows(block, (j,)), 1)
                     if values[-1] is top:
                         break
             for j in _rows_of(values, mid):
@@ -329,7 +325,7 @@ def _quantifier(top, mid, universal: bool, slot: int, body, domain):
                 for i in done:
                     result[rows[i]] = top
                 still = [i for i in range(m) if i not in done]
-                rows, frame = [rows[i] for i in still], _select(frame, still)
+                rows, frame = [rows[i] for i in still], select_rows(frame, still)
 
     return quantify
 

@@ -139,6 +139,11 @@ def row_blocks(rows):
         yield list(zip(*block)), len(block)
 
 
+def select_rows(frame, rows) -> list:
+    """The frame of the given rows of a frame; a slot not bound yet stays None."""
+    return [None if column is None else [column[i] for i in rows] for column in frame]
+
+
 def first_hit(blocks, test):
     """(rows visited, the first hit row as a tuple or None) of a sweep:
     `test(columns, n)` gives the index of a block's first hit row or
@@ -148,7 +153,7 @@ def first_hit(blocks, test):
         try:
             i = test(columns, n)
         except PowerBoundError:
-            i = next((j for j in range(n) if test([c[j:j + 1] for c in columns], 1) is not None), None)
+            i = next((j for j in range(n) if test(select_rows(columns, (j,)), 1) is not None), None)
         if i is not None:
             return visited + i + 1, tuple(c[i] for c in columns)
         visited += n
