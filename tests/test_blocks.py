@@ -162,6 +162,16 @@ class TestAxiomSweep:
         )
 
 
+class TestProductBlocks:
+    def test_columns_are_those_of_itertools_product(self, block):
+        for values, k in ((range(5), 3), (range(2), 4), (tuple("abc"), 2), (range(7), 0)):
+            rows = []
+            for columns, n in semantics.product_blocks(values, k):
+                assert len(columns) == k and all(len(column) == n for column in columns)
+                rows += list(zip(*columns)) if k else [()] * n
+            assert rows == list(itertools.product(values, repeat=k))
+
+
 class TestWitnessSweep:
     def test_agrees_with_the_exact_sweep(self, block):
         rng = random.Random(40 + block)
