@@ -131,8 +131,8 @@ def block_sizes():
 
 def product_blocks(values, k: int):
     """The rows of itertools.product(values, repeat=k) in blocks, as
-    row_blocks gives them, but each column is cut from runs of one value
-    instead of from row tuples: about 3.5 times faster on GF(17)^3."""
+    row_blocks gives them, but each column is cut from runs of one value,
+    which is several times faster than transposing row tuples."""
     total, start = len(values) ** k, 0
     for size in block_sizes():
         if start == total:
