@@ -66,15 +66,15 @@ def format_env(env) -> str:
 
 class Ops(NamedTuple):
     """A carrier's field operations over columns: each takes sequences
-    of elements, one per row of a block, and returns the list of
-    results.  Operands are not checked: they were checked where they
-    entered (a binding, an enumerated element)."""
+    of elements, one per row of a block, and returns the list of results
+    (`power` refuses row i by setting errors[i]).  Operands are not
+    checked: they were checked where they entered."""
 
     add: Callable
     mul: Callable
     neg: Callable
     inv_total: Callable
-    power: Callable  # (xs, n) -> [x^n for x in xs], n a natural number
+    power: Callable  # (xs, n, errors) -> [x^n for x in xs], n a natural number
 
 
 class Carrier:
@@ -117,15 +117,16 @@ class PowerBoundError(ValueError):
 MAX_POWER_BITS = 2**22
 
 
-def _power_rational(a: Fraction, n: int) -> Fraction:
+def _power_rational(a: Fraction, n: int, errors: dict, i: int) -> Fraction:
     size = a.numerator.bit_length() + a.denominator.bit_length()
     bits = size * n
     if bits > MAX_POWER_BITS and a not in (0, 1, -1):
         base = format_element(a) if size <= 256 else f"a base of {size} bits"
-        raise PowerBoundError(
+        errors[i] = PowerBoundError(
             f"{base} to the power {n} would take about {bits} bits, "
             f"over the bound of {MAX_POWER_BITS}"
         )
+        return a  # never read: the row is refused
     return a**n
 
 
@@ -139,7 +140,7 @@ class Rationals(Carrier):
         lambda xs, ys: list(map(operator.mul, xs, ys)),
         lambda xs: list(map(operator.neg, xs)),
         lambda xs: list(map(_inv_rational, xs)),
-        lambda xs, n: [_power_rational(x, n) for x in xs],
+        lambda xs, n, errors: [_power_rational(x, n, errors, i) for i, x in enumerate(xs)],
     )
 
     def __str__(self):
@@ -218,7 +219,7 @@ class PrimeField(Carrier):
             lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
             lambda xs: [-x % p for x in xs],
             inv,
-            lambda xs, n: [pow(x, n, p) for x in xs],
+            lambda xs, n, errors: [pow(x, n, p) for x in xs],
         )
         object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
 

@@ -9,7 +9,6 @@ so the linter is sound but incomplete in both directions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +17,7 @@ from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
 from .parser import ParseError, parse_formula
 from .printer import print_term
 from .semantics import (
-    Mode, Scope, StructureSpec, compile_term, eval_total, first_hit, row_blocks,
+    Mode, Scope, StructureSpec, compile_term, eval_total, first_hit, product_blocks,
     select_rows, zero_rows,
 )
 from .terms import (
@@ -297,21 +296,24 @@ _FROM_RESIDUE = dict(zip(_RESIDUES, _WITNESS_VALUES))
 
 def _zero_test(t: Term, scope: Scope):
     """A function giving the rows, among `rows` of a block of residues,
-    where t is zero: a nonzero residue proves it is not, otherwise the
-    exact value decides, computed on the rows that `keep` returns of
-    those with a zero residue."""
+    where t is zero or raises (its error put in `raised`): a nonzero
+    residue proves it is not zero, otherwise the exact value decides,
+    computed on the rows that `keep` returns of those with a zero residue."""
     modular = compile_term(to_inversive(t), _MODULAR, scope)
     exact = compile_term(t, _TOTAL_RATIONALS, scope)
 
-    def zeros(columns, rows, keep=list) -> set:
+    def zeros(columns, rows, raised, keep=list) -> set:
         whole = not columns or len(rows) == len(columns[0])
         block = columns if whole else select_rows(columns, rows)
-        maybe = set()  # the rows that met the inverse of a zero residue, then zero ones
-        maybe.update(zero_rows(modular(block, len(rows), maybe)))
+        maybe = {}  # the rows that met the inverse of a zero residue, then zero ones
+        maybe.update(dict.fromkeys(zero_rows(modular(block, len(rows), maybe))))
         maybe = keep([rows[j] for j in sorted(maybe)])
         if not maybe:
             return set()
-        values = exact([[_FROM_RESIDUE[column[i]] for i in maybe] for column in columns], len(maybe), set())
+        errors = {}
+        values = exact([[_FROM_RESIDUE[column[i]] for i in maybe] for column in columns], len(maybe), errors)
+        for j, error in errors.items():  # a row that raises is decided, as a zero is
+            raised[maybe[j]], values[j] = error, 0
         return {i for i, v in zip(maybe, values) if not v}
 
     return zeros
@@ -347,19 +349,23 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     guards_may_raise = any(_contains(u, (Pow,)) for u in nonzero)
 
     def first_zero(columns, n):
+        raised = {}  # the error of each row where a term raises
+
         def unguarded(rows):
             for guard in guards:  # in order, each on the rows the ones before leave
-                zeros = guard(columns, rows)
+                zeros = guard(columns, rows, raised)
                 rows = [i for i in rows if i not in zeros]
             return rows
 
-        zeros = target(columns, range(n), unguarded)
+        zeros = target(columns, range(n), raised, unguarded)
         hit = min(zeros) if zeros else None
         if guards_may_raise:  # raise where a row-by-row search would
             unguarded(range(n if hit is None else hit))
+        if raised and (hit is None or min(raised) <= hit):
+            raise raised[min(raised)]
         return hit
 
-    _, residues = first_hit(row_blocks(itertools.product(_RESIDUES, repeat=len(names))), first_zero)
+    _, residues = first_hit(product_blocks(_RESIDUES, len(names)), first_zero)
     if residues is None:
         return None
     return {name: _FROM_RESIDUE[r] for name, r in zip(names, residues)}

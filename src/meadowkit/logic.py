@@ -10,11 +10,11 @@ quantifiers.
 A formula is compiled once (`compile_formula`) into a closure with the
 three choices fixed, and then run on a frame that holds a block of rows
 (see `semantics`); it gives a column of truth values.  An atom is U (or
-F) on the rows in its terms' undefined-row set.  A connective computes
-its second operand only on the rows that the first leaves open, and a
-quantifier sweeps its elements in groups (`_quantifier`).  A group that
-raises PowerBoundError is re-run one row at a time, in order, so
-laziness and errors are those of row-by-row evaluation.
+F) on the rows in its terms' undefined-row map, or that row's error,
+which decides a row at once.  A connective computes its second operand
+only on the rows that the first leaves open, and a quantifier sweeps its
+elements in groups (`_quantifier`), so errors are those of row-by-row
+evaluation.
 """
 
 from __future__ import annotations
@@ -112,34 +112,33 @@ def not_tv(a: TruthValue) -> TruthValue:
     return U
 
 
-def _rows_of(xs, value):
-    """The indices of the rows of a column that hold `value`."""
-    return itertools.compress(itertools.count(), map(operator.is_, xs, itertools.repeat(value)))
+def _rows_of(xs, value, test=operator.is_):
+    """The indices of the rows x of a column where test(x, value) holds."""
+    return itertools.compress(itertools.count(), map(test, xs, itertools.repeat(value)))
 
 
-def _lattice(top: TruthValue, mid: TruthValue, first, second):
-    """Bochvar and Kleene connectives: `top` decides at once, else `mid`
-    wins over the third value.  The second operand is computed only on
-    the rows where the first is not `top`."""
+def _lattice(top: TruthValue, mid: TruthValue, unit: TruthValue, first, second):
+    """Bochvar and Kleene connectives: `top` (or an error) decides at
+    once, else `mid` wins over `unit`.  The second operand is computed
+    only on the rows that the first leaves undecided."""
 
     def fold(f, n):
         xs = first(f, n)
-        if top not in xs:
+        if xs.count(mid) + xs.count(unit) == n:
             rows, ys = range(n), second(f, n)
         else:
-            rows = [i for i, x in enumerate(xs) if x is not top]
+            rows = [i for i, x in enumerate(xs) if x is mid or x is unit]
             ys = second(select_rows(f, rows), len(rows)) if rows else []
-        for value in (mid, top):  # the other value leaves x as it is
-            for j in _rows_of(ys, value):
-                xs[rows[j]] = value
+        for j in _rows_of(ys, unit, operator.is_not):  # `unit` leaves x as it is
+            xs[rows[j]] = ys[j]
         return xs
 
     return fold
 
 
 def _sequential(passes: TruthValue, first, second):
-    """McCarthy: the first operand decides unless it is `passes`; the
-    second is computed only on the rows where it is."""
+    """McCarthy: the first operand decides (an error too) unless it is
+    `passes`; the second is computed only on the rows where it is."""
 
     def fold(f, n):
         xs = first(f, n)
@@ -155,10 +154,10 @@ def _sequential(passes: TruthValue, first, second):
 
 
 def _rule(bochvar: bool, conjunctive: bool):
-    """(top, mid) of a Bochvar or Kleene conjunction (or universal
+    """(top, mid, unit) of a Bochvar or Kleene conjunction (or universal
     quantifier) or disjunction (or existential quantifier)."""
-    dominant = F if conjunctive else T
-    return (U, dominant) if bochvar else (dominant, U)
+    dominant, unit = (F, T) if conjunctive else (T, F)
+    return (U, dominant, unit) if bochvar else (dominant, U, unit)
 
 
 def _connective(family: ConnectiveFamily, conjunctive: bool, a, b):
@@ -171,7 +170,7 @@ def _connective(family: ConnectiveFamily, conjunctive: bool, a, b):
 
 
 def _negation(a):
-    return lambda f, n: [F if x is T else T if x is F else U for x in a(f, n)]
+    return lambda f, n: [F if x is T else T if x is F else x for x in a(f, n)]  # U and errors stay
 
 
 #: Operand closures reading a frame of two columns (a connective may
@@ -214,17 +213,17 @@ RELATIONS = {Eq: operator.eq, Gt: operator.gt, Lt: operator.lt}
 def _atom(cls, kind: EqualityKind, a, b):
     """The closure of an equality or ordering atom over term closures a, b.
 
-    A non-denoting side gives U under weak equality and F otherwise,
-    except that strong equality holds when both sides are non-denoting.
-    The sides share an undefined-row set, as a row-by-row evaluation
-    stops at the first, except in strong equality.
+    A non-denoting side gives U under weak equality and F otherwise
+    (strong equality holds when both are), or its error.  The sides share
+    an undefined-row map, as a row-by-row evaluation stops at the first,
+    except in strong equality.
     """
     if cls is Eq and kind is EqualityKind.STRONG:
         def strong(f, n):
-            left, right = set(), set()
+            left, right = {}, {}
             values = list(map(_TRUTH.__getitem__, map(operator.eq, a(f, n, left), b(f, n, right))))
-            for i in left | right:
-                values[i] = T if i in left and i in right else F
+            for i in left.keys() | right.keys():
+                values[i] = left.get(i) or right.get(i) or (T if i in left and i in right else F)
             return values
 
         return strong
@@ -232,10 +231,10 @@ def _atom(cls, kind: EqualityKind, a, b):
     nondenoting = U if kind is EqualityKind.WEAK else F
 
     def atom(f, n):
-        undefined = set()
+        undefined = {}
         values = list(map(_TRUTH.__getitem__, map(rel, a(f, n, undefined), b(f, n, undefined))))
-        for i in undefined:
-            values[i] = nondenoting
+        for i, error in undefined.items():
+            values[i] = error or nondenoting
         return values
 
     return atom
@@ -270,9 +269,8 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, scope: Scope):
             slot, outer = scope.bind(g.var)
             body = comp(g.body)
             scope.unbind(g.var, outer)
-            universal = cls is Forall
-            rule = _rule(cfg.quantifiers is QuantifierFamily.BOCHVAR, universal)
-            return _quantifier(*rule, universal, slot, body, domain)
+            rule = _rule(cfg.quantifiers is QuantifierFamily.BOCHVAR, cls is Forall)
+            return _quantifier(*rule, slot, body, domain)
         raise TypeError(f"not a formula: {g!r}")
 
     fn = comp(f)
@@ -281,9 +279,9 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, scope: Scope):
     return fn
 
 
-def _quantifier(top, mid, universal: bool, slot: int, body, domain):
+def _quantifier(top, mid, unit, slot: int, body, domain):
     """Fold the body's value over the elements bound to `slot`, by the
-    same rule as a binary connective, stopping each row at `top`.
+    same rule as a binary connective, stopping each row at `top` or error.
 
     The body runs on groups of elements for the rows with no `top` yet:
     g elements for m open rows make a block of m * g rows, element-major
@@ -291,11 +289,10 @@ def _quantifier(top, mid, universal: bool, slot: int, body, domain):
     most that fits the next of `block_sizes` (at least one), so a row
     stops soon after its `top`.
     """
-    bottom = T if universal else F
 
     def quantify(f, n):
         elements = domain[0]
-        result = [bottom] * n
+        result = [unit] * n
         rows, frame = range(n), f  # the open rows, and their frame
         start = 0
         for size in block_sizes():
@@ -308,22 +305,21 @@ def _quantifier(top, mid, universal: bool, slot: int, body, domain):
             column = block[slot] = []
             for value in group:
                 column += [value] * m
-            try:
-                values = body(block, len(column))
-            except PowerBoundError:
-                if m > 1:  # the sweep that made these rows re-runs them one at a time
-                    raise
-                values = []  # one element at a time, in order, up to the first `top`
-                for j in range(len(group)):
-                    values += body(select_rows(block, (j,)), 1)
-                    if values[-1] is top:
-                        break
-            for j in _rows_of(values, mid):
-                result[rows[j % m]] = mid
-            if top in values:
-                done = {j % m for j in _rows_of(values, top)}
-                for i in done:
-                    result[rows[i]] = top
+            values = body(block, len(column))
+            tops, mids = values.count(top), values.count(mid)
+            if mids:
+                for j in _rows_of(values, mid):
+                    result[rows[j % m]] = mid
+            if tops + mids + values.count(unit) == len(values):  # no error
+                done = {j % m: top for j in _rows_of(values, top)} if tops else {}
+            else:  # each open row stops at its first `top` or error
+                done = {}
+                for j, value in enumerate(values):  # element-major: each row in element order
+                    if value is not mid and value is not unit:
+                        done.setdefault(j % m, value)
+            if done:
+                for i, value in done.items():
+                    result[rows[i]] = value
                 still = [i for i in range(m) if i not in done]
                 rows, frame = [rows[i] for i in still], select_rows(frame, still)
 
@@ -334,6 +330,8 @@ def eval_formula(f, cfg: LogicConfig, env, s: StructureSpec) -> TruthValue:
     scope = Scope()
     fn = compile_formula(f, cfg, s, scope)
     (value,) = fn(scope.frame(env, s.carrier), 1)
+    if isinstance(value, PowerBoundError):
+        raise value
     return value
 
 

@@ -16,20 +16,19 @@ A term is compiled once per structure into a closure over a frame
 (`compile_term`, `Scope`).  A frame holds a block of rows, a column per
 variable slot, and one closure call computes a whole column; a single
 value (`eval`, a constant fold) is a block of one row.  Carrier
-membership is checked where a value enters a frame.  A punched
-application adds its rows to an undefined-row set and keeps the total
-value there, which is exact because undefinedness is strict; a power
-skips the rows already in the set, so an undefined row never raises.
+membership is checked where a value enters a frame.  An undefined-row
+map gives each row that does not denote its reason: None for a punched
+application, which keeps the total value (exact, as undefinedness is
+strict), or the PowerBoundError of a power over the bound.  A power
+skips the rows in the map, so a row keeps its first reason.
 
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
-BLOCK rows.  A block that raises PowerBoundError is re-run one row at a
-time, in order, so the first row that decides or raises is the one a
-row-by-row loop meets.
+BLOCK rows; each consumer raises the error of the first row it meets.
 
 An axiom is a name plus a quantifier-free formula whose free variables
-are read universally; it is compiled once (`logic.compile_formula`,
-which gives only T or F in a total structure) and run on the blocks of
+are read universally; it is compiled once (`logic.compile_formula`:
+T, F or a row's error in a total structure) and run on the blocks of
 the enumeration.
 """
 
@@ -130,9 +129,8 @@ def block_sizes():
 
 
 def product_blocks(values, k: int):
-    """The rows of itertools.product(values, repeat=k) in blocks, as
-    row_blocks gives them, but each column is cut from runs of one value,
-    which is several times faster than transposing row tuples."""
+    """The rows of itertools.product(values, repeat=k) in blocks of
+    `block_sizes`, each as (its columns, its number of rows)."""
     total, start = len(values) ** k, 0
     for size in block_sizes():
         if start == total:
@@ -150,20 +148,12 @@ def _product_column(values, run: int, start: int, stop: int) -> list:
         period = list(values) if run == 1 else [v for v in values for _ in range(run)]
         offset = start % len(period)
         return (period * (n // len(period) + 2))[offset:offset + n]
+    if run == 1:  # fewer rows than values, each value one row
+        return [values[q % m] for q in range(start, stop)]
     column = []
     for q in range(start // run, (stop - 1) // run + 1):
         column += [values[q % m]] * (min(stop, (q + 1) * run) - max(start, q * run))
     return column
-
-
-def row_blocks(rows):
-    """The rows of an iterator of value tuples in blocks, each block as
-    (its columns, its number of rows): a block of tuples transposed."""
-    for size in block_sizes():
-        block = list(itertools.islice(rows, size))
-        if not block:
-            return
-        yield list(zip(*block)), len(block)
 
 
 def select_rows(frame, rows) -> list:
@@ -174,13 +164,10 @@ def select_rows(frame, rows) -> list:
 def first_hit(blocks, test):
     """(rows visited, the first hit row as a tuple or None) of a sweep:
     `test(columns, n)` gives the index of a block's first hit row or
-    None.  A block that raises is re-run one row at a time, in order."""
+    None, or raises the error of a row before it."""
     visited = 0
     for columns, n in blocks:
-        try:
-            i = test(columns, n)
-        except PowerBoundError:
-            i = next((j for j in range(n) if test(select_rows(columns, (j,)), 1) is not None), None)
+        i = test(columns, n)
         if i is not None:
             return visited + i + 1, tuple(c[i] for c in columns)
         visited += n
@@ -243,7 +230,7 @@ class Scope:
 
 # Closure builders.  They live outside the compiler so that each closure
 # captures only what it uses.  A term closure maps (frame, rows,
-# undefined-row set) to a column.
+# undefined-row map) to a column.
 
 
 def zero_rows(xs):
@@ -272,7 +259,7 @@ def _power(power, zero, a, e):
         xs = a(f, n, u)
         if u:  # never read, and 0^e is within any bound
             xs = [zero if i in u else x for i, x in enumerate(xs)]
-        return power(xs, e)
+        return power(xs, e, u)
 
     return pw
 
@@ -280,7 +267,7 @@ def _power(power, zero, a, e):
 def _inverse_punched(inv, a):
     def inverse(f, n, u):
         xs = a(f, n, u)
-        u.update(zero_rows(xs))
+        u.update({i: None for i in zero_rows(xs) if i not in u})  # a row keeps its first reason
         return inv(xs)
 
     return inverse
@@ -290,7 +277,7 @@ def _division(mul, inv, punched, a, b):
     def division(f, n, u):
         xs, ys = a(f, n, u), b(f, n, u)
         if punched:
-            u.update(punched(xs, ys))
+            u.update({i: None for i in punched(xs, ys) if i not in u})
         return mul(xs, inv(ys))
 
     return division
@@ -308,7 +295,7 @@ def term_compiler(s: StructureSpec, scope: Scope):
     from a frame laid out by `scope`.
 
     The punch tests of s's mode are chosen here and sit only in the Inv
-    and Div closures; a punched row goes into the undefined-row set.
+    and Div closures; a punched row goes into the undefined-row map.
     Operands are not checked: every value in a frame was checked where
     it entered.
     """
@@ -346,8 +333,8 @@ def term_compiler(s: StructureSpec, scope: Scope):
 
 def compile_term(t: Term, s: StructureSpec, scope: Scope):
     """A closure computing t in s from a frame laid out by `scope`:
-    `fn(frame, rows, undefined)` gives t's column and adds the rows where
-    t is undefined to the set `undefined`."""
+    `fn(frame, rows, undefined)` gives t's column and adds each row where
+    t does not denote to the map `undefined`, with its reason."""
     return term_compiler(s, scope)(t)
 
 
@@ -360,8 +347,10 @@ def eval_partial(t: Term, env, s: StructureSpec):
     scope = Scope()
     fn = compile_term(t, s, scope)
     frame = scope.frame(env, s.carrier)
-    undefined = set()
+    undefined = {}
     (value,) = fn(frame, 1, undefined)
+    if undefined.get(0):  # a power over the bound came first
+        raise undefined[0]
     return UNDEFINED if undefined else value
 
 
@@ -390,14 +379,17 @@ def random_rational(rng: random.Random) -> Fraction:
 def _environments(k: int, c: Carrier, samples: int, seed: int):
     """Blocks of environments of k variables: over an enumerable carrier
     all of them, in itertools.product order; otherwise `samples` seeded
-    random ones, and the one empty environment of a closed law once."""
+    random ones, drawn row by row, and the one empty environment of a
+    closed law once."""
     if c.enumerable:
-        return product_blocks(checked_elements(c, k), k)
-    rng = random.Random(seed)
-    return row_blocks(
-        tuple([c.check(random_rational(rng)) for _ in range(k)])
-        for _ in range(samples if k else 1)
-    )
+        yield from product_blocks(checked_elements(c, k), k)
+        return
+    rng, samples, sizes = random.Random(seed), samples if k else 1, block_sizes()
+    while samples:
+        n = min(next(sizes), samples)
+        values = [c.check(random_rational(rng)) for _ in range(n * k)]
+        yield [values[j::k] for j in range(k)], n
+        samples -= n
 
 
 @dataclass(frozen=True)
@@ -437,7 +429,7 @@ def verify_axiom_spec(
 ) -> AxiomReport:
     """Check a law on every environment of an enumerable carrier, else on
     `samples` random environments drawn with `seed`; the report names the
-    first environment where it is not T."""
+    first environment where it is not T, or that row's error is raised."""
     from .logic import LPMD, T, compile_formula  # logic builds on this module
 
     check_samples(samples)
@@ -449,7 +441,10 @@ def verify_axiom_spec(
 
     def failing(columns, n):
         values = law(columns, n)
-        return None if values.count(T) == n else next(i for i, v in enumerate(values) if v is not T)
+        i = None if values.count(T) == n else next(i for i, v in enumerate(values) if v is not T)
+        if i is not None and isinstance(values[i], PowerBoundError):
+            raise values[i]
+        return i
 
     checked, env = first_hit(_environments(len(names), s.carrier, samples, seed), failing)
     if env is not None:

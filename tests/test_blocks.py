@@ -33,8 +33,9 @@ from meadowkit.logic import (
     eval_formula,
 )
 from meadowkit.parser import parse_formula, parse_term
+from meadowkit.printer import print_formula, print_term
 from meadowkit.semantics import AxiomSpec, Mode, Scope, StructureSpec, compile_term, verify_axiom_spec
-from meadowkit.terms import free_vars
+from meadowkit.terms import Pow, Term, children, free_vars, rebuild
 from test_lint import _exact_sweep
 
 SIZES = (1, 2, 7, semantics.BLOCK)
@@ -69,7 +70,7 @@ class TestTermColumns:
                 fn = compile_term(t, s, Scope(NAMES, grow=False))
                 envs = [{n: rng.randrange(p) for n in NAMES} for _ in range(min(3 * block + 1, 25))]
                 for rows, frame in blocks(envs, block):
-                    undefined = set()
+                    undefined = {}
                     values = fn(frame, len(rows), undefined)
                     got = [None if i in undefined else v for i, v in enumerate(values)]
                     assert got == [oracle_term(t, env, p, mode.value) for env in rows], (t, mode)
@@ -77,9 +78,9 @@ class TestTermColumns:
     def test_one_block_holds_defined_and_undefined_rows(self):
         fn = compile_term(parse_term("1/x + 2"), StructureSpec(PrimeField(5), Mode.PUNCH_DIV_ALL0),
                           Scope(["x"], grow=False))
-        undefined = set()
+        undefined = {}
         values = fn([[0, 1, 0, 2]], 4, undefined)
-        assert undefined == {0, 2}
+        assert undefined.keys() == {0, 2}
         assert (values[1], values[3]) == (3, 0)  # 1/1 + 2 and 1/2 + 2 = 3 + 2 in GF(5)
 
     def test_a_power_skips_rows_that_are_already_undefined(self):
@@ -88,12 +89,14 @@ class TestTermColumns:
         # other way round, the power comes first and is over the size bound
         s = StructureSpec(RATIONALS, Mode.PUNCH_DIV_ALL0)
         fn = compile_term(parse_term("1/x + (x + 3)^10000000000"), s, Scope(["x"], grow=False))
-        undefined = set()
+        undefined = {}
         fn([[Fraction(0), Fraction(-3)]], 2, undefined)
-        assert undefined == {0}
+        assert undefined == {0: None}
         fn = compile_term(parse_term("(x + 3)^10000000000 + 1/x"), s, Scope(["x"], grow=False))
+        undefined = {}
+        fn([[Fraction(0)]], 1, undefined)
         with pytest.raises(ValueError, match="^3 to the power 10000000000"):
-            fn([[Fraction(0)]], 1, set())
+            raise undefined[0]
 
 
 class TestFormulaColumns:
@@ -212,6 +215,97 @@ class TestLaziness:
             1, "", "error: 3 to the power 100000000 would take about 300000000 bits, "
             "over the bound of 4194304\n",
         )
+
+    @pytest.mark.parametrize("probes, expected", [
+        # y = 1 stops at x = 1; y = 3 at x = 3, before x = 3, y = 1 needs the power
+        ("probe:1,3", (0, "T\n", "")),
+        # y = 3 stops at x = 3, but y = 1 meets x = 3 first
+        ("probe:3,1", (1, "", "error: 3 to the power 100000000 would take about 300000000 bits, "
+                              "over the bound of 4194304\n")),
+    ])
+    def test_an_inner_group_meets_the_bound_on_one_of_its_open_rows(self, capsys, probes, expected):
+        assert run(capsys, "logic", "--carrier", probes, "--logic", "weak,mccarthy-left,kleene",
+                   "forall y. exists x. x = y | x^100000000 = 0") == expected
+
+    @pytest.mark.parametrize("mode, punched", [("punch-div-all", "1/(x - 3)"), ("punch-inv", "(x - 3)^-1")])
+    def test_the_first_reason_a_row_does_not_denote_wins(self, capsys, mode, punched):
+        power = "(x + 3)^100000000"
+        assert run(capsys, "eval", "--mode", mode, "-b", "x=3", f"{power} * ({punched})") == (
+            1, "", "error: 6 to the power 100000000 would take about 400000000 bits, "
+            "over the bound of 4194304\n",
+        )
+        assert run(capsys, "eval", "--mode", mode, "-b", "x=3", f"{punched} * {power}") == (
+            3, "UNDEFINED\n", "",
+        )
+
+    def test_an_error_decides_its_row_before_the_other_operand(self, capsys):
+        # Kleene's T on the right would decide, but a row-by-row evaluation
+        # raises on the left first; strong equality computes the left side first
+        assert run(capsys, "logic", "--logic", "weak,kleene,kleene", "3^100000000 = 0 | 1 = 1") == (
+            1, "", "error: 3 to the power 100000000 would take about 300000000 bits, "
+            "over the bound of 4194304\n",
+        )
+        assert run(capsys, "logic", "--logic", "strong,kleene,kleene", "2^100000000 = 3^100000000") == (
+            1, "", "error: 2 to the power 100000000 would take about 300000000 bits, "
+            "over the bound of 4194304\n",
+        )
+
+    def test_a_fact_raises_before_the_witness(self, capsys, tmp_path):
+        corpus = tmp_path / "fact.mcorpus"
+        corpus.write_text("hyp: 1/(x^10000000001 - (-1/4)^10000000001) = 2\nclaim: 1/(x - 1) = 1\n")
+        code, out, err = run(capsys, "lint", "--convention", "division", str(corpus))
+        assert (code, out.splitlines()[-1], err) == (
+            3, "statement=1 pos=0 guarded=x - 1 verdict=UNKNOWN detail=-1/4 to the power 10000000001 "
+            "would take about 40000000004 bits, over the bound of 4194304", "",
+        )
+
+
+def _raise_leaves(rng, node):
+    """node with some term leaves raised to 10^8 or 10^7 + 1, which is
+    over the power bound for every rational but 0, 1 and -1."""
+    if isinstance(node, Term) and not children(node):
+        return Pow(node, rng.choice((10**8, 10**7 + 1))) if rng.random() < 0.2 else node
+    return rebuild(node, [_raise_leaves(rng, kid) for kid in children(node)])
+
+
+def _hostile_commands(rng, tmp_path):
+    """Seeded logic, axioms and lint commands whose leaves are sometimes
+    raised over the power bound."""
+    commands = []
+    for mode, config in itertools.product(Mode, ALL_CONFIGS):
+        probes = ",".join(map(str, rng.sample(range(-3, 4), rng.randint(2, 3))))
+        f = _raise_leaves(rng, random_closed_quantified_formula(rng, depth=3))
+        flags = ",".join(v.value for v in (config.equality, config.connectives, config.quantifiers))
+        commands.append(["logic", "--carrier", f"probe:{probes}", "--mode", mode.value, "--logic", flags,
+                         "--", print_formula(f)])
+    for i in range(12):
+        law = print_formula(_raise_leaves(rng, random_formula(rng, 2, ("x", "y"))))
+        commands.append(["axioms", "--samples", "30", "--seed", str(i), "--extra", law])
+    for i in range(24):
+        lines = []
+        for _ in range(rng.randint(2, 4)):
+            guard = print_term(_raise_leaves(rng, random_term(rng, 2, ("x", "y"))))
+            lines.append(f"{rng.choice(('hyp', 'claim'))}: {rng.randint(1, 3)}/({guard}) = {rng.randint(1, 3)}")
+        corpus = tmp_path / f"hostile-{i}.mcorpus"
+        corpus.write_text("\n".join(lines) + "\n")
+        commands.append(["lint", "--convention", ("inversive", "division", "liberal-division")[i % 3], str(corpus)])
+    return commands
+
+
+class TestHostileInput:
+    def test_every_block_size_gives_the_outputs_of_blocks_of_one_row(self, capsys, monkeypatch, tmp_path):
+        # blocks of one row are row-by-row evaluation, errors included
+        commands = _hostile_commands(random.Random(60), tmp_path)
+
+        def outputs(size):
+            monkeypatch.setattr(semantics, "BLOCK", size)
+            return [run(capsys, *argv) for argv in commands]
+
+        expected = outputs(1)
+        bound = sum("over the bound" in out + err for _, out, err in expected)
+        assert 40 < bound < len(commands) - 40
+        for size in SIZES[1:]:
+            assert outputs(size) == expected, size
 
 class TestMemory:
     def test_a_quantifier_sweep_is_bounded_by_the_block(self, capsys):

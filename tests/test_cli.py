@@ -500,7 +500,7 @@ def readme_commands():
 
 class TestReadme:
     def test_the_cli_block_is_found(self):
-        assert len(readme_commands()) == 16
+        assert len(readme_commands()) == 17
 
     @pytest.mark.parametrize("command, comment", readme_commands())
     def test_cli_example(self, capsys, monkeypatch, command, comment):

@@ -406,7 +406,7 @@ def _exact_sweep(t, nonzero, names):
     guards = [compile_term(u, TOTAL_Q, scope) for u in nonzero]
     for env in itertools.product(_WITNESS_VALUES, repeat=len(names)):
         frame = [[v] for v in env]  # a block of one row
-        if all(g(frame, 1, set()) != [0] for g in guards) and target(frame, 1, set()) == [0]:
+        if all(g(frame, 1, {}) != [0] for g in guards) and target(frame, 1, {}) == [0]:
             return dict(zip(names, env))
     return None
 

@@ -133,7 +133,7 @@ class TestCompileTerm:
         gf7 = StructureSpec(PrimeField(7))
         fn = compile_term(parse_term(f"x^{2**40}"), gf7, Scope(["x"], grow=False))
         frame = CountingFrame([[3, 5]])  # one slot, a column of two rows
-        assert fn(frame, 2, set()) == [pow(3, 2**40, 7), pow(5, 2**40, 7)]
+        assert fn(frame, 2, {}) == [pow(3, 2**40, 7), pow(5, 2**40, 7)]
         assert frame.reads == 1
 
     def test_rational_power_over_the_size_bound_refused(self):
