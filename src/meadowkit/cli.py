@@ -57,7 +57,11 @@ def _parse_carrier(text: str):
     if text == "rationals":
         return RATIONALS
     if text.startswith("gf"):
-        return PrimeField(int(text[2:]))
+        try:
+            p = int(text[2:])
+        except ValueError:
+            raise ValueError(f"unknown carrier {text!r}") from None
+        return PrimeField(p)
     if text.startswith("probe:"):
         values = tuple(parse_rational(v) for v in text[len("probe:"):].split(","))
         return FiniteProbeSet(values=values)
@@ -78,7 +82,10 @@ def _parse_bindings(pairs, carrier):
             raise ValueError(f"binding must look like x=2/3, got {pair!r}")
         name, value = pair.split("=", 1)
         if isinstance(carrier, PrimeField):
-            env[name.strip()] = carrier.from_int(int(value))
+            try:
+                env[name.strip()] = carrier.from_int(int(value))
+            except ValueError:
+                raise ValueError(f"binding {pair!r} over {carrier} must be an integer") from None
         else:
             env[name.strip()] = parse_rational(value)
     return env

@@ -17,7 +17,7 @@ from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
 from .parser import ParseError, parse_formula
 from .printer import print_term
 from .semantics import (
-    Mode, Scope, StructureSpec, compile_term, eval_total, first_hit, product_blocks,
+    Mode, StructureSpec, compile_term, eval_total, first_hit, product_blocks,
     select_rows, zero_rows,
 )
 from .terms import (
@@ -294,24 +294,25 @@ _RESIDUES = tuple(v.numerator * pow(v.denominator, -1, _P) % _P for v in _WITNES
 _FROM_RESIDUE = dict(zip(_RESIDUES, _WITNESS_VALUES))
 
 
-def _zero_test(t: Term, scope: Scope):
-    """A function giving the rows, among `rows` of a block of residues,
+def _zero_test(t: Term):
+    """A function giving the rows, among `rows` of a frame of residues,
     where t is zero or raises (its error put in `raised`): a nonzero
     residue proves it is not zero, otherwise the exact value decides,
     computed on the rows that `keep` returns of those with a zero residue."""
-    modular = compile_term(to_inversive(t), _MODULAR, scope)
-    exact = compile_term(t, _TOTAL_RATIONALS, scope)
+    modular = compile_term(to_inversive(t), _MODULAR)
+    exact = compile_term(t, _TOTAL_RATIONALS)
 
-    def zeros(columns, rows, raised, keep=list) -> set:
-        whole = not columns or len(rows) == len(columns[0])
-        block = columns if whole else select_rows(columns, rows)
+    def zeros(frame, rows, raised, keep=list) -> set:
+        whole = all(len(rows) == len(column) for column in frame.values())
+        block = frame if whole else select_rows(frame, rows)
         maybe = {}  # the rows that met the inverse of a zero residue, then zero ones
         maybe.update(dict.fromkeys(zero_rows(modular(block, len(rows), maybe))))
         maybe = keep([rows[j] for j in sorted(maybe)])
         if not maybe:
             return set()
         errors = {}
-        values = exact([[_FROM_RESIDUE[column[i]] for i in maybe] for column in columns], len(maybe), errors)
+        values = exact({name: [_FROM_RESIDUE[column[i]] for i in maybe] for name, column in frame.items()},
+                       len(maybe), errors)
         for j, error in errors.items():  # a row that raises is decided, as a zero is
             raised[maybe[j]], values[j] = error, 0
         return {i for i, v in zip(maybe, values) if not v}
@@ -342,22 +343,21 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > WITNESS_MAX_VARS:
         return None
-    scope = Scope(names, grow=False)
-    target = _zero_test(t, scope)
-    guards = [_zero_test(u, scope) for u in nonzero]
+    target = _zero_test(t)
+    guards = [_zero_test(u) for u in nonzero]
     # exact rational arithmetic raises only in a power over the size bound
     guards_may_raise = any(_contains(u, (Pow,)) for u in nonzero)
 
-    def first_zero(columns, n):
+    def first_zero(frame, n):
         raised = {}  # the error of each row where a term raises
 
         def unguarded(rows):
             for guard in guards:  # in order, each on the rows the ones before leave
-                zeros = guard(columns, rows, raised)
+                zeros = guard(frame, rows, raised)
                 rows = [i for i in rows if i not in zeros]
             return rows
 
-        zeros = target(columns, range(n), raised, unguarded)
+        zeros = target(frame, range(n), raised, unguarded)
         hit = min(zeros) if zeros else None
         if guards_may_raise:  # raise where a row-by-row search would
             unguarded(range(n if hit is None else hit))
@@ -365,10 +365,10 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
             raise raised[min(raised)]
         return hit
 
-    _, residues = first_hit(product_blocks(_RESIDUES, len(names)), first_zero)
+    _, residues = first_hit(product_blocks(_RESIDUES, names), first_zero)
     if residues is None:
         return None
-    return {name: _FROM_RESIDUE[r] for name, r in zip(names, residues)}
+    return {name: _FROM_RESIDUE[r] for name, r in residues.items()}
 
 
 class VerdictKind(Enum):

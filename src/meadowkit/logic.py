@@ -8,13 +8,15 @@ equality, McCarthy's left-sequential connectives and Bochvar's
 quantifiers.
 
 A formula is compiled once (`compile_formula`) into a closure with the
-three choices fixed, and then run on a frame that holds a block of rows
-(see `semantics`); it gives a column of truth values.  An atom is U (or
-F) on the rows in its terms' undefined-row map, or that row's error,
-which decides a row at once.  A connective computes its second operand
-only on the rows that the first leaves open, and a quantifier sweeps its
-elements in groups (`_quantifier`), so errors are those of row-by-row
-evaluation.
+three choices fixed, and then run on a frame, a dict from each free name
+to its column over a block of rows (see `semantics`); it gives a column
+of truth values.  An atom is U (or F) on the rows in its terms'
+undefined-row map, or that row's error, which decides a row at once.  A
+connective computes its second operand only on the rows that the first
+leaves open, and a quantifier sweeps its elements in groups
+(`_quantifier`), so errors are those of row-by-row evaluation.  A
+quantifier's body runs on the open rows' frame with its own name's
+column in place of any outer one.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from enum import Enum
 
 from .carriers import PowerBoundError
 from .semantics import (
-    Scope,
     StructureSpec,
     block_sizes,
     checked_elements,
+    row_frame,
     select_rows,
     term_compiler,
 )
@@ -173,18 +175,18 @@ def _negation(a):
     return lambda f, n: [F if x is T else T if x is F else x for x in a(f, n)]  # U and errors stay
 
 
-#: Operand closures reading a frame of two columns (a connective may
-#: write to the column it gets).
-_FIRST, _SECOND = (lambda f, n: list(f[0])), (lambda f, n: list(f[1]))
+#: Operand closures reading a frame of columns "a" and "b" (a connective
+#: may write to the column it gets).
+_FIRST, _SECOND = (lambda f, n: list(f["a"])), (lambda f, n: list(f["b"]))
 
 
 def or_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
     # the closure every compiled disjunction runs, on a block of one row
-    return _connective(family, False, _FIRST, _SECOND)([[a], [b]], 1)[0]
+    return _connective(family, False, _FIRST, _SECOND)({"a": [a], "b": [b]}, 1)[0]
 
 
 def and_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    return _connective(family, True, _FIRST, _SECOND)([[a], [b]], 1)[0]
+    return _connective(family, True, _FIRST, _SECOND)({"a": [a], "b": [b]}, 1)[0]
 
 
 def implies_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
@@ -244,16 +246,21 @@ class NonEnumerableCarrierError(ValueError):
     pass
 
 
-def compile_formula(f, cfg: LogicConfig, s: StructureSpec, scope: Scope):
-    """A closure computing f's truth value in s from a frame laid out by
-    `scope`.  The equality kind, connective and quantifier families are
-    resolved here; each quantifier gets its own slot, so a re-quantified
-    or bound name follows lexical scope."""
+def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
+    """A closure computing f's truth value in s from a frame that holds
+    f's free names.  The equality kind, connective and quantifier families
+    are resolved here.  A quantifier runs its body on frames where its
+    name's column replaces the outer one, so a re-quantified or bound name
+    follows lexical scope.  The dict `free`, if given, gets f's free names
+    in textual order."""
     c = s.carrier
-    term = term_compiler(s, scope)
+    bound = []  # the quantified names around the node being compiled
+    term = term_compiler(s, {} if free is None else free, bound)
     domain = []  # the carrier's elements, once the quantifier nesting depth is known
+    depth = 0
 
     def comp(g):
+        nonlocal depth
         cls = type(g)
         if cls in RELATIONS:
             return _atom(cls, cfg.equality, term(g.left), term(g.right))
@@ -266,21 +273,22 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, scope: Scope):
         if cls is Forall or cls is Exists:
             if not c.enumerable:
                 raise NonEnumerableCarrierError(f"quantifier over non-enumerable carrier {c}")
-            slot, outer = scope.bind(g.var)
+            bound.append(g.var)
+            depth = max(depth, len(bound))
             body = comp(g.body)
-            scope.unbind(g.var, outer)
+            bound.pop()
             rule = _rule(cfg.quantifiers is QuantifierFamily.BOCHVAR, cls is Forall)
-            return _quantifier(*rule, slot, body, domain)
+            return _quantifier(*rule, g.var, body, domain)
         raise TypeError(f"not a formula: {g!r}")
 
     fn = comp(f)
-    if scope.max_depth:
-        domain.append(checked_elements(c, scope.max_depth))
+    if depth:
+        domain.append(checked_elements(c, depth))
     return fn
 
 
-def _quantifier(top, mid, unit, slot: int, body, domain):
-    """Fold the body's value over the elements bound to `slot`, by the
+def _quantifier(top, mid, unit, var: str, body, domain):
+    """Fold the body's value over the elements bound to `var`, by the
     same rule as a binary connective, stopping each row at `top` or error.
 
     The body runs on groups of elements for the rows with no `top` yet:
@@ -301,8 +309,8 @@ def _quantifier(top, mid, unit, slot: int, body, domain):
                 return result
             group = elements[start:start + max(1, size // m)]
             start += len(group)
-            block = [None if column is None else column * len(group) for column in frame]
-            column = block[slot] = []
+            block = {name: column * len(group) for name, column in frame.items() if name != var}
+            column = block[var] = []
             for value in group:
                 column += [value] * m
             values = body(block, len(column))
@@ -327,9 +335,9 @@ def _quantifier(top, mid, unit, slot: int, body, domain):
 
 
 def eval_formula(f, cfg: LogicConfig, env, s: StructureSpec) -> TruthValue:
-    scope = Scope()
-    fn = compile_formula(f, cfg, s, scope)
-    (value,) = fn(scope.frame(env, s.carrier), 1)
+    free = {}
+    fn = compile_formula(f, cfg, s, free)
+    (value,) = fn(row_frame(free, env, s.carrier), 1)
     if isinstance(value, PowerBoundError):
         raise value
     return value

@@ -13,14 +13,15 @@ undefined.  Total evaluation is partial evaluation in the total mode,
 where nothing is punched.
 
 A term is compiled once per structure into a closure over a frame
-(`compile_term`, `Scope`).  A frame holds a block of rows, a column per
-variable slot, and one closure call computes a whole column; a single
-value (`eval`, a constant fold) is a block of one row.  Carrier
-membership is checked where a value enters a frame.  An undefined-row
-map gives each row that does not denote its reason: None for a punched
-application, which keeps the total value (exact, as undefinedness is
-strict), or the PowerBoundError of a power over the bound.  A power
-skips the rows in the map, so a row keeps its first reason.
+(`compile_term`).  A frame holds a block of rows as a dict from each
+variable name to its column, and one closure call computes a whole
+column; a single value (`eval`, a constant fold) is a block of one row.
+Carrier membership is checked where a value enters a frame.  An
+undefined-row map gives each row that does not denote its reason: None
+for a punched application, which keeps the total value (exact, as
+undefinedness is strict), or the PowerBoundError of a power over the
+bound.  A power skips the rows in the map, so a row keeps its first
+reason.
 
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
@@ -62,8 +63,8 @@ from .terms import (
     Var,
     Zero,
     _contains,
-    free_vars,
 )
+from .terms import free_vars  # unused here; bench/tracing.py wraps this module attribute
 
 
 class UnboundVariableError(LookupError):
@@ -128,15 +129,18 @@ def block_sizes():
         size = min(2 * size, BLOCK)
 
 
-def product_blocks(values, k: int):
-    """The rows of itertools.product(values, repeat=k) in blocks of
-    `block_sizes`, each as (its columns, its number of rows)."""
+def product_blocks(values, names):
+    """The rows of itertools.product(values, repeat=len(names)) in blocks
+    of `block_sizes`, each as (its frame, its number of rows): the j-th
+    name's column is the j-th coordinate."""
+    k = len(names)
     total, start = len(values) ** k, 0
     for size in block_sizes():
         if start == total:
             return
         stop = min(start + size, total)
-        yield [_product_column(values, len(values) ** (k - 1 - j), start, stop) for j in range(k)], stop - start
+        yield {name: _product_column(values, len(values) ** (k - 1 - j), start, stop)
+               for j, name in enumerate(names)}, stop - start
         start = stop
 
 
@@ -156,76 +160,35 @@ def _product_column(values, run: int, start: int, stop: int) -> list:
     return column
 
 
-def select_rows(frame, rows) -> list:
-    """The frame of the given rows of a frame; a slot not bound yet stays None."""
-    return [None if column is None else [column[i] for i in rows] for column in frame]
+def select_rows(frame, rows) -> dict:
+    """The frame of the given rows of a frame."""
+    return {name: [column[i] for i in rows] for name, column in frame.items()}
 
 
 def first_hit(blocks, test):
-    """(rows visited, the first hit row as a tuple or None) of a sweep:
-    `test(columns, n)` gives the index of a block's first hit row or
+    """(rows visited, the first hit row as an environment or None) of a
+    sweep: `test(frame, n)` gives the index of a block's first hit row or
     None, or raises the error of a row before it."""
     visited = 0
-    for columns, n in blocks:
-        i = test(columns, n)
+    for frame, n in blocks:
+        i = test(frame, n)
         if i is not None:
-            return visited + i + 1, tuple(c[i] for c in columns)
+            return visited + i + 1, {name: column[i] for name, column in frame.items()}
         visited += n
     return visited, None
 
 
-class Scope:
-    """Frame slots of one compiled term or formula.
-
-    A compiled closure reads its variables from a frame, a sequence with
-    one column per slot.  `names` get slots 0, 1, ... in order; with
-    `grow`, any other free name gets the next slot when the compiler
-    meets it, otherwise it is unbound.  A quantifier binds its variable
-    to a fresh slot for the extent of its body.
-    """
-
-    def __init__(self, names=(), grow=True):
-        self.slot = {name: i for i, name in enumerate(names)}
-        self.free = dict(self.slot)
-        self.size = len(self.slot)
-        self.grow = grow
-        self.depth = self.max_depth = 0
-
-    def lookup(self, name: str) -> int:
-        i = self.slot.get(name)
-        if i is None:
-            if not self.grow:
-                raise UnboundVariableError(f"unbound variable {name!r}")
-            i = self.slot[name] = self.free[name] = self.size
-            self.size += 1
-        return i
-
-    def bind(self, name: str):
-        """A fresh slot for a quantified name; pass the result to `unbind`."""
-        outer = self.slot.get(name)
-        self.slot[name] = self.size
-        self.size += 1
-        self.depth += 1
-        self.max_depth = max(self.max_depth, self.depth)
-        return self.slot[name], outer
-
-    def unbind(self, name: str, outer):
-        self.depth -= 1
-        if outer is None:
-            del self.slot[name]
-        else:
-            self.slot[name] = outer
-
-    def frame(self, env, carrier: Carrier) -> list:
-        """A frame of one row: env's value of every free name, checked."""
-        frame = [None] * self.size
-        for name, i in self.free.items():
-            try:
-                value = env[name]
-            except KeyError:
-                raise UnboundVariableError(f"unbound variable {name!r}") from None
-            frame[i] = [carrier.check(value)]
-        return frame
+def row_frame(names, env, carrier: Carrier) -> dict:
+    """A frame of one row: env's value of each name, checked; the first
+    name env lacks is unbound."""
+    frame = {}
+    for name in names:
+        try:
+            value = env[name]
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable {name!r}") from None
+        frame[name] = [carrier.check(value)]
+    return frame
 
 
 # Closure builders.  They live outside the compiler so that each closure
@@ -238,8 +201,8 @@ def zero_rows(xs):
     return itertools.compress(itertools.count(), map(operator.not_, xs))
 
 
-def _variable(i):
-    return lambda f, n, u: f[i]
+def _variable(name):
+    return lambda f, n, u: f[name]
 
 
 def _constant(value):
@@ -290,9 +253,11 @@ _PUNCHED_DIVISIONS = {
 }
 
 
-def term_compiler(s: StructureSpec, scope: Scope):
+def term_compiler(s: StructureSpec, free: dict, bound=()):
     """A function compiling terms into closures that compute them in s
-    from a frame laid out by `scope`.
+    from a frame.  Each variable name not in `bound` is recorded in the
+    dict `free` when first met, so `free` lists the free names in
+    textual order.
 
     The punch tests of s's mode are chosen here and sit only in the Inv
     and Div closures; a punched row goes into the undefined-row map.
@@ -308,7 +273,9 @@ def term_compiler(s: StructureSpec, scope: Scope):
     def comp(t):
         cls = type(t)
         if cls is Var:
-            return _variable(scope.lookup(t.name))
+            if t.name not in bound:
+                free.setdefault(t.name)
+            return _variable(t.name)
         if cls is Add:
             return _binary(add, comp(t.left), comp(t.right))
         if cls is Mul:
@@ -331,11 +298,11 @@ def term_compiler(s: StructureSpec, scope: Scope):
     return comp
 
 
-def compile_term(t: Term, s: StructureSpec, scope: Scope):
-    """A closure computing t in s from a frame laid out by `scope`:
+def compile_term(t: Term, s: StructureSpec):
+    """A closure computing t in s from a frame that holds t's free names:
     `fn(frame, rows, undefined)` gives t's column and adds each row where
     t does not denote to the map `undefined`, with its reason."""
-    return term_compiler(s, scope)(t)
+    return term_compiler(s, {})(t)
 
 
 def eval_partial(t: Term, env, s: StructureSpec):
@@ -344,11 +311,10 @@ def eval_partial(t: Term, env, s: StructureSpec):
     Every free name is looked up in env before anything runs, so an
     unbound variable is reported even next to an undefined subterm.
     """
-    scope = Scope()
-    fn = compile_term(t, s, scope)
-    frame = scope.frame(env, s.carrier)
+    free = {}
+    fn = term_compiler(s, free)(t)
     undefined = {}
-    (value,) = fn(frame, 1, undefined)
+    (value,) = fn(row_frame(free, env, s.carrier), 1, undefined)
     if undefined.get(0):  # a power over the bound came first
         raise undefined[0]
     return UNDEFINED if undefined else value
@@ -376,19 +342,20 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _environments(k: int, c: Carrier, samples: int, seed: int):
-    """Blocks of environments of k variables: over an enumerable carrier
+def _environments(names, c: Carrier, samples: int, seed: int):
+    """Blocks of environments of the names: over an enumerable carrier
     all of them, in itertools.product order; otherwise `samples` seeded
     random ones, drawn row by row, and the one empty environment of a
     closed law once."""
+    k = len(names)
     if c.enumerable:
-        yield from product_blocks(checked_elements(c, k), k)
+        yield from product_blocks(checked_elements(c, k), names)
         return
     rng, samples, sizes = random.Random(seed), samples if k else 1, block_sizes()
     while samples:
         n = min(next(sizes), samples)
         values = [c.check(random_rational(rng)) for _ in range(n * k)]
-        yield [values[j::k] for j in range(k)], n
+        yield {name: values[j::k] for j, name in enumerate(names)}, n
         samples -= n
 
 
@@ -436,19 +403,19 @@ def verify_axiom_spec(
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
     text = print_formula(spec.formula)
-    names = sorted(free_vars(spec.formula))
-    law = compile_formula(spec.formula, LPMD, s, Scope(names, grow=False))
+    free = {}
+    law = compile_formula(spec.formula, LPMD, s, free)
 
-    def failing(columns, n):
-        values = law(columns, n)
+    def failing(frame, n):
+        values = law(frame, n)
         i = None if values.count(T) == n else next(i for i, v in enumerate(values) if v is not T)
         if i is not None and isinstance(values[i], PowerBoundError):
             raise values[i]
         return i
 
-    checked, env = first_hit(_environments(len(names), s.carrier, samples, seed), failing)
+    checked, env = first_hit(_environments(sorted(free), s.carrier, samples, seed), failing)
     if env is not None:
-        return AxiomReport(spec.name, text, False, checked, dict(zip(names, env)))
+        return AxiomReport(spec.name, text, False, checked, env)
     return AxiomReport(spec.name, text, True, checked)
 
 

@@ -34,7 +34,7 @@ from meadowkit.logic import (
 )
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.printer import print_formula, print_term
-from meadowkit.semantics import AxiomSpec, Mode, Scope, StructureSpec, compile_term, verify_axiom_spec
+from meadowkit.semantics import AxiomSpec, Mode, StructureSpec, compile_term, verify_axiom_spec
 from meadowkit.terms import Pow, Term, children, free_vars, rebuild
 from test_lint import _exact_sweep
 
@@ -57,7 +57,7 @@ def blocks(envs, size):
     each with its frame over NAMES."""
     for start in range(0, len(envs), size):
         rows = envs[start:start + size]
-        yield rows, [[env[name] for env in rows] for name in NAMES]
+        yield rows, {name: [env[name] for env in rows] for name in NAMES}
 
 
 class TestTermColumns:
@@ -67,7 +67,7 @@ class TestTermColumns:
             s = StructureSpec(PrimeField(p), mode)
             for _ in range(12):
                 t = random_term(rng, depth=4)
-                fn = compile_term(t, s, Scope(NAMES, grow=False))
+                fn = compile_term(t, s)
                 envs = [{n: rng.randrange(p) for n in NAMES} for _ in range(min(3 * block + 1, 25))]
                 for rows, frame in blocks(envs, block):
                     undefined = {}
@@ -76,10 +76,9 @@ class TestTermColumns:
                     assert got == [oracle_term(t, env, p, mode.value) for env in rows], (t, mode)
 
     def test_one_block_holds_defined_and_undefined_rows(self):
-        fn = compile_term(parse_term("1/x + 2"), StructureSpec(PrimeField(5), Mode.PUNCH_DIV_ALL0),
-                          Scope(["x"], grow=False))
+        fn = compile_term(parse_term("1/x + 2"), StructureSpec(PrimeField(5), Mode.PUNCH_DIV_ALL0))
         undefined = {}
-        values = fn([[0, 1, 0, 2]], 4, undefined)
+        values = fn({"x": [0, 1, 0, 2]}, 4, undefined)
         assert undefined.keys() == {0, 2}
         assert (values[1], values[3]) == (3, 0)  # 1/1 + 2 and 1/2 + 2 = 3 + 2 in GF(5)
 
@@ -88,13 +87,13 @@ class TestTermColumns:
         # reached, so 3^10000000000 is never computed there; written the
         # other way round, the power comes first and is over the size bound
         s = StructureSpec(RATIONALS, Mode.PUNCH_DIV_ALL0)
-        fn = compile_term(parse_term("1/x + (x + 3)^10000000000"), s, Scope(["x"], grow=False))
+        fn = compile_term(parse_term("1/x + (x + 3)^10000000000"), s)
         undefined = {}
-        fn([[Fraction(0), Fraction(-3)]], 2, undefined)
+        fn({"x": [Fraction(0), Fraction(-3)]}, 2, undefined)
         assert undefined == {0: None}
-        fn = compile_term(parse_term("(x + 3)^10000000000 + 1/x"), s, Scope(["x"], grow=False))
+        fn = compile_term(parse_term("(x + 3)^10000000000 + 1/x"), s)
         undefined = {}
-        fn([[Fraction(0)]], 1, undefined)
+        fn({"x": [Fraction(0)]}, 1, undefined)
         with pytest.raises(ValueError, match="^3 to the power 10000000000"):
             raise undefined[0]
 
@@ -106,7 +105,7 @@ class TestFormulaColumns:
             for p, mode in ((3, rng.choice(list(Mode))), (5, rng.choice(list(Mode)))):
                 s = StructureSpec(PrimeField(p), mode)
                 f = random_formula(rng, depth=3)
-                fn = compile_formula(f, config, s, Scope(NAMES, grow=False))
+                fn = compile_formula(f, config, s)
                 envs = [{n: rng.randrange(p) for n in NAMES} for _ in range(min(2 * block + 1, 25))]
                 for rows, frame in blocks(envs, block):
                     got = [str(v) for v in fn(frame, len(rows))]
@@ -167,12 +166,12 @@ class TestAxiomSweep:
 
 class TestProductBlocks:
     def test_columns_are_those_of_itertools_product(self, block):
-        for values, k in ((range(5), 3), (range(2), 4), (tuple("abc"), 2), (range(7), 0)):
+        for values, names in ((range(5), "xyz"), (range(2), "abcd"), (tuple("abc"), "pq"), (range(7), "")):
             rows = []
-            for columns, n in semantics.product_blocks(values, k):
-                assert len(columns) == k and all(len(column) == n for column in columns)
-                rows += list(zip(*columns)) if k else [()] * n
-            assert rows == list(itertools.product(values, repeat=k))
+            for frame, n in semantics.product_blocks(values, names):
+                assert list(frame) == list(names) and all(len(column) == n for column in frame.values())
+                rows += list(zip(*frame.values())) if names else [()] * n
+            assert rows == list(itertools.product(values, repeat=len(names)))
 
 
 class TestWitnessSweep:

@@ -511,3 +511,58 @@ class TestReadme:
         value = re.match(r"-> ([^\s,:]+)", comment)
         if value:
             assert out.splitlines()[0] == value.group(1)
+
+
+class TestFrameBoundary:
+    """Every free name is looked up before anything runs, and the first
+    unbound one in textual order is named; a quantified name is bound
+    only in its body; the enumeration budget reads the deepest nesting."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "y + x"], "y"),
+        (["logic", "--carrier", "gf5", "(forall y. y = 1) & x = y"], "x"),
+        (["logic", "--carrier", "gf5", "exists y. y = x & (forall x. y*x = z)"], "x"),
+        (["logic", "--carrier", "gf5", "-b", "x=1", "x = 1 & (forall x. x = q)"], "q"),
+    ])
+    def test_first_unbound_name(self, capsys, argv, name):
+        assert run(capsys, *argv) == (2, "", f"error: unbound variable {name!r}\n")
+
+    def test_budget_reads_the_deepest_nesting(self, capsys):
+        f = "(forall a. forall b. forall c. a = a) & (forall x. forall y. forall z. forall w. x = x)"
+        assert run(capsys, "logic", "--carrier", "gf401", f) == (
+            1, "", "error: enumeration of 401^4 environments is over the budget of 10000000\n",
+        )
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--carrier", "foo", "1"], "error: unknown carrier 'foo'"),
+        (["eval", "--carrier", "gf", "1"], "error: unknown carrier 'gf'"),
+        (["eval", "--carrier", "gfx", "1"], "error: unknown carrier 'gfx'"),
+        (["eval", "-b", "x", "x"], "error: binding must look like x=2/3, got 'x'"),
+        (["eval", "--carrier", "gf7", "-b", "x=1/2", "x"], "error: binding 'x=1/2' over gf7 must be an integer"),
+        (["eval", "x^y"], "parse error: expected 'nat', found 'y' (at position 2)"),
+        (["eval", "1)"], "parse error: trailing input ')' (at position 1)"),
+    ])
+    def test_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", message + "\n")
+
+    def test_unknown_mode(self, capsys):
+        code, out, err = run(capsys, "eval", "--mode", "bogus", "1")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "meadowkit eval: error: argument --mode: unknown mode 'bogus'"
+
+    @pytest.mark.parametrize("argv, code, doc", [
+        (["1 = 1"], 0, {"usable": True, "value": "T"}),
+        (["--mode", "punch-div-all", "0/0 = 1 | 0 = 0"], 3, {"usable": False, "value": None}),
+    ])
+    def test_classify_json(self, capsys, argv, code, doc):
+        got, out, err = run(capsys, "logic", "--classify", "--format", "json", *argv)
+        assert (got, json.loads(out), err) == (code, doc, "")
+
+    def test_corpus_line_without_a_prefix(self, capsys, tmp_path):
+        corpus = tmp_path / "bad.mcorpus"
+        corpus.write_text("no colon here\n")
+        assert run(capsys, "lint", str(corpus)) == (
+            1, "", "error: line 1: expected 'hyp:' or 'claim:' prefix\n",
+        )

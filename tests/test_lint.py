@@ -25,7 +25,7 @@ from meadowkit.lint import (
     parse_corpus,
 )
 from meadowkit.parser import parse_formula, parse_term
-from meadowkit.semantics import Scope, StructureSpec, compile_term, eval_total
+from meadowkit.semantics import StructureSpec, compile_term, eval_total
 from meadowkit.terms import free_vars
 
 TOTAL_Q = StructureSpec(RATIONALS)
@@ -401,11 +401,10 @@ class TestCertificatesFirst:
 def _exact_sweep(t, nonzero, names):
     """find_zero_witness without the modular prefilter: every term computed
     exactly at every environment."""
-    scope = Scope(names, grow=False)
-    target = compile_term(t, TOTAL_Q, scope)
-    guards = [compile_term(u, TOTAL_Q, scope) for u in nonzero]
+    target = compile_term(t, TOTAL_Q)
+    guards = [compile_term(u, TOTAL_Q) for u in nonzero]
     for env in itertools.product(_WITNESS_VALUES, repeat=len(names)):
-        frame = [[v] for v in env]  # a block of one row
+        frame = {name: [v] for name, v in zip(names, env)}  # a block of one row
         if all(g(frame, 1, {}) != [0] for g in guards) and target(frame, 1, {}) == [0]:
             return dict(zip(names, env))
     return None

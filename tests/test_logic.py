@@ -288,9 +288,10 @@ def _agrees_with_oracle(f, env, p, mode, config):
 
 
 class TestLexicalScope:
-    """Each quantifier has its own slot: an inner quantifier over a bound
-    name shadows it, and a quantified name given by a binding is the
-    quantifier's inside its body and the binding's outside."""
+    """A quantifier's body sees its name's column in place of the outer
+    one: an inner quantifier over a bound name shadows it, and a
+    quantified name given by a binding is the quantifier's inside its body
+    and the binding's outside."""
 
     @pytest.mark.parametrize("text, env, value", [
         ("forall x. exists x. x*x = x", {}, T),

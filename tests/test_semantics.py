@@ -12,7 +12,6 @@ from meadowkit.semantics import (
     UNDEFINED,
     AxiomSpec,
     Mode,
-    Scope,
     StructureSpec,
     UnboundVariableError,
     axiom_catalog,
@@ -123,16 +122,16 @@ class TestEvalPartial:
 
 class TestCompileTerm:
     def test_power_reads_its_base_once(self):
-        class CountingFrame(list):
+        class CountingFrame(dict):
             reads = 0
 
-            def __getitem__(self, i):
+            def __getitem__(self, name):
                 self.reads += 1
-                return super().__getitem__(i)
+                return super().__getitem__(name)
 
         gf7 = StructureSpec(PrimeField(7))
-        fn = compile_term(parse_term(f"x^{2**40}"), gf7, Scope(["x"], grow=False))
-        frame = CountingFrame([[3, 5]])  # one slot, a column of two rows
+        fn = compile_term(parse_term(f"x^{2**40}"), gf7)
+        frame = CountingFrame(x=[3, 5])  # one name, a column of two rows
         assert fn(frame, 2, {}) == [pow(3, 2**40, 7), pow(5, 2**40, 7)]
         assert frame.reads == 1
 
