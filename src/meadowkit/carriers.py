@@ -22,12 +22,12 @@ class CarrierMismatchError(TypeError):
     """An operand does not belong to the carrier it is used with."""
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the `num/den` text form (`den` omitted when 1)."""
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .carriers import FiniteProbeSet, PrimeField, RATIONALS, CarrierMismatchError, format_element, parse_rational
@@ -56,12 +57,8 @@ def _parse_carrier(text: str):
     text = text.strip().lower()
     if text == "rationals":
         return RATIONALS
-    if text.startswith("gf"):
-        try:
-            p = int(text[2:])
-        except ValueError:
-            raise ValueError(f"unknown carrier {text!r}") from None
-        return PrimeField(p)
+    if re.fullmatch("gf[0-9]+", text):
+        return PrimeField(int(text[2:]))
     if text.startswith("probe:"):
         values = tuple(parse_rational(v) for v in text[len("probe:"):].split(","))
         return FiniteProbeSet(values=values)
@@ -82,10 +79,10 @@ def _parse_bindings(pairs, carrier):
             raise ValueError(f"binding must look like x=2/3, got {pair!r}")
         name, value = pair.split("=", 1)
         if isinstance(carrier, PrimeField):
-            try:
-                env[name.strip()] = carrier.from_int(int(value))
-            except ValueError:
-                raise ValueError(f"binding {pair!r} over {carrier} must be an integer") from None
+            value = value.strip()
+            if not re.fullmatch("-?[0-9]+", value):
+                raise ValueError(f"binding {pair!r} over {carrier} must be an integer")
+            env[name.strip()] = carrier.from_int(int(value))
         else:
             env[name.strip()] = parse_rational(value)
     return env
@@ -244,17 +241,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    try:
-        with open(args.corpus, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        corpus = parse_corpus(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    with open(args.corpus, encoding="utf-8") as handle:
+        corpus = parse_corpus(handle.read())
     verdicts = lint(corpus, Convention(args.convention))
     if args.format == "json":
         print(json.dumps({"verdicts": [v.to_dict() for v in verdicts]}))
@@ -293,7 +281,7 @@ def main(argv=None) -> int:
     except (UnboundVariableError, NonEnumerableCarrierError, CarrierMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNBOUND
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an unreadable `lint` corpus
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:  # a backstop: the parser refuses input over MAX_DEPTH

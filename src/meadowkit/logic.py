@@ -101,9 +101,15 @@ def parse_logic_config(text: str) -> LogicConfig:
     parts = [p.strip().lower() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated selectors, got {text!r}")
-    return LogicConfig(
-        EqualityKind(parts[0]), ConnectiveFamily(parts[1]), QuantifierFamily(parts[2])
-    )
+    selectors = []
+    for axis, kind, part in zip(("equality", "connectives", "quantifiers"),
+                                (EqualityKind, ConnectiveFamily, QuantifierFamily), parts):
+        try:
+            selectors.append(kind(part))
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            raise ValueError(f"unknown {axis} {part!r}, expected one of {choices}") from None
+    return LogicConfig(*selectors)
 
 
 def not_tv(a: TruthValue) -> TruthValue:

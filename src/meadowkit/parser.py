@@ -15,6 +15,7 @@ Grammar (authoritative):
     conj    := neg ("&" neg)* ;
     neg     := "!" neg | fatom ;
     fatom   := term ("="|"!="|">"|"<") term | "(" formula ")" ;
+    nat     := [0-9]+ ;    ASCII digits only, as every number the CLI reads
 
 `a - b` is sugar for `a + (-b)` and `t != u` for `!(t = u)`; `t^n` is a
 `Pow` node for every natural n, 0 and 1 included.
@@ -120,7 +121,7 @@ class _Token(NamedTuple):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<nat>\d+)
+  | (?P<nat>[0-9]+)
   | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
   | (?P<op>=>|!=|[-+*/^()=<>!&|.])
     """,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -5,9 +7,12 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meadowkit.cli import main
 from meadowkit.parser import MAX_DEPTH, parse_formula
@@ -22,6 +27,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_captured(*argv):
+    """`run` for hypothesis tests, which take no function-scoped fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEval:
@@ -474,8 +487,21 @@ class TestLint:
             assert done.returncode == code, done.stderr
 
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "lint", "no-such-file.mcorpus")
-        assert code == 1 and err
+        assert run(capsys, "lint", "no-such-file.mcorpus") == (
+            1, "", "error: [Errno 2] No such file or directory: 'no-such-file.mcorpus'\n",
+        )
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        corpus = tmp_path / "bad.mcorpus"
+        corpus.write_bytes(b"\xff")
+        assert run(capsys, "lint", str(corpus)) == (
+            1, "", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        )
+
+    def test_directory(self, capsys, tmp_path):
+        assert run(capsys, "lint", str(tmp_path)) == (
+            1, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n",
+        )
 
     def test_json_output(self, capsys):
         code, out, _ = run(
@@ -543,9 +569,58 @@ class TestErrorPaths:
         (["eval", "--carrier", "gf7", "-b", "x=1/2", "x"], "error: binding 'x=1/2' over gf7 must be an integer"),
         (["eval", "x^y"], "parse error: expected 'nat', found 'y' (at position 2)"),
         (["eval", "1)"], "parse error: trailing input ')' (at position 1)"),
+        # numbers are ASCII decimal digits: no `_` separators, no sign on a
+        # modulus, no space inside, no other script's digits
+        (["eval", "--carrier", "gf1_3", "1/2"], "error: unknown carrier 'gf1_3'"),
+        (["eval", "--carrier", "gf 13", "1/2"], "error: unknown carrier 'gf 13'"),
+        (["eval", "--carrier", "gf\u0667", "1/2"], "error: unknown carrier 'gf\u0667'"),
+        (["eval", "--carrier", "gf+7", "1/2"], "error: unknown carrier 'gf+7'"),
+        (["eval", "--carrier", "gf-7", "1"], "error: unknown carrier 'gf-7'"),
+        (["eval", "--carrier", "gf7", "-b", "x=1_0", "x"], "error: binding 'x=1_0' over gf7 must be an integer"),
+        (["eval", "--carrier", "gf7", "-b", "x=+3", "x"], "error: binding 'x=+3' over gf7 must be an integer"),
+        (["eval", "--carrier", "gf7", "-b", "x=\u0661\u0662", "x"],
+         "error: binding 'x=\u0661\u0662' over gf7 must be an integer"),
+        (["eval", "-b", "x=\u0661\u0662", "x"], "error: not a rational literal: '\u0661\u0662'"),
+        (["eval", "--carrier", "probe:1,\u0662", "1"], "error: not a rational literal: '\u0662'"),
+        (["eval", "\u0661\u0662 + 1"], "parse error: unexpected character '\u0661' (at position 0)"),
+        (["logic", "--logic", "bogus,kleene,kleene", "1 = 1"],
+         "error: unknown equality 'bogus', expected one of weak, strong, existential"),
+        (["logic", "--logic", "weak,bogus,kleene", "1 = 1"],
+         "error: unknown connectives 'bogus', expected one of bochvar, kleene, mccarthy-left, mccarthy-right"),
+        (["logic", "--logic", "weak,kleene,bogus", "1 = 1"],
+         "error: unknown quantifiers 'bogus', expected one of bochvar, kleene"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["--carrier", "gf07", "1/2"], "4"),
+        (["--carrier", " GF7 ", "1/2"], "4"),
+        (["--carrier", "probe:1, 2", "1/2"], "1/2"),
+        (["--carrier", "gf7", "-b", "x=-3", "x"], "4"),
+        (["--carrier", "gf7", "-b", "x= 3 ", "x"], "3"),
+        (["--carrier", "gf7", "-b", "x=007", "x"], "0"),
+        (["--carrier", "gf7", "-b", "x=-0", "x"], "0"),
+    ])
+    def test_number_text_accepted(self, capsys, argv, shown):
+        assert run(capsys, "eval", *argv) == (0, shown + "\n", "")
+
+    @given(st.text(alphabet="0123456789\u0661\u0662\u0967\uff13-+_/ ", max_size=8))
+    def test_binding_text_is_ascii_decimal(self, text):
+        stripped = text.strip()
+        integer = re.fullmatch("-?[0-9]+", stripped)
+        code, out, err = run_captured("eval", "--carrier", "gf7", "-b", "x=" + text, "x")
+        if integer:
+            assert (code, out, err) == (0, f"{int(stripped) % 7}\n", "")
+        else:
+            assert (code, out) == (1, "") and err.startswith("error: binding ") and err.count("\n") == 1
+        rational = re.fullmatch("(-?[0-9]+)(?:/([0-9]+))?", stripped)
+        code, out, err = run_captured("eval", "-b", "x=" + text, "x")
+        if rational and int(rational.group(2) or 1):
+            shown = Fraction(int(rational.group(1)), int(rational.group(2) or 1))
+            assert (code, out, err) == (0, f"{shown}\n", "")
+        else:
+            assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_mode(self, capsys):
         code, out, err = run(capsys, "eval", "--mode", "bogus", "1")
