@@ -4,6 +4,15 @@ Three carriers are supported: the rational numbers, prime fields GF(p),
 and finite probe sets of rationals (rational arithmetic restricted to a
 finite enumeration, used to approximate quantifiers).  In every carrier
 the inverse of zero is zero, which makes inverse and division total.
+
+A carrier's operations work on columns (`Ops`).  Over GF(p) with p below
+LANE_LIMIT they run as a few C-level passes over byte lanes, one byte
+per row: a sum adds two columns read as little-endian integers, where
+no lane carries into the next, and reduces each lane by one
+`bytes.translate`; a product adds discrete logarithms the same way and
+maps each lane sum back through an exponential table; negation and the
+inverse are one `translate` each.  Above the limit each row is computed
+by itself.
 """
 
 from __future__ import annotations
@@ -25,13 +34,28 @@ class CarrierMismatchError(TypeError):
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+#: The most digits the text of a number may have: a modulus, a binding,
+#: a literal or an exponent.  It is Python's default limit on converting
+#: between integers and text, which printing a value meets too.
+MAX_DIGITS = 4300
+
+
+def read_int(text: str) -> int:
+    """The integer of ASCII decimal text (`-?[0-9]+`, already matched),
+    refused with a ValueError over MAX_DIGITS digits."""
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"a number of {digits} digits is over the limit of {MAX_DIGITS} digits")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the `num/den` text form (`den` omitted when 1)."""
     m = _RATIONAL_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = read_int(m.group(1))
+    den = read_int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
@@ -68,7 +92,9 @@ class Ops(NamedTuple):
     """A carrier's field operations over columns: each takes sequences
     of elements, one per row of a block, and returns the list of results
     (`power` refuses row i by setting errors[i]).  Operands are not
-    checked: they were checked where they entered."""
+    checked: they were checked where they entered.  Over GF(p) with p
+    below LANE_LIMIT each operation is a few C-level passes over the
+    column as a byte string, one byte lane per row (`_lane_ops`)."""
 
     add: Callable
     mul: Callable
@@ -160,14 +186,16 @@ class Rationals(Carrier):
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 
-#: GF(p) below this modulus inverts by a table of its p elements.
-INVERSE_TABLE_LIMIT = 256
+#: The logarithm that stands for 0 in a product's lanes: the most whose
+#: double, 254, still fits a byte lane of 256 values, so a lane sum of
+#: _ZERO_LOG or more has a zero factor.
+_ZERO_LOG = (256 - 2) // 2
 
-
-@functools.cache
-def _inverse_table(p: int) -> list:
-    """0 and the inverses of 1..p-1 in GF(p), built once per modulus."""
-    return [0, *(pow(x, -1, p) for x in range(1, p))]
+#: GF(p) below this modulus computes a column in byte lanes (`_lane_ops`).
+#: A product's lane holds the sum of two discrete logarithms; for two
+#: units that is at most 2(p - 2), which stays below _ZERO_LOG when
+#: p < 256 // 4.  A sum's lane holds at most 2(p - 1), well within it.
+LANE_LIMIT = 256 // 4
 
 
 def _is_prime(p: int) -> bool:
@@ -209,16 +237,11 @@ class PrimeField(Carrier):
             raise ValueError(f"modulus must be below {PRIME_LIMIT}, got {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
-        if p < INVERSE_TABLE_LIMIT:  # a lookup is about 4x faster than pow
-            inverse = _inverse_table(p).__getitem__
-            inv = lambda xs: list(map(inverse, xs))
-        else:
-            inv = lambda xs: [pow(x, -1, p) if x else 0 for x in xs]
-        ops = Ops(
+        ops = _lane_ops(p) if p < LANE_LIMIT else Ops(
             lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)],
             lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
             lambda xs: [-x % p for x in xs],
-            inv,
+            lambda xs: [pow(x, -1, p) if x else 0 for x in xs],
             lambda xs, n, errors: [pow(x, n, p) for x in xs],
         )
         object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
@@ -234,6 +257,58 @@ class PrimeField(Carrier):
 
     def elements(self):
         return range(self.p)
+
+
+def _generator(p: int) -> int:
+    """The least element that generates GF(p)'s multiplicative group."""
+    factors = {q for q in range(2, p) if (p - 1) % q == 0 and _is_prime(q)}
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+@functools.cache
+def _lane_ops(p: int) -> Ops:
+    """GF(p)'s column operations over byte lanes, for p < LANE_LIMIT.
+
+    A column of n elements is n bytes; read as a little-endian integer,
+    two columns add lane by lane in one C-level addition, as no lane
+    sum carries.  Each translate table maps a lane through a function
+    of its byte.  The tables are built once per modulus."""
+    g = _generator(p)
+    exp = [pow(g, e, p) for e in range(p - 1)]
+    log = [_ZERO_LOG] * 256
+    for e, x in enumerate(exp):
+        log[x] = e
+    log = bytes(log)
+    # a lane sum of two logarithms: g^s for a product of units, else 0
+    exp = bytes(exp[s % (p - 1)] if s < _ZERO_LOG else 0 for s in range(256))
+    mod = bytes(x % p for x in range(256))
+    neg = bytes(-x % p for x in range(256))
+    inv = bytes(pow(x, -1, p) if 0 < x < p else 0 for x in range(256))
+
+    def add(xs, ys):
+        n = len(xs)
+        lanes = int.from_bytes(xs, "little") + int.from_bytes(ys, "little")
+        return list(lanes.to_bytes(n, "little").translate(mod))
+
+    def mul(xs, ys):
+        n = len(xs)
+        lanes = (int.from_bytes(bytes(xs).translate(log), "little")
+                 + int.from_bytes(bytes(ys).translate(log), "little"))
+        return list(lanes.to_bytes(n, "little").translate(exp))
+
+    def power(xs, n, errors):
+        if len(xs) < p:
+            return [pow(x, n, p) for x in xs]
+        table = bytes([pow(x, n, p) for x in range(p)]).ljust(256, b"\0")
+        return list(bytes(xs).translate(table))
+
+    return Ops(
+        add,
+        mul,
+        lambda xs: list(bytes(xs).translate(neg)),
+        lambda xs: list(bytes(xs).translate(inv)),
+        power,
+    )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ a `gf<p>` modulus that is not a prime below 3317044064679887385961981,
 an enumeration over the budget of 10^7 environments (p^k for a law
 with k variables, |carrier|^d for quantifiers nested d deep), a power
 over the rationals above carriers.MAX_POWER_BITS (in `lint`, an UNKNOWN
-verdict instead), a value too long to print, or input nested more than
+verdict instead), a value too long to print, a number written with more
+than carriers.MAX_DIGITS = 4300 digits, or input nested more than
 parser.MAX_DEPTH = 900 deep, counting operators and parenthesis pairs
 together ("input nested too deeply"); 2 unbound variable or
 non-enumerable quantifier carrier; 3
@@ -20,7 +21,15 @@ import json
 import re
 import sys
 
-from .carriers import FiniteProbeSet, PrimeField, RATIONALS, CarrierMismatchError, format_element, parse_rational
+from .carriers import (
+    RATIONALS,
+    CarrierMismatchError,
+    FiniteProbeSet,
+    PrimeField,
+    format_element,
+    parse_rational,
+    read_int,
+)
 from .lint import Convention, VerdictKind, lint, parse_corpus
 from .logic import (
     ConnectiveFamily,
@@ -58,7 +67,7 @@ def _parse_carrier(text: str):
     if text == "rationals":
         return RATIONALS
     if re.fullmatch("gf[0-9]+", text):
-        return PrimeField(int(text[2:]))
+        return PrimeField(read_int(text[2:]))
     if text.startswith("probe:"):
         values = tuple(parse_rational(v) for v in text[len("probe:"):].split(","))
         return FiniteProbeSet(values=values)
@@ -82,10 +91,18 @@ def _parse_bindings(pairs, carrier):
             value = value.strip()
             if not re.fullmatch("-?[0-9]+", value):
                 raise ValueError(f"binding {pair!r} over {carrier} must be an integer")
-            env[name.strip()] = carrier.from_int(int(value))
+            env[name.strip()] = carrier.from_int(read_int(value))
         else:
             env[name.strip()] = parse_rational(value)
     return env
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that refuses in one `error:` line, without the
+    usage block; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _add_structure_flags(p: argparse.ArgumentParser):
@@ -100,7 +117,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="meadowkit",
         description="Totalized rational arithmetic, logics of partial functions, "
         "and a division-convention linter.",

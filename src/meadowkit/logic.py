@@ -224,7 +224,9 @@ def _atom(cls, kind: EqualityKind, a, b):
     A non-denoting side gives U under weak equality and F otherwise
     (strong equality holds when both are), or its error.  The sides share
     an undefined-row map, as a row-by-row evaluation stops at the first,
-    except in strong equality.
+    except in strong equality.  An equation whose sides denote on every
+    row and are equal columns holds on every row, found by one list
+    comparison.
     """
     if cls is Eq and kind is EqualityKind.STRONG:
         def strong(f, n):
@@ -240,7 +242,10 @@ def _atom(cls, kind: EqualityKind, a, b):
 
     def atom(f, n):
         undefined = {}
-        values = list(map(_TRUTH.__getitem__, map(rel, a(f, n, undefined), b(f, n, undefined))))
+        left, right = a(f, n, undefined), b(f, n, undefined)
+        if cls is Eq and not undefined and left == right:
+            return [T] * n
+        values = list(map(_TRUTH.__getitem__, map(rel, left, right)))
         for i, error in undefined.items():
             values[i] = error or nondenoting
         return values

@@ -15,7 +15,8 @@ Grammar (authoritative):
     conj    := neg ("&" neg)* ;
     neg     := "!" neg | fatom ;
     fatom   := term ("="|"!="|">"|"<") term | "(" formula ")" ;
-    nat     := [0-9]+ ;    ASCII digits only, as every number the CLI reads
+    nat     := [0-9]+ ;    ASCII digits only, as every number the CLI reads,
+                           and at most carriers.MAX_DIGITS of them
 
 `a - b` is sugar for `a + (-b)` and `t != u` for `!(t = u)`; `t^n` is a
 `Pow` node for every natural n, 0 and 1 included.
@@ -45,6 +46,7 @@ import re
 from functools import partial
 from typing import Callable, NamedTuple
 
+from .carriers import read_int
 from .terms import (
     ONE,
     ZERO,
@@ -125,7 +127,7 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
   | (?P<op>=>|!=|[-+*/^()=<>!&|.])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # `\s` is ASCII whitespace only
 )
 
 _KEYWORDS = {"forall", "exists"}
@@ -193,7 +195,7 @@ def _parse(text: str, sort: type):
         i += 1
         kind = tok.kind
         if kind == "nat":
-            n = int(tok.text)
+            n = read_int(tok.text)
             operands.append((ZERO if n == 0 else ONE if n == 1 else NumLit(n), 0))
         elif kind == "ident":
             operands.append((Var(tok.text), 0))
@@ -231,7 +233,7 @@ def _parse(text: str, sort: type):
                 if minus and nat.text != "1":
                     raise ParseError("only ^-1 is a valid negative power", tokens[i].pos)
                 i += 1 + minus
-                node = Inv(node) if minus else Pow(node, int(nat.text))
+                node = Inv(node) if minus else Pow(node, read_int(nat.text))
                 operands.append((node, _check_depth(depth + 1)))
             elif kind == ")":
                 reduce(_OPEN.prec)

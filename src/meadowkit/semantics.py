@@ -35,6 +35,7 @@ the enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -423,9 +424,11 @@ def _ax(name: str, text: str) -> AxiomSpec:
     return AxiomSpec(name, parse_formula(text))
 
 
-def axiom_catalog() -> list[AxiomSpec]:
-    """The 15-law catalog: ring, inversive, divisive, separation, general laws."""
-    return [
+@functools.cache
+def axiom_catalog() -> tuple[AxiomSpec, ...]:
+    """The 15-law catalog: ring, inversive, divisive, separation, general
+    laws.  Its laws are constants, parsed once per process."""
+    return (
         _ax("add-assoc", "(x + y) + z = x + (y + z)"),
         _ax("add-comm", "x + y = y + x"),
         _ax("add-unit", "x + 0 = x"),
@@ -441,4 +444,4 @@ def axiom_catalog() -> list[AxiomSpec]:
         _ax("div-as-inverse", "x/y = x*(1/y)"),
         _ax("separation", "0 != 1"),
         _ax("general-inverse-division-law", "x != 0 => x*x^-1 = 1 & x/x = 1"),
-    ]
+    )

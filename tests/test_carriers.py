@@ -186,11 +186,29 @@ class TestPrimeField:
         expected = next(z for z in range(7) if (3 * z) % 7 == 1)
         assert gf7.inv_total([3]) == [expected] == [5]
 
-    @pytest.mark.parametrize("p", [251, 257])  # either side of INVERSE_TABLE_LIMIT
+    @pytest.mark.parametrize("p", [61, 67, 251, 257])  # either side of LANE_LIMIT, and of a byte
     def test_inverse_by_table_and_by_pow(self, p):
         inverses = PrimeField(p).ops.inv_total(range(p))
         assert inverses[0] == 0
         assert all(x * y % p == 1 for x, y in zip(range(1, p), inverses[1:]))
+
+    @pytest.mark.parametrize("p", [p for p in range(carriers.LANE_LIMIT) if _is_prime(p)])
+    def test_lane_ops_match_their_definitions_on_all_pairs(self, p):
+        ops = PrimeField(p).ops
+        xs = [x for x in range(p) for _ in range(p)]
+        ys = list(range(p)) * p
+        for got, expected in [
+            (ops.add(xs, ys), [(x + y) % p for x, y in zip(xs, ys)]),
+            (ops.mul(xs, ys), [x * y % p for x, y in zip(xs, ys)]),
+            (ops.neg(xs), [-x % p for x in xs]),
+            (ops.inv_total(xs), [pow(x, -1, p) if x else 0 for x in xs]),
+        ]:
+            assert type(got) is list and got == expected
+        # a column of p rows or more computes a table of x^n, a shorter one each row
+        for n in (0, 1, 2, p - 1, 2**40):
+            for column in (xs, list(range(p - 1)), []):
+                got = ops.power(column, n, {})
+                assert type(got) is list and got == [pow(x, n, p) for x in column]
 
     def test_division_by_exhaustive_oracle(self):
         inv4 = next(z for z in range(7) if (4 * z) % 7 == 1)

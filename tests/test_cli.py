@@ -589,6 +589,24 @@ class TestErrorPaths:
          "error: unknown connectives 'bogus', expected one of bochvar, kleene, mccarthy-left, mccarthy-right"),
         (["logic", "--logic", "weak,kleene,bogus", "1 = 1"],
          "error: unknown quantifiers 'bogus', expected one of bochvar, kleene"),
+        # argparse refusals are one line too
+        (["lint", "--convention", "bogus", "x"],
+         "meadowkit lint: error: argument --convention: invalid choice: 'bogus' "
+         "(choose from 'inversive', 'division', 'liberal-division')"),
+        (["tables", "bogus"],
+         "meadowkit tables: error: argument family: invalid choice: 'bogus' "
+         "(choose from 'bochvar', 'kleene', 'mccarthy-left', 'mccarthy-right')"),
+        # a number's text has at most MAX_DIGITS digits, wherever it is read
+        (["eval", "1" * 5000], "error: a number of 5000 digits is over the limit of 4300 digits"),
+        (["eval", "x^" + "1" * 4301], "error: a number of 4301 digits is over the limit of 4300 digits"),
+        (["eval", "-b", "x=" + "1" * 5000, "x"], "error: a number of 5000 digits is over the limit of 4300 digits"),
+        (["eval", "-b", "x=1/" + "1" * 4301, "x"], "error: a number of 4301 digits is over the limit of 4300 digits"),
+        (["eval", "--carrier", "gf7", "-b", "x=-" + "1" * 4301, "x"],
+         "error: a number of 4301 digits is over the limit of 4300 digits"),
+        (["eval", "--carrier", "gf" + "1" * 5000, "1"], "error: a number of 5000 digits is over the limit of 4300 digits"),
+        # whitespace in a term is ASCII
+        (["eval", "1 +\u30001"], "parse error: unexpected character '\\u3000' (at position 3)"),
+        (["eval", "1 +\u00a01"], "parse error: unexpected character '\\xa0' (at position 3)"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")
@@ -601,6 +619,8 @@ class TestErrorPaths:
         (["--carrier", "gf7", "-b", "x= 3 ", "x"], "3"),
         (["--carrier", "gf7", "-b", "x=007", "x"], "0"),
         (["--carrier", "gf7", "-b", "x=-0", "x"], "0"),
+        (["--carrier", "gf7", "-b", "x=-" + "1" * 4300, "x"], str(-int("1" * 4300) % 7)),
+        (["1" * 4300 + " - " + "1" * 4300], "0"),
     ])
     def test_number_text_accepted(self, capsys, argv, shown):
         assert run(capsys, "eval", *argv) == (0, shown + "\n", "")
@@ -624,8 +644,7 @@ class TestErrorPaths:
 
     def test_unknown_mode(self, capsys):
         code, out, err = run(capsys, "eval", "--mode", "bogus", "1")
-        assert (code, out) == (1, "")
-        assert err.splitlines()[-1] == "meadowkit eval: error: argument --mode: unknown mode 'bogus'"
+        assert (code, out, err) == (1, "", "meadowkit eval: error: argument --mode: unknown mode 'bogus'\n")
 
     @pytest.mark.parametrize("argv, code, doc", [
         (["1 = 1"], 0, {"usable": True, "value": "T"}),

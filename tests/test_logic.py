@@ -17,6 +17,7 @@ from meadowkit.logic import (
     TruthValue,
     and_tv,
     classify_sentence,
+    compile_formula,
     connective_table,
     eval_formula,
     implies_tv,
@@ -57,6 +58,16 @@ class TestEquality:
     def test_weak_equality_is_undef_on_nondenoting(self):
         t = parse_term("1/0")
         assert eval_formula(Eq(t, t), equality(EqualityKind.WEAK), {}, PUNCH_ALL) is U
+
+    @pytest.mark.parametrize("kind, value", [
+        (EqualityKind.WEAK, U), (EqualityKind.EXISTENTIAL, F), (EqualityKind.STRONG, T),
+    ])
+    def test_equal_sides_with_a_punched_row(self, kind, value):
+        # the two sides are equal columns, yet x = 0 punches both
+        f = parse_formula("x/x = x/x")
+        s = StructureSpec(PrimeField(5), Mode.PUNCH_DIV_ALL0)
+        assert eval_formula(f, equality(kind), {"x": 0}, s) is value
+        assert compile_formula(f, equality(kind), s)({"x": [1, 0, 2]}, 3) == [T, value, T]
 
     def test_all_kinds_classical_when_denoting(self):
         lhs, rhs = parse_term("1 + 1"), parse_term("2")

@@ -172,6 +172,13 @@ class TestVerifyAxiom:
         assert report.format_line().startswith("FAIL")
         assert "witness=x=0" in report.format_line()
 
+    @pytest.mark.parametrize("p", [61, 67])  # either side of LANE_LIMIT
+    def test_law_failing_on_one_row_names_that_row(self, p):
+        # (x - 40)^(p-1) + (y - 7)^(p-1) is 0 at x=40, y=7 alone, else 1 or 2
+        f = f"((x - 40)^{p - 1} + (y - 7)^{p - 1})^{p - 1} = 1"
+        report = verify_axiom_spec(law(f), StructureSpec(PrimeField(p)))
+        assert (report.passed, report.witness, report.samples) == (False, {"x": 40, "y": 7}, 40 * p + 8)
+
     def test_failing_closed_law_has_an_empty_witness(self):
         report = verify_axiom_spec(law("0 = 1"), StructureSpec(PrimeField(2)))
         assert report.witness == {}
