@@ -274,13 +274,13 @@ def _lane_ops(p: int) -> Ops:
     sum carries.  Each translate table maps a lane through a function
     of its byte.  The tables are built once per modulus."""
     g = _generator(p)
-    exp = [pow(g, e, p) for e in range(p - 1)]
-    log = [_ZERO_LOG] * 256
-    for e, x in enumerate(exp):
-        log[x] = e
-    log = bytes(log)
+    powers = [pow(g, e, p) for e in range(p - 1)]
+    logs = [_ZERO_LOG] * 256
+    for e, x in enumerate(powers):
+        logs[x] = e
+    log = bytes(logs)
     # a lane sum of two logarithms: g^s for a product of units, else 0
-    exp = bytes(exp[s % (p - 1)] if s < _ZERO_LOG else 0 for s in range(256))
+    exp = bytes(powers[s % (p - 1)] if s < _ZERO_LOG else 0 for s in range(256))
     mod = bytes(x % p for x in range(256))
     neg = bytes(-x % p for x in range(256))
     inv = bytes(pow(x, -1, p) if 0 < x < p else 0 for x in range(256))
