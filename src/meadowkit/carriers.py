@@ -6,13 +6,14 @@ finite enumeration, used to approximate quantifiers).  In every carrier
 the inverse of zero is zero, which makes inverse and division total.
 
 A carrier's operations work on columns (`Ops`).  Over GF(p) with p below
-LANE_LIMIT they run as a few C-level passes over byte lanes, one byte
-per row: a sum adds two columns read as little-endian integers, where
-no lane carries into the next, and reduces each lane by one
-`bytes.translate`; a product adds discrete logarithms the same way and
-maps each lane sum back through an exponential table; negation and the
-inverse are one `translate` each.  Above the limit each row is computed
-by itself.
+256 an element is one byte, and negation and the inverse map a column
+through one `bytes.translate` table each.  Below LANE_LIMIT a sum and a
+product are a few C-level passes over byte lanes, one byte per row: a
+sum adds two columns read as little-endian integers, where no lane
+carries into the next, and reduces each lane by one `translate`; a
+product adds discrete logarithms the same way and maps each lane sum
+back through an exponential table.  Every other operation, and a power
+always, is computed row by row.
 """
 
 from __future__ import annotations
@@ -34,19 +35,20 @@ class CarrierMismatchError(TypeError):
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-#: The most digits the text of a number may have: a modulus, a binding,
-#: a literal or an exponent.  It is Python's default limit on converting
-#: between integers and text, which printing a value meets too.
-MAX_DIGITS = 4300
-
-
 def read_int(text: str) -> int:
-    """The integer of ASCII decimal text (`-?[0-9]+`, already matched),
-    refused with a ValueError over MAX_DIGITS digits."""
-    digits = len(text) - text.startswith("-")
-    if digits > MAX_DIGITS:
-        raise ValueError(f"a number of {digits} digits is over the limit of {MAX_DIGITS} digits")
-    return int(text)
+    """The integer of ASCII decimal text (`-?[0-9]+`, already matched):
+    a modulus, a binding, a literal or an exponent.  Text over the
+    interpreter's limit on integer text (`sys.get_int_max_str_digits()`,
+    4300 digits by default), which printing a value meets too, is
+    refused with a ValueError."""
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's text-to-integer limit
+        digits = len(text) - text.startswith("-")
+        raise ValueError(
+            f"a number of {digits} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -93,8 +95,9 @@ class Ops(NamedTuple):
     of elements, one per row of a block, and returns the list of results
     (`power` refuses row i by setting errors[i]).  Operands are not
     checked: they were checked where they entered.  Over GF(p) with p
-    below LANE_LIMIT each operation is a few C-level passes over the
-    column as a byte string, one byte lane per row (`_lane_ops`)."""
+    below 256, negation and the inverse, and below LANE_LIMIT a sum and
+    a product too, are a few C-level passes over the column as a byte
+    string, one byte lane per row (`_byte_ops`)."""
 
     add: Callable
     mul: Callable
@@ -191,7 +194,7 @@ PRIME_LIMIT = 3317044064679887385961981
 #: _ZERO_LOG or more has a zero factor.
 _ZERO_LOG = (256 - 2) // 2
 
-#: GF(p) below this modulus computes a column in byte lanes (`_lane_ops`).
+#: GF(p) below this modulus adds and multiplies in byte lanes (`_byte_ops`).
 #: A product's lane holds the sum of two discrete logarithms; for two
 #: units that is at most 2(p - 2), which stays below _ZERO_LOG when
 #: p < 256 // 4.  A sum's lane holds at most 2(p - 1), well within it.
@@ -237,13 +240,15 @@ class PrimeField(Carrier):
             raise ValueError(f"modulus must be below {PRIME_LIMIT}, got {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
-        ops = _lane_ops(p) if p < LANE_LIMIT else Ops(
+        ops = Ops(
             lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)],
             lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
             lambda xs: [-x % p for x in xs],
             lambda xs: [pow(x, -1, p) if x else 0 for x in xs],
             lambda xs, n, errors: [pow(x, n, p) for x in xs],
         )
+        if p < 256:  # an element is one byte
+            ops = ops._replace(**_byte_ops(p))
         object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
 
     def __str__(self):
@@ -266,13 +271,22 @@ def _generator(p: int) -> int:
 
 
 @functools.cache
-def _lane_ops(p: int) -> Ops:
-    """GF(p)'s column operations over byte lanes, for p < LANE_LIMIT.
+def _byte_ops(p: int) -> dict:
+    """GF(p)'s column operations on bytes, for p < 256, by `Ops` name.
 
-    A column of n elements is n bytes; read as a little-endian integer,
-    two columns add lane by lane in one C-level addition, as no lane
-    sum carries.  Each translate table maps a lane through a function
-    of its byte.  The tables are built once per modulus."""
+    A column of n elements is n bytes, and each translate table maps a
+    lane through a function of its byte: negation and the inverse, and
+    below LANE_LIMIT a sum and a product too.  Read as a little-endian
+    integer, two columns add lane by lane in one C-level addition, as no
+    lane sum carries.  The tables are built once per modulus."""
+    neg = bytes(-x % p for x in range(256))
+    inv = bytes(pow(x, -1, p) if 0 < x < p else 0 for x in range(256))
+    ops = {
+        "neg": lambda xs: list(bytes(xs).translate(neg)),
+        "inv_total": lambda xs: list(bytes(xs).translate(inv)),
+    }
+    if p >= LANE_LIMIT:
+        return ops
     g = _generator(p)
     powers = [pow(g, e, p) for e in range(p - 1)]
     logs = [_ZERO_LOG] * 256
@@ -282,8 +296,6 @@ def _lane_ops(p: int) -> Ops:
     # a lane sum of two logarithms: g^s for a product of units, else 0
     exp = bytes(powers[s % (p - 1)] if s < _ZERO_LOG else 0 for s in range(256))
     mod = bytes(x % p for x in range(256))
-    neg = bytes(-x % p for x in range(256))
-    inv = bytes(pow(x, -1, p) if 0 < x < p else 0 for x in range(256))
 
     def add(xs, ys):
         n = len(xs)
@@ -296,19 +308,7 @@ def _lane_ops(p: int) -> Ops:
                  + int.from_bytes(bytes(ys).translate(log), "little"))
         return list(lanes.to_bytes(n, "little").translate(exp))
 
-    def power(xs, n, errors):
-        if len(xs) < p:
-            return [pow(x, n, p) for x in xs]
-        table = bytes([pow(x, n, p) for x in range(p)]).ljust(256, b"\0")
-        return list(bytes(xs).translate(table))
-
-    return Ops(
-        add,
-        mul,
-        lambda xs: list(bytes(xs).translate(neg)),
-        lambda xs: list(bytes(xs).translate(inv)),
-        power,
-    )
+    return ops | {"add": add, "mul": mul}
 
 
 @dataclass(frozen=True)

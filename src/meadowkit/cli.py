@@ -6,7 +6,8 @@ an enumeration over the budget of 10^7 environments (p^k for a law
 with k variables, |carrier|^d for quantifiers nested d deep), a power
 over the rationals above carriers.MAX_POWER_BITS (in `lint`, an UNKNOWN
 verdict instead), a value too long to print, a number written with more
-than carriers.MAX_DIGITS = 4300 digits, or input nested more than
+than the interpreter's limit on integer text
+(sys.get_int_max_str_digits(), 4300 by default), or input nested more than
 parser.MAX_DEPTH = 900 deep, counting operators and parenthesis pairs
 together ("input nested too deeply"); 2 unbound variable or
 non-enumerable quantifier carrier; 3

@@ -16,7 +16,8 @@ Grammar (authoritative):
     neg     := "!" neg | fatom ;
     fatom   := term ("="|"!="|">"|"<") term | "(" formula ")" ;
     nat     := [0-9]+ ;    ASCII digits only, as every number the CLI reads,
-                           and at most carriers.MAX_DIGITS of them
+                           and at most sys.get_int_max_str_digits() of
+                           them (carriers.read_int)
 
 `a - b` is sugar for `a + (-b)` and `t != u` for `!(t = u)`; `t^n` is a
 `Pow` node for every natural n, 0 and 1 included.

@@ -191,6 +191,7 @@ class TestPrimeField:
         inverses = PrimeField(p).ops.inv_total(range(p))
         assert inverses[0] == 0
         assert all(x * y % p == 1 for x, y in zip(range(1, p), inverses[1:]))
+        assert PrimeField(p).ops.neg(range(p)) == [-x % p for x in range(p)]
 
     @pytest.mark.parametrize("p", [p for p in range(carriers.LANE_LIMIT) if _is_prime(p)])
     def test_lane_ops_match_their_definitions_on_all_pairs(self, p):

@@ -596,7 +596,7 @@ class TestErrorPaths:
         (["tables", "bogus"],
          "meadowkit tables: error: argument family: invalid choice: 'bogus' "
          "(choose from 'bochvar', 'kleene', 'mccarthy-left', 'mccarthy-right')"),
-        # a number's text has at most MAX_DIGITS digits, wherever it is read
+        # a number's text has at most the interpreter's 4300 digits, wherever it is read
         (["eval", "1" * 5000], "error: a number of 5000 digits is over the limit of 4300 digits"),
         (["eval", "x^" + "1" * 4301], "error: a number of 4301 digits is over the limit of 4300 digits"),
         (["eval", "-b", "x=" + "1" * 5000, "x"], "error: a number of 5000 digits is over the limit of 4300 digits"),
@@ -624,6 +624,19 @@ class TestErrorPaths:
     ])
     def test_number_text_accepted(self, capsys, argv, shown):
         assert run(capsys, "eval", *argv) == (0, shown + "\n", "")
+
+    @pytest.mark.parametrize("limit, result", [
+        (1000, (1, "", "error: a number of 5000 digits is over the limit of 1000 digits\n")),
+        (0, (0, "0\n", "")),  # no limit
+    ])
+    def test_number_text_limit_is_the_interpreters(self, capsys, limit, result):
+        # as set by PYTHONINTMAXSTRDIGITS or -X int_max_str_digits
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert run(capsys, "eval", "1" * 5000 + " - " + "1" * 5000) == result
+        finally:
+            sys.set_int_max_str_digits(default)
 
     @given(st.text(alphabet="0123456789\u0661\u0662\u0967\uff13-+_/ ", max_size=8))
     def test_binding_text_is_ascii_decimal(self, text):
