@@ -5,8 +5,12 @@ and finite probe sets of rationals (rational arithmetic restricted to a
 finite enumeration, used to approximate quantifiers).  In every carrier
 the inverse of zero is zero, which makes inverse and division total.
 
-A carrier's operations work on columns (`Ops`).  Over GF(p) with p below
-256 an element is one byte, and negation and the inverse map a column
+A carrier's operations work on columns (`Ops`).  A column holds one
+element per row of a block, and its type is the carrier's (`Ops.column`):
+over GF(p) with p below 256 it is a `bytes` object, one byte per row,
+and otherwise a `list`.  An operation accepts any sequence of elements
+(a `list`, `bytes` or a `range`) and returns a column of its carrier's
+type.  Over GF(p) below 256, negation and the inverse map a column
 through one `bytes.translate` table each.  Below LANE_LIMIT a sum and a
 product are a few C-level passes over byte lanes, one byte per row: a
 sum adds two columns read as little-endian integers, where no lane
@@ -91,19 +95,24 @@ def format_env(env) -> str:
 
 
 class Ops(NamedTuple):
-    """A carrier's field operations over columns: each takes sequences
-    of elements, one per row of a block, and returns the list of results
-    (`power` refuses row i by setting errors[i]).  Operands are not
+    """A carrier's field operations over columns, and its column type.
+
+    Each operation takes sequences of elements (`list`, `bytes` or
+    `range`, mixed too), one per row of a block, and returns the column
+    of results, built by `column` (`power` refuses row i by setting
+    errors[i]).  `column` makes a column from a sequence of elements:
+    `bytes` over GF(p) with p below 256, else `list`.  Operands are not
     checked: they were checked where they entered.  Over GF(p) with p
     below 256, negation and the inverse, and below LANE_LIMIT a sum and
-    a product too, are a few C-level passes over the column as a byte
-    string, one byte lane per row (`_byte_ops`)."""
+    a product too, are a few C-level passes over the column, one byte
+    lane per row (`_byte_ops`)."""
 
     add: Callable
     mul: Callable
     neg: Callable
     inv_total: Callable
-    power: Callable  # (xs, n, errors) -> [x^n for x in xs], n a natural number
+    power: Callable  # (xs, n, errors) -> the column of x^n for x in xs, n a natural number
+    column: Callable  # a sequence of elements -> the column of them
 
 
 class Carrier:
@@ -170,6 +179,7 @@ class Rationals(Carrier):
         lambda xs: list(map(operator.neg, xs)),
         lambda xs: list(map(_inv_rational, xs)),
         lambda xs, n, errors: [_power_rational(x, n, errors, i) for i, x in enumerate(xs)],
+        list,
     )
 
     def __str__(self):
@@ -246,8 +256,9 @@ class PrimeField(Carrier):
             lambda xs: [-x % p for x in xs],
             lambda xs: [pow(x, -1, p) if x else 0 for x in xs],
             lambda xs, n, errors: [pow(x, n, p) for x in xs],
+            list,
         )
-        if p < 256:  # an element is one byte
+        if p < 256:  # an element is one byte, and a column a byte string
             ops = ops._replace(**_byte_ops(p))
         object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
 
@@ -278,15 +289,21 @@ def _byte_ops(p: int) -> dict:
     lane through a function of its byte: negation and the inverse, and
     below LANE_LIMIT a sum and a product too.  Read as a little-endian
     integer, two columns add lane by lane in one C-level addition, as no
-    lane sum carries.  The tables are built once per modulus."""
+    lane sum carries.  The other operations compute each row and pack
+    the results into bytes.  The tables are built once per modulus."""
     neg = bytes(-x % p for x in range(256))
     inv = bytes(pow(x, -1, p) if 0 < x < p else 0 for x in range(256))
     ops = {
-        "neg": lambda xs: list(bytes(xs).translate(neg)),
-        "inv_total": lambda xs: list(bytes(xs).translate(inv)),
+        "neg": lambda xs: bytes(xs).translate(neg),
+        "inv_total": lambda xs: bytes(xs).translate(inv),
+        "power": lambda xs, n, errors: bytes([pow(x, n, p) for x in xs]),
+        "column": bytes,
     }
     if p >= LANE_LIMIT:
-        return ops
+        return ops | {
+            "add": lambda xs, ys: bytes([(x + y) % p for x, y in zip(xs, ys)]),
+            "mul": lambda xs, ys: bytes([x * y % p for x, y in zip(xs, ys)]),
+        }
     g = _generator(p)
     powers = [pow(g, e, p) for e in range(p - 1)]
     logs = [_ZERO_LOG] * 256
@@ -300,13 +317,13 @@ def _byte_ops(p: int) -> dict:
     def add(xs, ys):
         n = len(xs)
         lanes = int.from_bytes(xs, "little") + int.from_bytes(ys, "little")
-        return list(lanes.to_bytes(n, "little").translate(mod))
+        return lanes.to_bytes(n, "little").translate(mod)
 
     def mul(xs, ys):
         n = len(xs)
         lanes = (int.from_bytes(bytes(xs).translate(log), "little")
                  + int.from_bytes(bytes(ys).translate(log), "little"))
-        return list(lanes.to_bytes(n, "little").translate(exp))
+        return lanes.to_bytes(n, "little").translate(exp)
 
     return ops | {"add": add, "mul": mul}
 

@@ -82,6 +82,15 @@ def _parse_mode(text: str) -> Mode:
         raise argparse.ArgumentTypeError(f"unknown mode {text!r}") from None
 
 
+def _parse_integer(text: str, what: str) -> int:
+    """An integer written in ASCII decimal with an optional `-` (spaces
+    around it ignored); anything else is refused, naming `what`."""
+    text = text.strip()
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"{what} must be an integer")
+    return read_int(text)
+
+
 def _parse_bindings(pairs, carrier):
     env = {}
     for pair in pairs or ():
@@ -89,10 +98,7 @@ def _parse_bindings(pairs, carrier):
             raise ValueError(f"binding must look like x=2/3, got {pair!r}")
         name, value = pair.split("=", 1)
         if isinstance(carrier, PrimeField):
-            value = value.strip()
-            if not re.fullmatch("-?[0-9]+", value):
-                raise ValueError(f"binding {pair!r} over {carrier} must be an integer")
-            env[name.strip()] = carrier.from_int(read_int(value))
+            env[name.strip()] = carrier.from_int(_parse_integer(value, f"binding {pair!r} over {carrier}"))
         else:
             env[name.strip()] = parse_rational(value)
     return env
@@ -144,8 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="verify the built-in axiom catalog")
     _add_common_flags(p)
     p.add_argument("--carrier", default="rationals")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    # read by the command, like the carrier
+    p.add_argument("--samples", default="1000")
+    p.add_argument("--seed", default="0")
     p.add_argument("--extra", action="append", metavar="LAW",
                    help="extra quantifier-free law, free variables read universally, "
                    "e.g. 'x != 0 => x/x = 1'")
@@ -208,11 +215,13 @@ def _cmd_logic(args) -> int:
 def _cmd_axioms(args) -> int:
     carrier = _parse_carrier(args.carrier)
     structure = StructureSpec(carrier)
-    check_samples(args.samples)  # on every carrier, before any law is read
+    samples = _parse_integer(args.samples, f"--samples {args.samples!r}")
+    seed = _parse_integer(args.seed, f"--seed {args.seed!r}")
+    check_samples(samples)  # on every carrier, before any law is read
     catalog = list(axiom_catalog())
     for i, text in enumerate(args.extra or ()):
         catalog.append(_ax(f"extra-{i}", text))
-    reports = [verify_axiom_spec(spec, structure, args.samples, args.seed) for spec in catalog]
+    reports = [verify_axiom_spec(spec, structure, samples, seed) for spec in catalog]
     if args.format == "json":
         print(json.dumps({"reports": [
             {

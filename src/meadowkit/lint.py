@@ -113,47 +113,66 @@ def _occurrences(node, out: list):
 _KEY_TAGS = {Zero: "0", One: "1", Neg: "-", Inv: "inv", Div: "/"}
 
 
-def canonical_key(t: Term) -> str:
+def canonical_key(t: Term, factors=None) -> str:
     """Structural key modulo argument order of + and * (flattened); a
     product is keyed by the multiset of its factors with their exponents,
     so `q^2` and `q*q` get one key.
 
     The key is a string (`x`, `#7`, `+(x,y)`, `*(x^2,y^1)`, `/(x,y)`), so
     comparing and sorting keys does not recurse however deep the term.
+    `factors`, if given, keeps each product's multiset by the node's id
+    (`_factor_powers`), so keying every level of a deep product takes
+    time linear in its depth.
     """
     cls = type(t)
     if cls is Var:
         return t.name
     if cls is NumLit:
         return f"#{t.value}"
+    if factors is None:
+        factors = {}
     if cls is Add:
         keys = []
         for part in _flatten(t, Add):
-            keys.append(canonical_key(part))
+            keys.append(canonical_key(part, factors))
         keys.sort()
         return "+(" + ",".join(keys) + ")"
     if cls is Mul or cls is Pow:
-        # the exponent of each factor of t, by the factor's key
-        powers = {}
-        stack = [(t, 1)]
-        while stack:
-            u, n = stack.pop()
-            if type(u) is Mul:
-                stack.append((u.left, n))
-                stack.append((u.right, n))
-            elif type(u) is Pow:
-                stack.append((u.arg, n * u.n))
-            else:
-                key = canonical_key(u)
-                powers[key] = powers.get(key, 0) + n
+        powers = _factor_powers(t, factors)
         return "*(" + ",".join(f"{key}^{n}" for key, n in sorted(powers.items())) + ")"
     tag = _KEY_TAGS.get(cls)
     if tag is None:
         raise TypeError(f"not a term: {t!r}")
     keys = []
     for kid in children(t):
-        keys.append(canonical_key(kid))
+        keys.append(canonical_key(kid, factors))
     return tag + "(" + ",".join(keys) + ")" if keys else tag
+
+
+def _factor_powers(t: Term, factors: dict) -> dict:
+    """The exponent of each factor of the product or power t, by the
+    factor's key.  Computed bottom-up, one frame whatever the depth: each
+    product or power node's dict is made once from its operands' and kept
+    in `factors` by the node's id."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        kids = (u.left, u.right) if type(u) is Mul else (u.arg,)
+        todo = [k for k in kids if (type(k) is Mul or type(k) is Pow) and id(k) not in factors]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        powers, n = {}, u.n if type(u) is Pow else 1
+        for kid in kids:
+            if type(kid) is Mul or type(kid) is Pow:
+                for key, m in factors[id(kid)].items():
+                    powers[key] = powers.get(key, 0) + m * n
+            else:
+                key = canonical_key(kid, factors)
+                powers[key] = powers.get(key, 0) + n
+        factors[id(u)] = powers
+    return factors[id(t)]
 
 
 def _flatten(t: Term, cls) -> list:
@@ -233,9 +252,9 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
     Absence of a certificate is never a proof of zero.  The free names of
     every subterm are computed once, up front; a subterm's canonical key
     only where some fact has exactly its names, since equal keys mean
-    equal names.
+    equal names, and each product's factors are counted once.
     """
-    names = {}
+    names, factors = {}, {}
     _free_names(t, names)
 
     def certify(u: Term) -> Certificate | None:
@@ -265,7 +284,7 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
             else:
                 return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
         same = [f for f in facts if f.names == free]
-        key = canonical_key(u) if same else None
+        key = canonical_key(u, factors) if same else None
         matching = [f.statement for f in same if f.key == key]
         return Certificate(CertificateKind.HYPOTHESIS_DERIVED, min(matching)) if matching else None
 
@@ -365,7 +384,7 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
             raise raised[min(raised)]
         return hit
 
-    _, residues = first_hit(product_blocks(_RESIDUES, names), first_zero)
+    _, residues = first_hit(product_blocks(_RESIDUES, names, list), first_zero)
     if residues is None:
         return None
     return {name: _FROM_RESIDUE[r] for name, r in residues.items()}

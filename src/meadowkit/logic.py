@@ -33,6 +33,7 @@ from .semantics import (
     checked_elements,
     row_frame,
     select_rows,
+    stretch,
     term_compiler,
 )
 from .semantics import eval_partial  # unused here; bench/tracing.py wraps this module attribute
@@ -289,7 +290,7 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
             body = comp(g.body)
             bound.pop()
             rule = _rule(cfg.quantifiers is QuantifierFamily.BOCHVAR, cls is Forall)
-            return _quantifier(*rule, g.var, body, domain)
+            return _quantifier(*rule, g.var, body, domain, c.ops.column)
         raise TypeError(f"not a formula: {g!r}")
 
     fn = comp(f)
@@ -298,7 +299,7 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
     return fn
 
 
-def _quantifier(top, mid, unit, var: str, body, domain):
+def _quantifier(top, mid, unit, var: str, body, domain, column):
     """Fold the body's value over the elements bound to `var`, by the
     same rule as a binary connective, stopping each row at `top` or error.
 
@@ -306,7 +307,10 @@ def _quantifier(top, mid, unit, var: str, body, domain):
     g elements for m open rows make a block of m * g rows, element-major
     (row j * m + i binds the j-th element to open row i), with g the
     most that fits the next of `block_sizes` (at least one), so a row
-    stops soon after its `top`.
+    stops soon after its `top`.  The bound name's column is made by the
+    carrier's column type `column` from a slice of the elements, each
+    repeated m times, so it is a byte string over GF(p) below 256; the
+    other names' columns are the open rows' repeated g times.
     """
 
     def quantify(f, n):
@@ -318,13 +322,11 @@ def _quantifier(top, mid, unit, var: str, body, domain):
             m = len(rows)
             if not m or start >= len(elements):
                 return result
-            group = elements[start:start + max(1, size // m)]
+            group = column(elements[start:start + max(1, size // m)])
             start += len(group)
-            block = {name: column * len(group) for name, column in frame.items() if name != var}
-            column = block[var] = []
-            for value in group:
-                column += [value] * m
-            values = body(block, len(column))
+            block = {name: xs * len(group) for name, xs in frame.items() if name != var}
+            block[var] = stretch(group, m)
+            values = body(block, m * len(group))
             tops, mids = values.count(top), values.count(mid)
             if mids:
                 for j in _rows_of(values, mid):

@@ -16,6 +16,11 @@ A term is compiled once per structure into a closure over a frame
 (`compile_term`).  A frame holds a block of rows as a dict from each
 variable name to its column, and one closure call computes a whole
 column; a single value (`eval`, a constant fold) is a block of one row.
+A column is a sequence with one element per row, of the carrier's
+column type (`carriers.Ops.column`): a byte string over GF(p) with p
+below 256, where no sweep builds a list of elements, else a list.  The
+carrier's operations accept any sequence, so a list column from
+`select_rows` mixes with byte columns.
 Carrier membership is checked where a value enters a frame.  An
 undefined-row map gives each row that does not denote its reason: None
 for a punched application, which keeps the total value (exact, as
@@ -130,35 +135,53 @@ def block_sizes():
         size = min(2 * size, BLOCK)
 
 
-def product_blocks(values, names):
+def product_blocks(values, names, column):
     """The rows of itertools.product(values, repeat=len(names)) in blocks
     of `block_sizes`, each as (its frame, its number of rows): the j-th
-    name's column is the j-th coordinate."""
-    k = len(names)
-    total, start = len(values) ** k, 0
+    name's column is the j-th coordinate.  Each frame column is made by
+    the column type `column` (`carriers.Ops.column`) from slices of the
+    sequence `values` and repeated, so no sweep over GF(p) below 256
+    builds a list of elements, and a range of more values than a block
+    is never built whole."""
+    k, m = len(names), len(values)
+    total, start = m**k, 0
+    if m <= BLOCK:
+        values = column(values)
+    runs = [m ** (k - 1 - j) for j in range(k)]  # the j-th coordinate changes every runs[j] rows
+    periods = [stretch(values, run) if m * run <= BLOCK else None for run in runs]
     for size in block_sizes():
         if start == total:
             return
         stop = min(start + size, total)
-        yield {name: _product_column(values, len(values) ** (k - 1 - j), start, stop)
-               for j, name in enumerate(names)}, stop - start
+        yield {name: _product_column(values, column, run, period, start, stop)
+               for name, run, period in zip(names, runs, periods)}, stop - start
         start = stop
 
 
-def _product_column(values, run: int, start: int, stop: int) -> list:
+def stretch(values, run: int):
+    """Each value of a column `run` times in a row, as a column of its type."""
+    if run == 1:
+        return values
+    return functools.reduce(operator.iadd, [values[i:i + 1] * run for i in range(len(values))], values[:0])
+
+
+def _product_column(values, column, run: int, period, start: int, stop: int):
     """Rows start..stop-1 of a product column whose value changes every
-    `run` rows."""
-    m, n = len(values), stop - start
-    if m * run <= n:  # whole periods: tile one
-        period = list(values) if run == 1 else [v for v in values for _ in range(run)]
+    `run` rows: cut from its period if that is given, else from `values`."""
+    n = stop - start
+    if period is not None:
         offset = start % len(period)
-        return (period * (n // len(period) + 2))[offset:offset + n]
-    if run == 1:  # fewer rows than values, each value one row
-        return [values[q % m] for q in range(start, stop)]
-    column = []
+        if offset + n > len(period):
+            period = period * (n // len(period) + 2)
+        return period[offset:offset + n]
+    m = len(values)
+    if run == 1:  # more values than a block, each one row
+        offset = start % m
+        return column(values[offset:offset + n]) + column(values[:max(0, offset + n - m)])
+    rows = column(())
     for q in range(start // run, (stop - 1) // run + 1):
-        column += [values[q % m]] * (min(stop, (q + 1) * run) - max(start, q * run))
-    return column
+        rows += column(values[q % m:q % m + 1]) * (min(stop, (q + 1) * run) - max(start, q * run))
+    return rows
 
 
 def select_rows(frame, rows) -> dict:
@@ -188,7 +211,7 @@ def row_frame(names, env, carrier: Carrier) -> dict:
             value = env[name]
         except KeyError:
             raise UnboundVariableError(f"unbound variable {name!r}") from None
-        frame[name] = [carrier.check(value)]
+        frame[name] = carrier.ops.column((carrier.check(value),))
     return frame
 
 
@@ -206,8 +229,8 @@ def _variable(name):
     return lambda f, n, u: f[name]
 
 
-def _constant(value):
-    return lambda f, n, u: [value] * n
+def _constant(one_row):
+    return lambda f, n, u: one_row * n
 
 
 def _unary(op, a):
@@ -266,7 +289,7 @@ def term_compiler(s: StructureSpec, free: dict, bound=()):
     it entered.
     """
     c = s.carrier
-    add, mul, neg, inv, power = c.ops
+    add, mul, neg, inv, power, column = c.ops
     zero = c.from_int(0)
     punch_inverse = s.mode is Mode.PUNCH_INV0
     punched_division = _PUNCHED_DIVISIONS.get(s.mode)
@@ -291,9 +314,9 @@ def term_compiler(s: StructureSpec, free: dict, bound=()):
         if cls is Pow:
             return _power(power, zero, comp(t.arg), t.n)
         if cls is NumLit:
-            return _constant(c.from_int(t.value))
+            return _constant(column((c.from_int(t.value),)))
         if cls is Zero or cls is One:
-            return _constant(c.from_int(int(cls is One)))
+            return _constant(column((c.from_int(int(cls is One)),)))
         raise TypeError(f"not a term: {t!r}")
 
     return comp
@@ -350,7 +373,7 @@ def _environments(names, c: Carrier, samples: int, seed: int):
     closed law once."""
     k = len(names)
     if c.enumerable:
-        yield from product_blocks(checked_elements(c, k), names)
+        yield from product_blocks(checked_elements(c, k), names, c.ops.column)
         return
     rng, samples, sizes = random.Random(seed), samples if k else 1, block_sizes()
     while samples:

@@ -35,7 +35,7 @@ from meadowkit.logic import (
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.printer import print_formula, print_term
 from meadowkit.semantics import AxiomSpec, Mode, StructureSpec, compile_term, verify_axiom_spec
-from meadowkit.terms import Pow, Term, children, free_vars, rebuild
+from meadowkit.terms import Forall, Pow, Term, children, free_vars, rebuild
 from test_lint import _exact_sweep
 
 SIZES = (1, 2, 7, semantics.BLOCK)
@@ -111,6 +111,21 @@ class TestFormulaColumns:
                     got = [str(v) for v in fn(frame, len(rows))]
                     assert got == [_oracle(f, env, p, mode, config) for env in rows], (f, config)
 
+    @pytest.mark.parametrize("p", [251, 257])  # byte columns with per-row sums and products, and lists
+    def test_quantified_formulas_on_either_side_of_a_byte_agree_with_the_oracle(self, p):
+        rng = random.Random(p)
+        for text, config in (("forall x. exists y. x*y = 1", LPMD),
+                             ("forall x. exists y. x = 0 | x/x = y^2", rng.choice(ALL_CONFIGS))):
+            f, mode = parse_formula(text), rng.choice(list(Mode))
+            s = StructureSpec(PrimeField(p), mode)
+            assert str(eval_formula(f, config, {}, s)) == _oracle(f, {}, p, mode, config), (text, config)
+        for _ in range(8):  # one quantifier over a random body, the other names bound
+            f = Forall("x", random_formula(rng, depth=3))
+            config, mode = rng.choice(ALL_CONFIGS), rng.choice(list(Mode))
+            env = {"y": rng.randrange(p), "z": rng.randrange(p)}
+            got = eval_formula(f, config, env, StructureSpec(PrimeField(p), mode))
+            assert str(got) == _oracle(f, env, p, mode, config), (f, config)
+
     def test_quantified_formulas_agree_with_the_oracle(self, block):
         rng = random.Random(20 + block)
         for config in ALL_CONFIGS:
@@ -166,10 +181,17 @@ class TestAxiomSweep:
 
 class TestProductBlocks:
     def test_columns_are_those_of_itertools_product(self, block):
-        for values, names in ((range(5), "xyz"), (range(2), "abcd"), (tuple("abc"), "pq"), (range(7), "")):
+        # values as a column of the frame's type and as a range; with more
+        # values than a block, a block's last column wraps round
+        cases = [(column, values, names) for column in (bytes, list) for values, names in (
+            (column(range(5)), "xyz"), (range(5), "xyz"), (column(range(2)), "abcd"),
+            (range(7), ""), (column(range(40)), "xy"))]
+        cases.append((list, tuple("abc"), "pq"))
+        for column, values, names in cases:
             rows = []
-            for frame, n in semantics.product_blocks(values, names):
-                assert list(frame) == list(names) and all(len(column) == n for column in frame.values())
+            for frame, n in semantics.product_blocks(values, names, column):
+                assert list(frame) == list(names)
+                assert all(type(c) is column and len(c) == n for c in frame.values())
                 rows += list(zip(*frame.values())) if names else [()] * n
             assert rows == list(itertools.product(values, repeat=len(names)))
 
@@ -316,6 +338,17 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert (code, out) == (0, "T\n")
+        assert peak < 2**20
+
+    def test_an_axiom_sweep_is_bounded_by_the_block(self):
+        spec = AxiomSpec("law", parse_formula("x + 0 = x"))
+        tracemalloc.start()
+        try:
+            report = verify_axiom_spec(spec, StructureSpec(PrimeField(99991)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.passed, report.samples) == (True, 99991)
         assert peak < 2**20
 
 

@@ -174,42 +174,87 @@ class TestRationalOps:
         assert rational_power([Fraction(-1)], n + 1) == [-1]
 
 
+def column_of(column_type, got) -> list:
+    """The elements of a column, which must have the carrier's column type."""
+    assert type(got) is column_type
+    return list(got)
+
+
+def pairs(p: int):
+    """Every pair of GF(p) elements as two columns: (x, y) at row x*p + y."""
+    return [x for x in range(p) for _ in range(p)], list(range(p)) * p
+
+
+def per_row(p: int, xs, ys, n: int) -> dict:
+    """Each GF(p) operation by its definition, row by row, by `Ops` name;
+    power to the n-th."""
+    return {
+        "add": [(x + y) % p for x, y in zip(xs, ys)],
+        "mul": [x * y % p for x, y in zip(xs, ys)],
+        "neg": [-x % p for x in xs],
+        "inv_total": [pow(x, -1, p) if x else 0 for x in xs],
+        "power": [pow(x, n, p) for x in xs],
+    }
+
+
+def apply_ops(ops, xs, ys, n: int) -> dict:
+    return {
+        "add": ops.add(xs, ys),
+        "mul": ops.mul(xs, ys),
+        "neg": ops.neg(xs),
+        "inv_total": ops.inv_total(xs),
+        "power": ops.power(xs, n, {}),
+    }
+
+
 class TestPrimeField:
     def test_modular_sum(self):
-        assert PrimeField(7).ops.add([4, 6], [4, 1]) == [1, 0]
+        assert column_of(bytes, PrimeField(7).ops.add([4, 6], [4, 1])) == [1, 0]
 
     def test_modular_product(self):
-        assert PrimeField(7).ops.mul([3, 6], [5, 6]) == [1, 1]
+        assert column_of(bytes, PrimeField(7).ops.mul([3, 6], [5, 6])) == [1, 1]
 
     def test_inverse_by_brute_force(self):
         gf7 = PrimeField(7).ops
         expected = next(z for z in range(7) if (3 * z) % 7 == 1)
-        assert gf7.inv_total([3]) == [expected] == [5]
+        assert column_of(bytes, gf7.inv_total([3])) == [expected] == [5]
 
     @pytest.mark.parametrize("p", [61, 67, 251, 257])  # either side of LANE_LIMIT, and of a byte
     def test_inverse_by_table_and_by_pow(self, p):
-        inverses = PrimeField(p).ops.inv_total(range(p))
+        column_type = bytes if p < 256 else list
+        inverses = column_of(column_type, PrimeField(p).ops.inv_total(range(p)))
         assert inverses[0] == 0
         assert all(x * y % p == 1 for x, y in zip(range(1, p), inverses[1:]))
-        assert PrimeField(p).ops.neg(range(p)) == [-x % p for x in range(p)]
+        assert column_of(column_type, PrimeField(p).ops.neg(range(p))) == [-x % p for x in range(p)]
 
-    @pytest.mark.parametrize("p", [p for p in range(carriers.LANE_LIMIT) if _is_prime(p)])
+    @pytest.mark.parametrize("p", [p for p in range(256) if _is_prime(p)])
     def test_lane_ops_match_their_definitions_on_all_pairs(self, p):
+        # byte lanes below LANE_LIMIT, then sums and products row by row
         ops = PrimeField(p).ops
-        xs = [x for x in range(p) for _ in range(p)]
-        ys = list(range(p)) * p
-        for got, expected in [
-            (ops.add(xs, ys), [(x + y) % p for x, y in zip(xs, ys)]),
-            (ops.mul(xs, ys), [x * y % p for x, y in zip(xs, ys)]),
-            (ops.neg(xs), [-x % p for x in xs]),
-            (ops.inv_total(xs), [pow(x, -1, p) if x else 0 for x in xs]),
-        ]:
-            assert type(got) is list and got == expected
-        # a column of p rows or more computes a table of x^n, a shorter one each row
-        for n in (0, 1, 2, p - 1, 2**40):
-            for column in (xs, list(range(p - 1)), []):
-                got = ops.power(column, n, {})
-                assert type(got) is list and got == [pow(x, n, p) for x in column]
+        assert ops.column is bytes
+        xs, ys = pairs(p)
+        expected = per_row(p, xs, ys, 2)
+        # every operand type, and a list with a byte string
+        for operands in ((xs, ys), (bytes(xs), bytes(ys)), (xs, bytes(ys)), (bytes(xs), ys)):
+            got = apply_ops(ops, *operands, 2)
+            assert {name: column_of(bytes, column) for name, column in got.items()} == expected
+        for n in (0, 1, p - 1, 2**40):  # every element to other powers
+            assert column_of(bytes, ops.power(range(p), n, {})) == [pow(x, n, p) for x in range(p)]
+        # a range operand, and columns shorter than p
+        for xs in (range(p), range(p - 1), range(0)):
+            ys = list(reversed(xs))
+            got = apply_ops(ops, xs, ys, 3)
+            assert {name: column_of(bytes, column) for name, column in got.items()} == per_row(p, xs, ys, 3)
+
+    @pytest.mark.parametrize("p", [257, 2**61 - 1])
+    def test_ops_beyond_a_byte_return_lists(self, p):
+        ops = PrimeField(p).ops
+        assert ops.column is list
+        xs, ys = [0, 1, 2, p - 1, p - 2], [p - 1, 0, 2, p - 1, 3]
+        for operands in ((xs, ys), (range(5), ys), (tuple(xs), range(5))):
+            got = apply_ops(ops, *operands, 5)
+            expected = per_row(p, *map(list, operands), 5)
+            assert {name: column_of(list, column) for name, column in got.items()} == expected
 
     def test_division_by_exhaustive_oracle(self):
         inv4 = next(z for z in range(7) if (4 * z) % 7 == 1)
@@ -218,9 +263,9 @@ class TestPrimeField:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_general_inverse_law_exhaustive(self, p):
         gf = PrimeField(p).ops
-        assert gf.inv_total([0]) == [0]
+        assert column_of(bytes, gf.inv_total([0])) == [0]
         units = list(range(1, p))
-        assert gf.mul(units, gf.inv_total(units)) == [1] * (p - 1)
+        assert column_of(bytes, gf.mul(units, gf.inv_total(units))) == [1] * (p - 1)
 
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
     def test_composite_modulus_rejected(self, p):
@@ -249,8 +294,8 @@ class TestPrimeField:
 
     def test_power_has_no_size_bound(self):
         n = 10 * carriers.MAX_POWER_BITS
-        assert PrimeField(7).ops.power([3, 5], n, {}) == [pow(3, n, 7), pow(5, n, 7)]
-        assert PrimeField(7).ops.power([0], 0, {}) == [1]
+        assert column_of(bytes, PrimeField(7).ops.power([3, 5], n, {})) == [pow(3, n, 7), pow(5, n, 7)]
+        assert column_of(bytes, PrimeField(7).ops.power([0], 0, {})) == [1]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(CarrierMismatchError):

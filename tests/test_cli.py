@@ -234,6 +234,10 @@ class TestAxioms:
         assert code == 1 and out == ""
         assert err == "error: samples must be between 1 and 10000000, got 100000000\n"
 
+    def test_samples_and_seed_are_ascii_decimal_integers(self, capsys):
+        code, out, _ = run(capsys, "axioms", "--samples", " 007 ", "--seed", "-3", "--extra", "x = x")
+        assert code == 0 and out.splitlines()[-1] == "PASS axiom=x = x samples=7"
+
     def test_failing_closed_law_has_an_empty_witness(self, capsys):
         code, out, _ = run(capsys, "axioms", "--carrier", "gf2", "--extra", "0 = 1")
         assert code == 4
@@ -607,6 +611,14 @@ class TestErrorPaths:
         # whitespace in a term is ASCII
         (["eval", "1 +\u30001"], "parse error: unexpected character '\\u3000' (at position 3)"),
         (["eval", "1 +\u00a01"], "parse error: unexpected character '\\xa0' (at position 3)"),
+        # axioms --samples and --seed are ASCII decimal integers
+        (["axioms", "--samples", "1_0", "--extra", "x = x"], "error: --samples '1_0' must be an integer"),
+        (["axioms", "--samples", "\u0661\u0660", "--extra", "x = x"],
+         "error: --samples '\u0661\u0660' must be an integer"),
+        (["axioms", "--seed", "\u0663", "--extra", "x = x"], "error: --seed '\u0663' must be an integer"),
+        (["axioms", "--seed", "+3"], "error: --seed '+3' must be an integer"),
+        (["axioms", "--samples", "ten"], "error: --samples 'ten' must be an integer"),
+        (["axioms", "--samples", "1" * 5000], "error: a number of 5000 digits is over the limit of 4300 digits"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")

@@ -137,9 +137,9 @@ class TestCertificateCost:
         claim = "claim: 1/(" + "*".join(["x"] * factors) + ") = 1"
         with monkeypatch.context() as patch:
             for name in counts:
-                def counted(t, _name=name, _original=getattr(module, name)):
+                def counted(*args, _name=name, _original=getattr(module, name)):
                     counts[_name] += 1
-                    return _original(t)
+                    return _original(*args)
                 patch.setattr(module, name, counted)
             (*_, v) = lint(corpus(hyp, claim), Convention.DIVISION)
         assert v.kind is VerdictKind.VIOLATION and v.witness == {"x": 0}
@@ -148,6 +148,21 @@ class TestCertificateCost:
     @pytest.mark.parametrize("hyp", ["hyp: 1/q = 2", "# no fact"])
     def test_calls_do_not_grow_with_the_factor_count(self, monkeypatch, hyp):
         assert self.calls(monkeypatch, 10, hyp) == self.calls(monkeypatch, 400, hyp)
+
+    def test_a_fact_over_the_guards_names_keys_each_level_once(self, monkeypatch):
+        # x + 1 has the names of every level of x*x*...*x, so every level
+        # is keyed, each from its operands' factor counts
+        hyp = "hyp: 1/(x + 1) = 2"
+        small, large = (self.calls(monkeypatch, n, hyp)["canonical_key"] for n in (10, 400))
+        assert large - small <= 2 * (400 - 10)
+
+    def test_the_verdicts_of_a_deep_product_with_a_fact_over_its_names(self):
+        product = "*".join(["x"] * 898)
+        verdicts = lint(corpus("hyp: 1/(x + 1) = 2", f"claim: 1/({product}) = 1"), Convention.DIVISION)
+        assert [v.format_line() for v in verdicts] == [
+            "statement=0 pos=0 guarded=x + 1 verdict=UNKNOWN detail=same-statement hypothesis",
+            f"statement=1 pos=0 guarded={product} verdict=VIOLATION detail=x=0",
+        ]
 
 
 class TestZeroWitness:

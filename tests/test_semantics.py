@@ -18,9 +18,10 @@ from meadowkit.semantics import (
     compile_term,
     eval_partial,
     eval_total,
+    row_frame,
     verify_axiom_spec,
 )
-from meadowkit.terms import free_vars
+from meadowkit.terms import One, Var, Zero, free_vars
 
 TOTAL_Q = StructureSpec(RATIONALS)
 PUNCH_INV = StructureSpec(RATIONALS, Mode.PUNCH_INV0)
@@ -132,8 +133,33 @@ class TestCompileTerm:
         gf7 = StructureSpec(PrimeField(7))
         fn = compile_term(parse_term(f"x^{2**40}"), gf7)
         frame = CountingFrame(x=[3, 5])  # one name, a column of two rows
-        assert fn(frame, 2, {}) == [pow(3, 2**40, 7), pow(5, 2**40, 7)]
+        got = fn(frame, 2, {})
+        assert type(got) is bytes and list(got) == [pow(3, 2**40, 7), pow(5, 2**40, 7)]
         assert frame.reads == 1
+
+    def test_a_row_frame_holds_columns_of_the_carriers_type(self):
+        assert row_frame("xy", {"x": 3, "y": 0}, PrimeField(17)) == {"x": b"\x03", "y": b"\x00"}
+        assert row_frame("x", {"x": 3}, PrimeField(257)) == {"x": [3]}
+
+    @pytest.mark.parametrize("text", ["x", "x + y", "x*y", "x/y", "-x", "x^-1", "x^0", "x^5", "7", "x - 1/y"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_gf17_columns_are_byte_strings(self, text, mode):
+        s = StructureSpec(PrimeField(17), mode)
+        rows = [{"x": x, "y": y} for x in range(17) for y in range(17)]
+        frames = [  # every pair as byte columns, list columns, and one row
+            ({name: bytes(env[name] for env in rows) for name in "xy"}, rows),
+            ({name: [env[name] for env in rows] for name in "xy"}, rows),
+            (row_frame("xy", rows[20], s.carrier), rows[20:21]),
+        ]
+        for t in (parse_term(text), Zero(), One()):
+            fn = compile_term(t, s)
+            for frame, envs in frames:
+                undefined = {}
+                got = fn(frame, len(envs), undefined)
+                # a variable is its frame's column, every other node a byte string
+                assert type(got) is (type(frame["x"]) if type(t) is Var else bytes) and len(got) == len(envs)
+                values = [None if i in undefined else v for i, v in enumerate(got)]
+                assert values == [oracle_term(t, env, 17, mode.value) for env in envs], t
 
     def test_rational_power_over_the_size_bound_refused(self):
         with pytest.raises(ValueError, match="over the bound"):
