@@ -19,8 +19,8 @@ column; a single value (`eval`, a constant fold) is a block of one row.
 A column is a sequence with one element per row, of the carrier's
 column type (`carriers.Ops.column`): a byte string over GF(p) with p
 below 256, where no sweep builds a list of elements, else a list.  The
-carrier's operations accept any sequence, so a list column from
-`select_rows` mixes with byte columns.
+carrier's operations accept any sequence, so a list column (a power
+over rows already undefined) mixes with byte columns.
 Carrier membership is checked where a value enters a frame.  An
 undefined-row map gives each row that does not denote its reason: None
 for a punched application, which keeps the total value (exact, as
@@ -31,6 +31,13 @@ reason.
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
 BLOCK rows; each consumer raises the error of the first row it meets.
+The schedule follows the column type.  A sweep of byte columns takes
+whole blocks of BLOCK rows, since a row of byte columns costs far less
+than the call that computes a block; an enumeration of at most BLOCK
+rows is then one frame, built once per process.  A sweep of list
+columns (the rationals, probe sets, GF(p) from 257 up, the lint
+residues) and a quantifier's groups take `block_sizes`, so one that
+stops early computes few rows past its stop.
 
 An axiom is a name plus a quantifier-free formula whose free variables
 are read universally; it is compiled once (`logic.compile_formula`:
@@ -127,7 +134,8 @@ def checked_elements(carrier: Carrier, depth: int):
 
 
 def block_sizes():
-    """16, 32, ..., BLOCK, BLOCK, ... rows: a sweep that stops early
+    """16, 32, ..., BLOCK, BLOCK, ... rows, the schedule of a sweep of
+    list columns and of a quantifier's groups: a sweep that stops early
     computes at most about as many rows again, or 16."""
     size = min(16, BLOCK)
     while True:
@@ -136,26 +144,40 @@ def block_sizes():
 
 
 def product_blocks(values, names, column):
-    """The rows of itertools.product(values, repeat=len(names)) in blocks
-    of `block_sizes`, each as (its frame, its number of rows): the j-th
-    name's column is the j-th coordinate.  Each frame column is made by
-    the column type `column` (`carriers.Ops.column`) from slices of the
-    sequence `values` and repeated, so no sweep over GF(p) below 256
-    builds a list of elements, and a range of more values than a block
-    is never built whole."""
+    """The rows of itertools.product(values, repeat=len(names)) in blocks,
+    each as (its frame, its number of rows): the j-th name's column is
+    the j-th coordinate.  Each frame column is made by the column type
+    `column` (`carriers.Ops.column`) from slices of the sequence `values`
+    and repeated, so no sweep over GF(p) below 256 builds a list of
+    elements, and a range of more values than a block is never built
+    whole.  Byte columns come in blocks of BLOCK rows, and at most BLOCK
+    rows in all are the one cached frame of `_byte_product`; list columns
+    come in blocks of `block_sizes`."""
     k, m = len(names), len(values)
     total, start = m**k, 0
+    if column is bytes and total <= BLOCK:
+        yield dict(zip(names, _byte_product(bytes(values), k))), total
+        return
     if m <= BLOCK:
         values = column(values)
     runs = [m ** (k - 1 - j) for j in range(k)]  # the j-th coordinate changes every runs[j] rows
     periods = [stretch(values, run) if m * run <= BLOCK else None for run in runs]
-    for size in block_sizes():
+    for size in itertools.repeat(BLOCK) if column is bytes else block_sizes():
         if start == total:
             return
         stop = min(start + size, total)
         yield {name: _product_column(values, column, run, period, start, stop)
                for name, run, period in zip(names, runs, periods)}, stop - start
         start = stop
+
+
+@functools.cache
+def _byte_product(values: bytes, k: int) -> tuple:
+    """The k columns of itertools.product(values, repeat=k) as byte
+    strings, built once per (values, k): the whole frame of a small
+    enumeration over GF(p), p < 256, which depends only on p and k."""
+    m = len(values)
+    return tuple(stretch(values, m ** (k - 1 - j)) * m**j for j in range(k))
 
 
 def stretch(values, run: int):
@@ -185,8 +207,9 @@ def _product_column(values, column, run: int, period, start: int, stop: int):
 
 
 def select_rows(frame, rows) -> dict:
-    """The frame of the given rows of a frame."""
-    return {name: [column[i] for i in rows] for name, column in frame.items()}
+    """The frame of the given rows of a frame, each column of its type,
+    so a byte column stays on the byte-column path."""
+    return {name: type(column)(map(column.__getitem__, rows)) for name, column in frame.items()}
 
 
 def first_hit(blocks, test):
@@ -394,9 +417,15 @@ class AxiomSpec:
     def __post_init__(self):
         if _contains(self.formula, (Forall, Exists)):
             raise ValueError(
-                f"law {print_formula(self.formula)!r} has a quantifier; "
+                f"law {self.text!r} has a quantifier; "
                 "write it quantifier-free, its free variables are read universally"
             )
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The law as printed, once per spec: the catalog's laws are
+        printed once per process."""
+        return print_formula(self.formula)
 
 
 @dataclass
@@ -426,7 +455,6 @@ def verify_axiom_spec(
     check_samples(samples)
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
-    text = print_formula(spec.formula)
     free = {}
     law = compile_formula(spec.formula, LPMD, s, free)
 
@@ -439,8 +467,8 @@ def verify_axiom_spec(
 
     checked, env = first_hit(_environments(sorted(free), s.carrier, samples, seed), failing)
     if env is not None:
-        return AxiomReport(spec.name, text, False, checked, env)
-    return AxiomReport(spec.name, text, True, checked)
+        return AxiomReport(spec.name, spec.text, False, checked, env)
+    return AxiomReport(spec.name, spec.text, True, checked)
 
 
 def _ax(name: str, text: str) -> AxiomSpec:

@@ -157,13 +157,17 @@ def _law_loop(spec, s, samples, seed):
 
 
 class TestAxiomSweep:
-    @pytest.mark.parametrize("carrier", [PrimeField(5), PrimeField(7), RATIONALS], ids=str)
+    # the three-variable laws fit in one block over GF(13); over GF(17)
+    # they take 4,913 rows, and `x != 15 | y + z != 0` fails at row 4,336
+    @pytest.mark.parametrize("carrier", [PrimeField(p) for p in (5, 7, 13, 17)] + [RATIONALS], ids=str)
     def test_witness_and_samples_match_a_plain_loop(self, block, carrier):
         rng = random.Random(30 + block)
         s = StructureSpec(carrier)
+        laws = [random_formula(rng, depth=2) for _ in range(40)]
+        laws += map(parse_formula, ("x + (y + z) = (x + y) + z", "x != 15 | y + z != 0", "x*y*z != 12 | x = y"))
         failing = 0
-        for i in range(40):
-            spec = AxiomSpec("law", random_formula(rng, depth=2))
+        for i, f in enumerate(laws):
+            spec = AxiomSpec("law", f)
             report = verify_axiom_spec(spec, s, samples=60, seed=i)
             assert (report.samples, report.witness) == _law_loop(spec, s, 60, i), spec
             failing += not report.passed
@@ -194,6 +198,36 @@ class TestProductBlocks:
                 assert all(type(c) is column and len(c) == n for c in frame.values())
                 rows += list(zip(*frame.values())) if names else [()] * n
             assert rows == list(itertools.product(values, repeat=len(names)))
+
+    @pytest.mark.parametrize("column", [bytes, list])
+    def test_block_sizes_follow_the_column_type(self, block, column):
+        # byte columns: BLOCK, ..., the remainder; list columns: 16, 32, ...
+        for m, k in ((5, 3), (2, 4), (40, 2), (17, 3)):
+            sizes = itertools.repeat(block) if column is bytes else semantics.block_sizes()
+            got = [n for _, n in semantics.product_blocks(range(m), "xyzw"[:k], column)]
+            expected, left = [], m**k
+            for size in sizes:
+                if not left:
+                    break
+                expected.append(min(size, left))
+                left -= expected[-1]
+            assert got == expected, (m, k)
+
+    def test_a_byte_frame_of_one_block_is_built_once(self, block):
+        for m, k in ((2, 0), (2, 1), (5, 1), (2, 2), (13, 3)):
+            if m**k > block:
+                continue
+            (first, n), = semantics.product_blocks(range(m), "xyz"[:k], bytes)
+            (again, _), = semantics.product_blocks(bytes(range(m)), "abc"[:k], bytes)
+            assert n == m**k and all(type(c) is bytes for c in first.values())
+            assert all(a is b for a, b in zip(first.values(), again.values(), strict=True))
+
+    def test_narrowed_frames_keep_their_column_type(self):
+        for column in (bytes, list):
+            frame = {"x": column(range(5)), "y": column(range(5, 10))}
+            narrowed = semantics.select_rows(frame, [4, 1])
+            assert narrowed == {"x": column((4, 1)), "y": column((9, 6))}
+            assert all(type(c) is column for c in narrowed.values())
 
 
 class TestWitnessSweep:

@@ -238,6 +238,12 @@ class TestAxioms:
         code, out, _ = run(capsys, "axioms", "--samples", " 007 ", "--seed", "-3", "--extra", "x = x")
         assert code == 0 and out.splitlines()[-1] == "PASS axiom=x = x samples=7"
 
+    def test_a_witness_past_the_first_block(self, capsys):
+        # 4,913 environments over GF(17); the first failing one is row 4336
+        code, out, _ = run(capsys, "axioms", "--carrier", "gf17", "--extra", "x != 15 | y + z != 0")
+        assert code == 4
+        assert out.splitlines()[-1] == "FAIL axiom=x != 15 | y + z != 0 samples=4336 witness=x=15,y=0,z=0"
+
     def test_failing_closed_law_has_an_empty_witness(self, capsys):
         code, out, _ = run(capsys, "axioms", "--carrier", "gf2", "--extra", "0 = 1")
         assert code == 4

@@ -216,6 +216,12 @@ class TestLint:
         assert [v.kind for v in verdicts] == [VerdictKind.COMPLIANT]
         assert verdicts[0].certificate.kind is CertificateKind.ONE_PLUS_SUM_OF_SQUARES
 
+    def test_a_product_is_not_a_square(self):
+        # 1 + x*y has the shape of 1 + x^2 only to a node equality that
+        # ignores the fields
+        (v,) = lint(corpus("claim: 1/(1 + x*y) = 1"), Convention.DIVISION)
+        assert v.format_line() == "statement=0 pos=0 guarded=1 + x*y verdict=VIOLATION detail=x=-1/4,y=4"
+
     def test_theorem_hypothesis_reuse(self):
         verdicts = lint(
             corpus("hyp: p/q = 7", "claim: q^2 + p/q - 7 > 0"), Convention.DIVISION

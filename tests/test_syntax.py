@@ -19,6 +19,7 @@ from meadowkit.terms import (
     Eq,
     Exists,
     Forall,
+    Gt,
     Implies,
     Inv,
     Mul,
@@ -228,6 +229,25 @@ class TestFreeVars:
 
     def test_mixed(self):
         assert free_vars(parse_formula("forall x. x/y = 1")) == {"y"}
+
+
+class TestNodeEquality:
+    def test_class_and_every_field_count(self):
+        f = parse_formula("x = 1")
+        assert Add(X, Y) != Add(Y, X)
+        assert Add(X, Y) != Mul(X, Y)
+        assert Eq(X, Y) != Gt(X, Y)
+        assert Forall("x", f) != Forall("y", f)
+        assert Forall("x", f) != Exists("x", f)
+        assert Pow(X, 2) != Pow(X, 3)
+        assert NumLit(2) != NumLit(3)
+
+    def test_equal_parses_are_equal_with_equal_hashes(self):
+        rng = random.Random(16)
+        for _ in range(100):
+            text = print_formula(random_closed_quantified_formula(rng, depth=3))
+            a, b = parse_formula(text), parse_formula(text)
+            assert a is not b and a == b and hash(a) == hash(b), text
 
 
 class TestTraversal:
