@@ -304,9 +304,13 @@ _WITNESS_VALUES = tuple(sorted(
 WITNESS_MAX_VARS = 3
 
 
-#: The witness search's prefilter computes modulo this prime, 2^61 - 1,
-#: where 0^-1 is punched.
-_P = 2**61 - 1
+#: The witness search's prefilter computes modulo this prime, where 0^-1
+#: is punched.  It is the largest prime below 2^30, so a residue is an int
+#: of one 30-bit digit, on CPython's fast paths for small ints.  2 and 3
+#: are primitive roots mod _P, so the powers of the witness values +-1/4,
+#: +-1/2, +-2 and +-4 do not cycle through a few residues, as they do mod
+#: 2^61 - 1, where 2 has order 61.
+_P = 1_073_741_789
 _MODULAR = StructureSpec(PrimeField(_P), Mode.PUNCH_INV0)
 #: Each witness value n/d as its residue n * d^-1 mod _P, and back.
 _RESIDUES = tuple(v.numerator * pow(v.denominator, -1, _P) % _P for v in _WITNESS_VALUES)
@@ -317,7 +321,9 @@ def _zero_test(t: Term):
     """A function giving the rows, among `rows` of a frame of residues,
     where t is zero or raises (its error put in `raised`): a nonzero
     residue proves it is not zero, otherwise the exact value decides,
-    computed on the rows that `keep` returns of those with a zero residue."""
+    computed on the rows that `keep` returns of those with a zero residue.
+    Only that exact computation raises, on a power over the size bound,
+    so whether a row raises depends on its residue modulo _P."""
     modular = compile_term(to_inversive(t), _MODULAR)
     exact = compile_term(t, _TOTAL_RATIONALS)
 
@@ -348,16 +354,24 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     Environments where a term of `nonzero` (e.g. a recorded fact) is zero
     are skipped; those terms may only use the searched names.
 
-    Each term is computed first modulo P = 2^61 - 1, on the residues of
-    the values, with 0^-1 punched; its exact rational value is computed
-    only where that residue is zero or an inverse met a zero residue.
-    This decides exactly as exact evaluation alone: the rationals whose
+    Each term is computed first modulo the prime P = _P, on the residues
+    of the values, with 0^-1 punched; its exact rational value is
+    computed only where that residue is zero or an inverse met a zero
+    residue.
+    This decides exactly as exact evaluation alone, for any prime P that
+    divides no searched denominator (1 to 4): the rationals whose
     denominators are prime to P, which hold every searched value and
     every literal, map onto GF(P) by a ring homomorphism, and an exact
     value the prefilter inverts has a nonzero residue, so it is a unit of
     that ring too; hence a nonzero residue proves a nonzero exact value.
     A term of `nonzero` is computed only where t may be zero, and also
     before the witness if it has a power, which may raise.
+
+    A power over the size bound raises `PowerBoundError` where a
+    row-by-row search with the same prefilter would: at the first row
+    whose exact check meets it, if no zero comes before.  Which rows get
+    an exact check depends on P, so such a search may end on the bound
+    under one prime and be decided under another.
     """
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > WITNESS_MAX_VARS:

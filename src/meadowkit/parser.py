@@ -22,6 +22,12 @@ Grammar (authoritative):
 `a - b` is sugar for `a + (-b)` and `t != u` for `!(t = u)`; `t^n` is a
 `Pow` node for every natural n, 0 and 1 included.
 
+Tokens are read in one regex pass: each match skips the ASCII
+whitespace (`[ \t\n\r\f\v]`) before a token, a name is the longest run
+of `[a-zA-Z][a-zA-Z0-9_]*` (so `forallx` is a name, not a keyword), an
+operator is `=>` or `!=` where one stands, else one character, and any
+other character, other whitespace included, is refused at its position.
+
 The grammar is implemented by one table, `BINARY`, `PREFIX` and
 `POSTFIX_PREC`, which the printer reads too: each operator's node
 class, precedence (higher binds tighter), associativity and the sort of
@@ -115,18 +121,16 @@ POSTFIX_PREC = 9
 _OPEN = Operator(None, -1, False, None)
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<nat>[0-9]+)
-  | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
-  | (?P<op>=>|!=|[-+*/^()=<>!&|.])
+    \s*  # whitespace before a token is skipped
+    (?:
+      (?P<nat>[0-9]+)
+    | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
+    | (?P<op>=>|!=|[-+*/^()=<>!&|.])
+    | (?P<eof>\Z)
+    | (?P<bad>.)  # any other character
+    )
     """,
     re.VERBOSE | re.ASCII,  # `\s` is ASCII whitespace only
 )
@@ -134,28 +138,25 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"forall", "exists"}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of text as (kind, text, position) tuples, the last of
+    kind "eof"; an operator's or a keyword's kind is its text."""
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            word = m.group()
-            if kind == "ident" and word in _KEYWORDS:
-                kind = word
-            elif kind == "op":
-                kind = word
-            tokens.append(_Token(kind, word, i))
-        i = m.end()
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word = m[kind]
+        pos = m.start(kind)
+        if kind == "op" or word in _KEYWORDS:
+            kind = word
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", pos)
+        tokens.append((kind, word, pos))
+        if kind == "eof":  # every text ends in an eof match
+            return tokens
 
 
-def _found(tok: _Token) -> str:
-    return repr(tok.text or "end of input")
+def _found(word: str) -> str:
+    return repr(word or "end of input")
 
 
 def _check_sort(node, sort: type, pos: int):
@@ -192,54 +193,51 @@ def _parse(text: str, sort: type):
     i = 0
     while True:
         # an operand: prefix operators and "(" up to a leaf
-        tok = tokens[i]
+        kind, word, pos = tokens[i]
         i += 1
-        kind = tok.kind
         if kind == "nat":
-            n = read_int(tok.text)
+            n = read_int(word)
             operands.append((ZERO if n == 0 else ONE if n == 1 else NumLit(n), 0))
         elif kind == "ident":
-            operands.append((Var(tok.text), 0))
+            operands.append((Var(word), 0))
         elif kind == "(" or kind in PREFIX:
             op = PREFIX.get(kind, _OPEN)
             if kind in _KEYWORDS:
-                if i > 1 and tokens[i - 2].kind not in ("(", "."):
-                    raise ParseError(f"expected a term, found {_found(tok)}", tok.pos)
+                if i > 1 and tokens[i - 2][0] not in ("(", "."):
+                    raise ParseError(f"expected a term, found {_found(word)}", pos)
                 for expected in ("ident", "."):
-                    if tokens[i].kind != expected:
-                        raise ParseError(
-                            f"expected {expected!r}, found {_found(tokens[i])}", tokens[i].pos
-                        )
+                    if tokens[i][0] != expected:
+                        _, found, at = tokens[i]
+                        raise ParseError(f"expected {expected!r}, found {_found(found)}", at)
                     i += 1
-                op = op._replace(build=partial(op.build, tokens[i - 2].text))
-            ops.append((op, tok.pos, False))
+                op = op._replace(build=partial(op.build, tokens[i - 2][1]))
+            ops.append((op, pos, False))
             # every pending operator and "(" encloses the next operand
             _check_depth(len(ops))
             continue
         else:
-            raise ParseError(f"expected a term, found {_found(tok)}", tok.pos)
+            raise ParseError(f"expected a term, found {_found(word)}", pos)
 
         # after an operand: postfix powers and ")", then a binary operator
         while True:
-            tok = tokens[i]
+            kind, word, pos = tokens[i]
             i += 1
-            kind = tok.kind
             if kind == "^":
                 node, depth = operands.pop()
-                _check_sort(node, Term, tok.pos)
-                minus = tokens[i].kind == "-"
-                nat = tokens[i + minus]
-                if nat.kind != "nat":
-                    raise ParseError(f"expected 'nat', found {_found(nat)}", nat.pos)
-                if minus and nat.text != "1":
-                    raise ParseError("only ^-1 is a valid negative power", tokens[i].pos)
+                _check_sort(node, Term, pos)
+                minus = tokens[i][0] == "-"
+                nat, digits, at = tokens[i + minus]
+                if nat != "nat":
+                    raise ParseError(f"expected 'nat', found {_found(digits)}", at)
+                if minus and digits != "1":
+                    raise ParseError("only ^-1 is a valid negative power", tokens[i][2])
                 i += 1 + minus
-                node = Inv(node) if minus else Pow(node, read_int(nat.text))
+                node = Inv(node) if minus else Pow(node, read_int(digits))
                 operands.append((node, _check_depth(depth + 1)))
             elif kind == ")":
                 reduce(_OPEN.prec)
                 if not ops:
-                    raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+                    raise ParseError(f"trailing input {word!r}", pos)
                 ops.pop()
                 node, depth = operands.pop()
                 operands.append((node, _check_depth(depth + 1)))
@@ -250,14 +248,14 @@ def _parse(text: str, sort: type):
         if op is None:
             reduce(_OPEN.prec)
             if ops:
-                raise ParseError(f"expected ')', found {_found(tok)}", tok.pos)
+                raise ParseError(f"expected ')', found {_found(word)}", pos)
             if kind != "eof":
-                raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+                raise ParseError(f"trailing input {word!r}", pos)
             node = operands.pop()[0]
-            _check_sort(node, sort, tok.pos)
+            _check_sort(node, sort, pos)
             return node
         reduce(op.prec if op.right else op.prec - 1)
-        ops.append((op, tok.pos, True))
+        ops.append((op, pos, True))
         _check_depth(len(ops))
 
 

@@ -8,6 +8,8 @@ import pytest
 from generators import random_rational, random_term
 from meadowkit.carriers import RATIONALS
 from meadowkit.lint import (
+    _P,
+    _RESIDUES,
     _WITNESS_VALUES,
     Certificate,
     CertificateKind,
@@ -431,11 +433,31 @@ def _exact_sweep(t, nonzero, names):
     return None
 
 
-#: 2^61 - 1, the prefilter's modulus: its residue is 0 while its exact value is not.
-P = 2305843009213693951
+#: The prefilter's modulus: its residue is 0 while its exact value is not.
+P = _P
+
+
+def _prime_factors(n):
+    factors, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.add(d)
+            n //= d
+        d += 1
+    return factors | {n} - {1}
 
 
 class TestModularPrefilter:
+    def test_the_prime(self):
+        # a residue is an int of one 30-bit digit, and no power of a witness
+        # value cycles early: 2 and 3 are primitive roots (mod 2^61 - 1, 2 has order 61)
+        assert P < 2**30
+        assert _prime_factors(P) == {P}
+        for g in (2, 3):
+            for q in _prime_factors(P - 1):
+                assert pow(g, (P - 1) // q, P) != 1, (g, q)
+        assert len(set(_RESIDUES)) == len(_WITNESS_VALUES) == 23
+
     def test_agrees_with_the_exact_sweep(self):
         rng = random.Random(16)
         found = 0
@@ -489,6 +511,19 @@ class TestPowerBound:
         (v,) = [v for v in verdicts if v.kind is not VerdictKind.COMPLIANT]
         assert v.kind is VerdictKind.UNKNOWN
         assert v.reason.startswith("-1/4 to the power 10000000001 would take about")
+
+    @pytest.mark.parametrize("claim, line", [
+        # x = -1, y = 1 is a true zero, found before any power over the bound
+        ("claim: 1/(x^737550206*y - 1) = 1",
+         "statement=0 pos=0 guarded=x^737550206*y - 1 verdict=VIOLATION detail=x=-1,y=1"),
+        # no witness value has a zero residue, so no power is computed exactly
+        ("claim: 1/(x*y^400210079 + x - 9) = 1",
+         "statement=0 pos=0 guarded=x*y^400210079 + x - 9 verdict=UNKNOWN "
+         "detail=no zero among 23^2 environments and no certificate rule applies"),
+    ], ids=["violation", "no-zero"])
+    def test_power_over_the_bound_decided_by_the_residues(self, claim, line):
+        (v,) = lint(corpus(claim), Convention.DIVISION)
+        assert v.format_line() == line
 
     def test_fact_over_the_bound_is_dropped(self):
         stmts = corpus("hyp: 1/q = 2^10000000000", "claim: 1/q = 1")

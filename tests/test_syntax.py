@@ -131,6 +131,39 @@ class TestParseFormula:
             parse_formula(text)
 
 
+class TestTokens:
+    @pytest.mark.parametrize("parse, text, expected", [
+        # an unexpected character at the start, mid-word, after spaces and last
+        (parse_term, "$x", ("unexpected character '$'", 0)),
+        (parse_term, "ab$c", ("unexpected character '$'", 2)),
+        (parse_term, "x +    $", ("unexpected character '$'", 7)),
+        (parse_term, "x + y#", ("unexpected character '#'", 5)),
+        # ASCII whitespace is skipped; other whitespace is refused where it stands
+        (parse_term, "\tx\n+\r1\f*\vy ", Add(X, Mul(ONE, Y))),
+        (parse_term, "x +\x1c1", ("unexpected character '\\x1c'", 3)),
+        (parse_term, "1 +\u30001", ("unexpected character '\\u3000'", 3)),
+        (parse_term, "1\xa0+ 1", ("unexpected character '\\xa0'", 1)),
+        # a keyword with more name characters is an identifier
+        (parse_term, "forallx", Var("forallx")),
+        (parse_formula, "exists_1 = 1", Eq(Var("exists_1"), ONE)),
+        # two-character operators need no spaces
+        (parse_formula, "x=1=>y!=1", Implies(Eq(X, ONE), Not(Eq(Y, ONE)))),
+        (parse_formula, "x!=1", Not(Eq(X, ONE))),
+        # empty and whitespace-only input: the end of input is at its end
+        (parse_term, "", ("expected a term, found 'end of input'", 0)),
+        (parse_formula, " \t\n ", ("expected a term, found 'end of input'", 4)),
+    ])
+    def test_tokens(self, parse, text, expected):
+        if isinstance(expected, tuple):
+            message, position = expected
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == f"{message} (at position {position})"
+            assert err.value.position == position
+        else:
+            assert parse(text) == expected
+
+
 class TestDepthBound:
     @pytest.mark.parametrize("parse, shape", [
         (parse_term, lambda d: "(" * d + "x" + ")" * d),
