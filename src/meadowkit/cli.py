@@ -18,8 +18,10 @@ failure or lint violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
+import shutil
 import sys
 
 from .carriers import (
@@ -41,7 +43,7 @@ from .logic import (
     eval_formula,
     parse_logic_config,
 )
-from .parser import ParseError, parse_formula, parse_term
+from .parser import ParseError, _tokenize, parse_formula, parse_term
 from .semantics import (
     UNDEFINED,
     Mode,
@@ -91,16 +93,26 @@ def _parse_integer(text: str, what: str) -> int:
     return read_int(text)
 
 
+def _is_variable(name: str) -> bool:
+    """Whether the parser reads name as one variable: one `ident` token,
+    not a keyword."""
+    try:
+        return [kind for kind, _, _ in _tokenize(name)] == ["ident", "eof"]
+    except ParseError:
+        return False
+
+
 def _parse_bindings(pairs, carrier):
     env = {}
     for pair in pairs or ():
-        if "=" not in pair:
+        name, eq, value = pair.partition("=")
+        name = name.strip()
+        if not eq or not _is_variable(name):
             raise ValueError(f"binding must look like x=2/3, got {pair!r}")
-        name, value = pair.split("=", 1)
         if isinstance(carrier, PrimeField):
-            env[name.strip()] = carrier.from_int(_parse_integer(value, f"binding {pair!r} over {carrier}"))
+            env[name] = carrier.from_int(_parse_integer(value, f"binding {pair!r} over {carrier}"))
         else:
-            env[name.strip()] = parse_rational(value)
+            env[name] = parse_rational(value)
     return env
 
 
@@ -124,20 +136,37 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new argparse tree for one `main` call.
+
+    Every parser shares one help formatter factory whose width is read
+    from the terminal here, once: argparse otherwise asks the terminal
+    for each formatter a build makes (one per `add_argument`), and
+    subparsers do not inherit `formatter_class`. The width is
+    `HelpFormatter`'s own default, so help text is the same.
+
+    The tree is built on every call, with no cache, so the width is
+    the terminal's at that call. Building it once per process waits for
+    ROADMAP item 3: `bench/run.py` keeps a record per command, so a
+    faster in-process loop would read a higher peak RSS.
+    """
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2,
+    )
     parser = _ArgumentParser(
         prog="meadowkit",
+        formatter_class=formatter,
         description="Totalized rational arithmetic, logics of partial functions, "
         "and a division-convention linter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a term")
+    p = sub.add_parser("eval", help="evaluate a term", formatter_class=formatter)
     _add_structure_flags(p)
     _add_common_flags(p)
     p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
     p.add_argument("term")
 
-    p = sub.add_parser("logic", help="evaluate a formula in a three-valued logic")
+    p = sub.add_parser("logic", help="evaluate a formula in a three-valued logic", formatter_class=formatter)
     _add_structure_flags(p)
     _add_common_flags(p)
     p.add_argument("--logic", default="lpmd",
@@ -147,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
     p.add_argument("formula")
 
-    p = sub.add_parser("axioms", help="verify the built-in axiom catalog")
+    p = sub.add_parser("axioms", help="verify the built-in axiom catalog", formatter_class=formatter)
     _add_common_flags(p)
     p.add_argument("--carrier", default="rationals")
     # read by the command, like the carrier
@@ -157,11 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra quantifier-free law, free variables read universally, "
                    "e.g. 'x != 0 => x/x = 1'")
 
-    p = sub.add_parser("tables", help="print the truth tables of a connective family")
+    p = sub.add_parser("tables", help="print the truth tables of a connective family",
+                       formatter_class=formatter)
     _add_common_flags(p)
     p.add_argument("family", choices=[f.value for f in ConnectiveFamily])
 
-    p = sub.add_parser("lint", help="lint a statement corpus against a convention")
+    p = sub.add_parser("lint", help="lint a statement corpus against a convention", formatter_class=formatter)
     _add_common_flags(p)
     p.add_argument("--convention", choices=[c.value for c in Convention],
                    default=Convention.DIVISION.value)

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -625,6 +626,11 @@ class TestErrorPaths:
         (["axioms", "--seed", "+3"], "error: --seed '+3' must be an integer"),
         (["axioms", "--samples", "ten"], "error: --samples 'ten' must be an integer"),
         (["axioms", "--samples", "1" * 5000], "error: a number of 5000 digits is over the limit of 4300 digits"),
+        # a binding's name is one the parser reads as a variable
+        (["eval", "-b", "=1", "1"], "error: binding must look like x=2/3, got '=1'"),
+        (["eval", "-b", "x y=1", "1"], "error: binding must look like x=2/3, got 'x y=1'"),
+        (["eval", "-b", "1x=2", "1"], "error: binding must look like x=2/3, got '1x=2'"),
+        (["eval", "-b", "forall=1", "1"], "error: binding must look like x=2/3, got 'forall=1'"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")
@@ -691,3 +697,44 @@ class TestErrorPaths:
         assert run(capsys, "lint", str(corpus)) == (
             1, "", "error: line 1: expected 'hyp:' or 'claim:' prefix\n",
         )
+
+
+class TestHelp:
+    """Every parser of a build formats help at one width, read from the
+    terminal once per `main` call, not fixed at import."""
+
+    DESCRIPTION = ("Totalized rational arithmetic, logics of partial functions, "
+                   "and a division-convention linter.")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "1/2"],
+        ["lint", "--convention", "bogus", "x"],  # an argparse refusal
+        ["--help"],
+    ])
+    def test_one_terminal_query_per_call(self, capsys, monkeypatch, argv):
+        calls = []
+        query = shutil.get_terminal_size
+
+        def counted(*args):
+            calls.append(args)
+            return query(*args)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        for n in (1, 2):
+            main(list(argv))
+            assert len(calls) == n
+        capsys.readouterr()
+
+    def test_help_width_is_read_per_call(self, capsys, monkeypatch):
+        def description_lines(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, out, _ = run(capsys, "--help")
+            assert code == 0
+            # the paragraph after the usage; a long usage token may run
+            # past the width, prose may not
+            return out.split("\n\n")[1].splitlines()
+
+        assert description_lines(200) == [self.DESCRIPTION]
+        lines = description_lines(60)
+        assert len(lines) > 1 and max(map(len, lines)) <= 58
+        assert " ".join(lines) == self.DESCRIPTION
