@@ -250,17 +250,7 @@ class PrimeField(Carrier):
             raise ValueError(f"modulus must be below {PRIME_LIMIT}, got {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
-        ops = Ops(
-            lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)],
-            lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
-            lambda xs: [-x % p for x in xs],
-            lambda xs: [pow(x, -1, p) if x else 0 for x in xs],
-            lambda xs, n, errors: [pow(x, n, p) for x in xs],
-            list,
-        )
-        if p < 256:  # an element is one byte, and a column a byte string
-            ops = ops._replace(**_byte_ops(p))
-        object.__setattr__(self, "ops", ops)  # not a field: frozen, and outside eq/hash
+        object.__setattr__(self, "ops", _field_ops(p))  # not a field: frozen, and outside eq/hash
 
     def __str__(self):
         return f"gf{self.p}"
@@ -282,27 +272,44 @@ def _generator(p: int) -> int:
 
 
 @functools.cache
-def _byte_ops(p: int) -> dict:
-    """GF(p)'s column operations on bytes, for p < 256, by `Ops` name.
+def _field_ops(p: int) -> Ops:
+    """GF(p)'s column operations, built once per modulus: row by row on
+    lists, or on bytes below 256 (`_byte_ops`)."""
+    ops = Ops(
+        lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)],
+        lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
+        lambda xs: [-x % p for x in xs],
+        lambda xs: [pow(x, -1, p) if x else 0 for x in xs],
+        lambda xs, n, errors: [pow(x, n, p) for x in xs],
+        list,
+    )
+    if p < 256:  # an element is one byte, and a column a byte string
+        ops = ops._replace(**_byte_ops(p, ops))
+    return ops
+
+
+def _byte_ops(p: int, rows: Ops) -> dict:
+    """GF(p)'s column operations on bytes, for p < 256, by `Ops` name,
+    from its row-by-row operations `rows`.
 
     A column of n elements is n bytes, and each translate table maps a
     lane through a function of its byte: negation and the inverse, and
     below LANE_LIMIT a sum and a product too.  Read as a little-endian
     integer, two columns add lane by lane in one C-level addition, as no
-    lane sum carries.  The other operations compute each row and pack
-    the results into bytes.  The tables are built once per modulus."""
+    lane sum carries.  The other operations run `rows` and pack the
+    results into bytes."""
     neg = bytes(-x % p for x in range(256))
     inv = bytes(pow(x, -1, p) if 0 < x < p else 0 for x in range(256))
     ops = {
         "neg": lambda xs: bytes(xs).translate(neg),
         "inv_total": lambda xs: bytes(xs).translate(inv),
-        "power": lambda xs, n, errors: bytes([pow(x, n, p) for x in xs]),
+        "power": lambda xs, n, errors: bytes(rows.power(xs, n, errors)),
         "column": bytes,
     }
     if p >= LANE_LIMIT:
         return ops | {
-            "add": lambda xs, ys: bytes([(x + y) % p for x, y in zip(xs, ys)]),
-            "mul": lambda xs, ys: bytes([x * y % p for x, y in zip(xs, ys)]),
+            "add": lambda xs, ys: bytes(rows.add(xs, ys)),
+            "mul": lambda xs, ys: bytes(rows.mul(xs, ys)),
         }
     g = _generator(p)
     powers = [pow(g, e, p) for e in range(p - 1)]

@@ -109,6 +109,8 @@ def _parse_bindings(pairs, carrier):
         name = name.strip()
         if not eq or not _is_variable(name):
             raise ValueError(f"binding must look like x=2/3, got {pair!r}")
+        if name in env:
+            raise ValueError(f"{name} is bound twice")
         if isinstance(carrier, PrimeField):
             env[name] = carrier.from_int(_parse_integer(value, f"binding {pair!r} over {carrier}"))
         else:
@@ -133,6 +135,15 @@ def _add_structure_flags(p: argparse.ArgumentParser):
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _leading_minus_is_positional(p: argparse.ArgumentParser):
+    """Let p's positional start with `-`, as in `eval "-1/2"`: argparse
+    reads an argument that starts with one `-` and is none of p's options
+    as a positional when it matches this pattern.  Set after every option
+    is added, or argparse would count `-b` as a negative number option;
+    argparse has no public setting for it."""
+    p._negative_number_matcher = re.compile("-(?!-)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
     p.add_argument("term")
+    _leading_minus_is_positional(p)
 
     p = sub.add_parser("logic", help="evaluate a formula in a three-valued logic", formatter_class=formatter)
     _add_structure_flags(p)
@@ -175,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply the two-valued logic convention")
     p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
     p.add_argument("formula")
+    _leading_minus_is_positional(p)
 
     p = sub.add_parser("axioms", help="verify the built-in axiom catalog", formatter_class=formatter)
     _add_common_flags(p)

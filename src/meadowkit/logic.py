@@ -11,12 +11,20 @@ A formula is compiled once (`compile_formula`) into a closure with the
 three choices fixed, and then run on a frame, a dict from each free name
 to its column over a block of rows (see `semantics`); it gives a column
 of truth values.  An atom is U (or F) on the rows in its terms'
-undefined-row map, or that row's error, which decides a row at once.  A
-connective computes its second operand only on the rows that the first
-leaves open, and a quantifier sweeps its elements in groups
-(`_quantifier`), so errors are those of row-by-row evaluation.  A
-quantifier's body runs on the open rows' frame with its own name's
-column in place of any outer one.
+undefined-row map, or that row's error.
+
+Every connective and quantifier folds its operands' values by one rule,
+a pair (opens, unit) (`_rule`): a row stays open while its value is in
+`opens`, and a later operand's value replaces it unless that is `unit`,
+which starts a quantifier's fold.  A conjunction or `forall` has unit
+T and opens (F, T) in Bochvar's family, (U, T) in Kleene's and (T,) in
+McCarthy's; a disjunction or `exists` has unit F and opens (T, F),
+(U, F) and (F,).  McCarthy-right is McCarthy-left with its operands
+swapped.  An error is in no `opens`, so it decides its row as a
+row-by-row evaluation would.  A connective computes its second operand
+only on the rows that the first leaves open (`_fold`), and a quantifier
+sweeps its elements in groups over the open rows (`_quantifier`), with
+its own name's column in place of any outer one.
 """
 
 from __future__ import annotations
@@ -113,69 +121,46 @@ def parse_logic_config(text: str) -> LogicConfig:
     return LogicConfig(*selectors)
 
 
-def not_tv(a: TruthValue) -> TruthValue:
-    if a is T:
-        return F
-    if a is F:
-        return T
-    return U
-
-
 def _rows_of(xs, value, test=operator.is_):
-    """The indices of the rows x of a column where test(x, value) holds."""
-    return itertools.compress(itertools.count(), map(test, xs, itertools.repeat(value)))
+    """The indices of the rows x of a column where test(value, x) holds."""
+    return itertools.compress(itertools.count(), map(test, itertools.repeat(value), xs))
 
 
-def _lattice(top: TruthValue, mid: TruthValue, unit: TruthValue, first, second):
-    """Bochvar and Kleene connectives: `top` (or an error) decides at
-    once, else `mid` wins over `unit`.  The second operand is computed
-    only on the rows that the first leaves undecided."""
+def _rule(family, conjunctive: bool):
+    """The rule (opens, unit) of a conjunction or `forall` (or a disjunction
+    or `exists`) in a connective or quantifier family."""
+    unit, other = (T, F) if conjunctive else (F, T)
+    return {"bochvar": (other, unit), "kleene": (U, unit)}.get(family.value, (unit,)), unit
+
+
+def _fold(opens, unit, first, second):
+    """A connective by its rule (`_rule`): the second operand is computed
+    only on the rows that the first leaves open, on the whole frame when
+    that is every row."""
 
     def fold(f, n):
         xs = first(f, n)
-        if xs.count(mid) + xs.count(unit) == n:
-            rows, ys = range(n), second(f, n)
+        rows = list(_rows_of(xs, opens, operator.contains))
+        if len(rows) == n:
+            ys = second(f, n)
+            if xs.count(unit) == n:
+                return ys
+        elif rows:
+            ys = second(select_rows(f, rows), len(rows))
         else:
-            rows = [i for i, x in enumerate(xs) if x is mid or x is unit]
-            ys = second(select_rows(f, rows), len(rows)) if rows else []
-        for j in _rows_of(ys, unit, operator.is_not):  # `unit` leaves x as it is
+            return xs
+        for j in _rows_of(ys, unit, operator.is_not):
             xs[rows[j]] = ys[j]
         return xs
 
     return fold
 
 
-def _sequential(passes: TruthValue, first, second):
-    """McCarthy: the first operand decides (an error too) unless it is
-    `passes`; the second is computed only on the rows where it is."""
-
-    def fold(f, n):
-        xs = first(f, n)
-        rows = list(_rows_of(xs, passes))
-        if len(rows) == n:
-            return second(f, n)
-        if rows:
-            for i, y in zip(rows, second(select_rows(f, rows), len(rows))):
-                xs[i] = y
-        return xs
-
-    return fold
-
-
-def _rule(bochvar: bool, conjunctive: bool):
-    """(top, mid, unit) of a Bochvar or Kleene conjunction (or universal
-    quantifier) or disjunction (or existential quantifier)."""
-    dominant, unit = (F, T) if conjunctive else (T, F)
-    return (U, dominant, unit) if bochvar else (dominant, U, unit)
-
-
 def _connective(family: ConnectiveFamily, conjunctive: bool, a, b):
     """The closure of a & b (or a | b) in the family, from operand closures."""
-    if family is ConnectiveFamily.MCCARTHY_LEFT:
-        return _sequential(T if conjunctive else F, a, b)
-    if family is ConnectiveFamily.MCCARTHY_RIGHT:
-        return _sequential(T if conjunctive else F, b, a)
-    return _lattice(*_rule(family is ConnectiveFamily.BOCHVAR, conjunctive), a, b)
+    if family is ConnectiveFamily.MCCARTHY_RIGHT:  # McCarthy-left on swapped operands
+        a, b = b, a
+    return _fold(*_rule(family, conjunctive), a, b)
 
 
 def _negation(a):
@@ -185,6 +170,11 @@ def _negation(a):
 #: Operand closures reading a frame of columns "a" and "b" (a connective
 #: may write to the column it gets).
 _FIRST, _SECOND = (lambda f, n: list(f["a"])), (lambda f, n: list(f["b"]))
+
+
+def not_tv(a: TruthValue) -> TruthValue:
+    # the closure every compiled negation runs, on a block of one row
+    return _negation(_FIRST)({"a": [a]}, 1)[0]
 
 
 def or_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
@@ -226,8 +216,8 @@ def _atom(cls, kind: EqualityKind, a, b):
     (strong equality holds when both are), or its error.  The sides share
     an undefined-row map, as a row-by-row evaluation stops at the first,
     except in strong equality.  An equation whose sides denote on every
-    row and are equal columns holds on every row, found by one list
-    comparison.
+    row and are equal columns holds on every row, found by one column
+    comparison, of `bytes` or a list.
     """
     if cls is Eq and kind is EqualityKind.STRONG:
         def strong(f, n):
@@ -289,8 +279,7 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
             depth = max(depth, len(bound))
             body = comp(g.body)
             bound.pop()
-            rule = _rule(cfg.quantifiers is QuantifierFamily.BOCHVAR, cls is Forall)
-            return _quantifier(*rule, g.var, body, domain, c.ops.column)
+            return _quantifier(*_rule(cfg.quantifiers, cls is Forall), g.var, body, domain, c.ops.column)
         raise TypeError(f"not a formula: {g!r}")
 
     fn = comp(f)
@@ -299,18 +288,20 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
     return fn
 
 
-def _quantifier(top, mid, unit, var: str, body, domain, column):
-    """Fold the body's value over the elements bound to `var`, by the
-    same rule as a binary connective, stopping each row at `top` or error.
+def _quantifier(opens, unit, var: str, body, domain, column):
+    """Fold the body's value over the elements bound to `var`, in element
+    order, by the rule (opens, unit) of its family (`_rule`): each row
+    starts at `unit` and is open, an open row takes each value but
+    `unit`, and it closes once its value leaves `opens`, at an error too.
 
-    The body runs on groups of elements for the rows with no `top` yet:
-    g elements for m open rows make a block of m * g rows, element-major
-    (row j * m + i binds the j-th element to open row i), with g the
-    most that fits the next of `block_sizes` (at least one), so a row
-    stops soon after its `top`.  The bound name's column is made by the
-    carrier's column type `column` from a slice of the elements, each
-    repeated m times, so it is a byte string over GF(p) below 256; the
-    other names' columns are the open rows' repeated g times.
+    The body runs on groups of elements for the open rows: g elements for
+    m open rows make a block of m * g rows, element-major (row j * m + i
+    binds the j-th element to open row i), with g the most that fits the
+    next of `block_sizes` (at least one), so a row stops soon after it
+    closes.  The bound name's column is made by the carrier's column type
+    `column` from a slice of the elements, each repeated m times, so it
+    is a byte string over GF(p) below 256; the other names' columns are
+    the open rows' repeated g times.
     """
 
     def quantify(f, n):
@@ -327,21 +318,15 @@ def _quantifier(top, mid, unit, var: str, body, domain, column):
             block = {name: xs * len(group) for name, xs in frame.items() if name != var}
             block[var] = stretch(group, m)
             values = body(block, m * len(group))
-            tops, mids = values.count(top), values.count(mid)
-            if mids:
-                for j in _rows_of(values, mid):
-                    result[rows[j % m]] = mid
-            if tops + mids + values.count(unit) == len(values):  # no error
-                done = {j % m: top for j in _rows_of(values, top)} if tops else {}
-            else:  # each open row stops at its first `top` or error
-                done = {}
-                for j, value in enumerate(values):  # element-major: each row in element order
-                    if value is not mid and value is not unit:
-                        done.setdefault(j % m, value)
-            if done:
-                for i, value in done.items():
-                    result[rows[i]] = value
-                still = [i for i in range(m) if i not in done]
+            closed = set()
+            for j in _rows_of(values, unit, operator.is_not):  # element-major: each row in element order
+                i = j % m
+                if i not in closed:
+                    result[rows[i]] = value = values[j]
+                    if value not in opens:
+                        closed.add(i)
+            if closed:
+                still = [i for i in range(m) if i not in closed]
                 rows, frame = [rows[i] for i in still], select_rows(frame, still)
 
     return quantify

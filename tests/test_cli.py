@@ -55,6 +55,16 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--carrier", "gf7", "4 + 4")
         assert (code, out.strip()) == (0, "1")
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["-1/2"], "-1/2"),
+        (["-b", "x=2", "-x"], "-2"),
+        (["-x", "-bx=2"], "-2"),
+        (["--", "-1/2"], "-1/2"),
+        (["--carrier", "gf7", "-b", "x=2", "--", "-x"], "5"),
+    ])
+    def test_a_term_that_starts_with_minus(self, capsys, argv, shown):
+        assert run(capsys, "eval", *argv) == (0, shown + "\n", "")
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "1 +")
         assert code == 1 and "parse error" in err
@@ -124,6 +134,10 @@ class TestLogic:
     def test_lpmd_true(self, capsys):
         code, out, _ = run(capsys, "logic", "--mode", "punch-div-all", "0 != 0 => 0/0 = 1")
         assert (code, out.strip()) == (0, "T")
+
+    @pytest.mark.parametrize("argv", [["-b", "x=2", "-x=0-x"], ["--", "-1/2=0-1/2"]])
+    def test_a_formula_that_starts_with_minus(self, capsys, argv):
+        assert run(capsys, "logic", *argv) == (0, "T\n", "")
 
     def test_lpmd_undef(self, capsys):
         code, out, _ = run(capsys, "logic", "--mode", "punch-div-all", "0/0 = 1 | 0 = 0")
@@ -631,6 +645,9 @@ class TestErrorPaths:
         (["eval", "-b", "x y=1", "1"], "error: binding must look like x=2/3, got 'x y=1'"),
         (["eval", "-b", "1x=2", "1"], "error: binding must look like x=2/3, got '1x=2'"),
         (["eval", "-b", "forall=1", "1"], "error: binding must look like x=2/3, got 'forall=1'"),
+        # a name is bound once
+        (["eval", "-b", "x=1", "-b", "x=2", "x"], "error: x is bound twice"),
+        (["logic", "--bind", "y=1", "-by=1", "y = 1"], "error: y is bound twice"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")

@@ -6,7 +6,7 @@ import pytest
 
 from generators import random_formula, random_rational, random_scoped_formula
 from oracle import oracle_formula
-from meadowkit.carriers import RATIONALS, FiniteProbeSet, PrimeField
+from meadowkit.carriers import RATIONALS, FiniteProbeSet, PowerBoundError, PrimeField
 from meadowkit.logic import (
     LPMD,
     ConnectiveFamily,
@@ -252,6 +252,83 @@ class TestEvalFormula:
                     eval_formula(parse_formula("x/x = 1"), kleene, {"x": v}, s),
                 )
             assert eval_formula(f, kleene, {}, s) is folded
+
+
+#: The value of a row that meets an error, such as a power over the bound.
+ERROR = PowerBoundError("a power over the bound")
+
+#: Per family: the first operand values of a & b (and of a | b) that
+#: decide the row without the second, in left-to-right evaluation.
+DECIDES = {
+    ConnectiveFamily.BOCHVAR: ((U,), (U,)),
+    ConnectiveFamily.KLEENE: ((F,), (T,)),
+    ConnectiveFamily.MCCARTHY_LEFT: ((F, U), (T, U)),
+}
+
+#: The truth order F < U < T: Kleene's & is its minimum and | its maximum.
+ORDER = {F: 0, U: 1, T: 2}
+
+
+def _reference(family, op, a, b):
+    """a op b evaluated row by row: an error raised by the operand
+    evaluated first wins, and a decided first operand hides the second."""
+    if op == "=>":
+        op, a = "|", ERROR if a is ERROR else not_tv(a)
+    if family is ConnectiveFamily.MCCARTHY_RIGHT:
+        family, a, b = ConnectiveFamily.MCCARTHY_LEFT, b, a
+    conjunctive = op == "&"
+    if a is ERROR or a in DECIDES[family][not conjunctive]:
+        return a
+    if b is ERROR or (family is ConnectiveFamily.BOCHVAR and b is U):
+        return b
+    return (min if conjunctive else max)(a, b, key=ORDER.get)
+
+
+class TestErrorsThroughEveryFold:
+    @pytest.mark.parametrize("family", ConnectiveFamily)
+    def test_connectives(self, family):
+        ops = {"&": and_tv, "|": or_tv, "=>": implies_tv}
+        for (op, fn), a, b in itertools.product(ops.items(), TV + (ERROR,), TV + (ERROR,)):
+            assert fn(family, a, b) is _reference(family, op, a, b), (op, a, b)
+
+    @pytest.mark.parametrize("quantifiers", QuantifierFamily)
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_quantifiers(self, quantifiers, quantifier):
+        # 1, 0 and -1 are exempt from the power bound (carriers.MAX_POWER_BITS);
+        # x in {2, -3, 1/2} meets it on a row that no earlier element closes
+        values = tuple(map(Fraction, (1, 2, 0, -1, -3))) + (Fraction(1, 2),)
+        s = StructureSpec(FiniteProbeSet(values=values), Mode.PUNCH_DIV_ALL0)
+        top, mid = {  # the value that closes a row, and one it keeps while open
+            ("forall", QuantifierFamily.BOCHVAR): (U, F), ("forall", QuantifierFamily.KLEENE): (F, U),
+            ("exists", QuantifierFamily.BOCHVAR): (U, T), ("exists", QuantifierFamily.KLEENE): (T, U),
+        }[quantifier, quantifiers]
+        errors = 0
+        for connectives, text in itertools.product(ConnectiveFamily, (
+            "x/y = 1 | x^100000000 = y", "x = y & x^100000000 = 1/y", "x^100000000 = 1 => y/x = 1",
+        )):
+            config = LogicConfig(EqualityKind.WEAK, connectives, quantifiers)
+            body = parse_formula(text)
+            got = compile_formula(parse_formula(f"{quantifier} x. {text}"), config, s)(
+                {"y": list(values)}, len(values))
+            for y, value in zip(values, got):
+                expected = T if quantifier == "forall" else F
+                for x in values:  # the first `top` or error in element order
+                    try:
+                        row = eval_formula(body, config, {"x": x, "y": y}, s)
+                    except PowerBoundError as error:
+                        expected = error
+                        break
+                    if row is top:
+                        expected = top
+                        break
+                    if row is mid:
+                        expected = mid
+                if isinstance(expected, PowerBoundError):
+                    errors += 1
+                    assert type(value) is PowerBoundError and str(value) == str(expected), (text, y)
+                else:
+                    assert value is expected, (config, text, y)
+        assert 0 < errors < 4 * 3 * len(values)
 
 
 class TestClassify:
