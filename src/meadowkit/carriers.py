@@ -99,8 +99,10 @@ class Ops(NamedTuple):
 
     Each operation takes sequences of elements (`list`, `bytes` or
     `range`, mixed too), one per row of a block, and returns the column
-    of results, built by `column` (`power` refuses row i by setting
-    errors[i]).  `column` makes a column from a sequence of elements:
+    of results, built by `column`.  `power` refuses row i by setting
+    errors[i], and skips the rows already in `errors`, whose values no
+    longer matter (a GF(p) power refuses none, so it computes every row).
+    `column` makes a column from a sequence of elements:
     `bytes` over GF(p) with p below 256, else `list`.  Operands are not
     checked: they were checked where they entered.  Over GF(p) with p
     below 256, negation and the inverse, and below LANE_LIMIT a sum and
@@ -178,7 +180,8 @@ class Rationals(Carrier):
         lambda xs, ys: list(map(operator.mul, xs, ys)),
         lambda xs: list(map(operator.neg, xs)),
         lambda xs: list(map(_inv_rational, xs)),
-        lambda xs, n, errors: [_power_rational(x, n, errors, i) for i, x in enumerate(xs)],
+        lambda xs, n, errors: [x if i in errors else _power_rational(x, n, errors, i)
+                               for i, x in enumerate(xs)],
         list,
     )
 

@@ -138,10 +138,11 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 
 def _leading_minus_is_positional(p: argparse.ArgumentParser):
-    """Let p's positional start with `-`, as in `eval "-1/2"`: argparse
-    reads an argument that starts with one `-` and is none of p's options
-    as a positional when it matches this pattern.  Set after every option
-    is added, or argparse would count `-b` as a negative number option;
+    """Let a value given to p start with `-`, as in `eval "-1/2"`,
+    `axioms --extra -x=0-x` or `lint -x.mcorpus`: argparse reads an
+    argument that starts with one `-` and is none of p's options as a
+    value when it matches this pattern.  Set after every option is
+    added, or argparse would count `-b` as a negative number option;
     argparse has no public setting for it."""
     p._negative_number_matcher = re.compile("-(?!-)")
 
@@ -176,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
     p.add_argument("term")
-    _leading_minus_is_positional(p)
 
     p = sub.add_parser("logic", help="evaluate a formula in a three-valued logic", formatter_class=formatter)
     _add_structure_flags(p)
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply the two-valued logic convention")
     p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
     p.add_argument("formula")
-    _leading_minus_is_positional(p)
 
     p = sub.add_parser("axioms", help="verify the built-in axiom catalog", formatter_class=formatter)
     _add_common_flags(p)
@@ -210,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=Convention.DIVISION.value)
     p.add_argument("corpus")
 
+    for p in sub.choices.values():
+        _leading_minus_is_positional(p)
     return parser
 
 

@@ -258,7 +258,6 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
     c = s.carrier
     bound = []  # the quantified names around the node being compiled
     term = term_compiler(s, {} if free is None else free, bound)
-    domain = []  # the carrier's elements, once the quantifier nesting depth is known
     depth = 0
 
     def comp(g):
@@ -279,16 +278,17 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
             depth = max(depth, len(bound))
             body = comp(g.body)
             bound.pop()
-            return _quantifier(*_rule(cfg.quantifiers, cls is Forall), g.var, body, domain, c.ops.column)
+            rule = _rule(cfg.quantifiers, cls is Forall)
+            return _quantifier(*rule, g.var, body, c.elements(), c.ops.column)
         raise TypeError(f"not a formula: {g!r}")
 
     fn = comp(f)
-    if depth:
-        domain.append(checked_elements(c, depth))
+    if depth:  # the budget; a quantifier-free formula needs no elements, and the rationals have none
+        checked_elements(c, depth)
     return fn
 
 
-def _quantifier(opens, unit, var: str, body, domain, column):
+def _quantifier(opens, unit, var: str, body, elements, column):
     """Fold the body's value over the elements bound to `var`, in element
     order, by the rule (opens, unit) of its family (`_rule`): each row
     starts at `unit` and is open, an open row takes each value but
@@ -305,7 +305,6 @@ def _quantifier(opens, unit, var: str, body, domain, column):
     """
 
     def quantify(f, n):
-        elements = domain[0]
         result = [unit] * n
         rows, frame = range(n), f  # the open rows, and their frame
         start = 0

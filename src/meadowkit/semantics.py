@@ -18,15 +18,13 @@ variable name to its column, and one closure call computes a whole
 column; a single value (`eval`, a constant fold) is a block of one row.
 A column is a sequence with one element per row, of the carrier's
 column type (`carriers.Ops.column`): a byte string over GF(p) with p
-below 256, where no sweep builds a list of elements, else a list.  The
-carrier's operations accept any sequence, so a list column (a power
-over rows already undefined) mixes with byte columns.
+below 256, where no sweep builds a list of elements, else a list.
 Carrier membership is checked where a value enters a frame.  An
 undefined-row map gives each row that does not denote its reason: None
-for a punched application, which keeps the total value (exact, as
-undefinedness is strict), or the PowerBoundError of a power over the
-bound.  A power skips the rows in the map, so a row keeps its first
-reason.
+for a punched application, which keeps the total value, or the
+PowerBoundError of a power over the bound.  Undefinedness is strict, so
+a row's value no longer matters once it is in the map, and the carrier's
+power skips the rows that already have a reason: a row keeps its first.
 
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
@@ -189,21 +187,20 @@ def stretch(values, run: int):
 
 def _product_column(values, column, run: int, period, start: int, stop: int):
     """Rows start..stop-1 of a product column whose value changes every
-    `run` rows: cut from its period if that is given, else from `values`."""
+    `run` rows: cut from its period if that is given.  Else the period is
+    over a block, so the rows take at most len(values) + 1 consecutive
+    values, modulo len(values): taken in at most two slices of `values`,
+    stretched by `run`, and cut from the offset of `start` in its run."""
     n = stop - start
     if period is not None:
         offset = start % len(period)
         if offset + n > len(period):
             period = period * (n // len(period) + 2)
         return period[offset:offset + n]
-    m = len(values)
-    if run == 1:  # more values than a block, each one row
-        offset = start % m
-        return column(values[offset:offset + n]) + column(values[:max(0, offset + n - m)])
-    rows = column(())
-    for q in range(start // run, (stop - 1) // run + 1):
-        rows += column(values[q % m:q % m + 1]) * (min(stop, (q + 1) * run) - max(start, q * run))
-    return rows
+    q, offset = divmod(start, run)
+    q, count = q % len(values), (offset + n - 1) // run + 1  # the first value the rows take, and how many
+    taken = column(values[q:q + count]) + column(values[:max(0, q + count - len(values))])
+    return stretch(taken, run)[offset:offset + n]
 
 
 def select_rows(frame, rows) -> dict:
@@ -264,14 +261,8 @@ def _binary(op, a, b):
     return lambda f, n, u: op(a(f, n, u), b(f, n, u))
 
 
-def _power(power, zero, a, e):
-    def pw(f, n, u):
-        xs = a(f, n, u)
-        if u:  # never read, and 0^e is within any bound
-            xs = [zero if i in u else x for i, x in enumerate(xs)]
-        return power(xs, e, u)
-
-    return pw
+def _power(power, a, e):
+    return lambda f, n, u: power(a(f, n, u), e, u)
 
 
 def _inverse_punched(inv, a):
@@ -313,7 +304,6 @@ def term_compiler(s: StructureSpec, free: dict, bound=()):
     """
     c = s.carrier
     add, mul, neg, inv, power, column = c.ops
-    zero = c.from_int(0)
     punch_inverse = s.mode is Mode.PUNCH_INV0
     punched_division = _PUNCHED_DIVISIONS.get(s.mode)
 
@@ -335,7 +325,7 @@ def term_compiler(s: StructureSpec, free: dict, bound=()):
             a = comp(t.arg)
             return _inverse_punched(inv, a) if punch_inverse else _unary(inv, a)
         if cls is Pow:
-            return _power(power, zero, comp(t.arg), t.n)
+            return _power(power, comp(t.arg), t.n)
         if cls is NumLit:
             return _constant(column((c.from_int(t.value),)))
         if cls is Zero or cls is One:

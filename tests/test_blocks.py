@@ -222,6 +222,22 @@ class TestProductBlocks:
             assert n == m**k and all(type(c) is bytes for c in first.values())
             assert all(a is b for a, b in zip(first.values(), again.values(), strict=True))
 
+    @pytest.mark.parametrize("p, law, line", [
+        # list columns, more values than a block
+        (4099, "x != 4098", "FAIL axiom=x != 4098 samples=4099 witness=x=4098"),
+        # byte columns, x's period (67 * 67 rows) over a block
+        (67, "x != 66 | y != 65", "FAIL axiom=x != 66 | y != 65 samples=4488 witness=x=66,y=65"),
+        # byte columns, y's period over a block: a block's y values wrap round
+        (67, "x != 66 | y != 65 | z != 64",
+         "FAIL axiom=x != 66 | y != 65 | z != 64 samples=300694 witness=x=66,y=65,z=64"),
+        # list columns, 17 blocks
+        (257, "x != 256 | y != 255", "FAIL axiom=x != 256 | y != 255 samples=66048 witness=x=256,y=255"),
+    ])
+    def test_sweeps_past_one_block_at_the_real_block_size(self, p, law, line):
+        # the witness is the last row, so every row of every block is computed
+        report = verify_axiom_spec(AxiomSpec("law", parse_formula(law)), StructureSpec(PrimeField(p)))
+        assert report.format_line() == line
+
     def test_narrowed_frames_keep_their_column_type(self):
         for column in (bytes, list):
             frame = {"x": column(range(5)), "y": column(range(5, 10))}

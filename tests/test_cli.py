@@ -118,6 +118,15 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--mode", "punch-div-all", "(1/0)^0")
         assert (code, out.strip()) == (3, "UNDEFINED")
 
+    @pytest.mark.parametrize("argv", [
+        # the power's own base is undefined, and its total value over the size bound
+        ["--mode", "punch-div-all", "-b", "x=0", "(2 + 1/x)^10000000000"],
+        ["--mode", "punch-inv", "-b", "x=0", "(2 + x^-1)^10000000000 + 1/x"],
+        ["--carrier", "gf7", "--mode", "punch-div-all", "-b", "x=0", "(3 + 1/x)^5"],
+    ])
+    def test_a_power_of_an_undefined_base_is_undefined(self, capsys, argv):
+        assert run(capsys, "eval", *argv) == (3, "UNDEFINED\n", "")
+
     def test_zero_denominator_binding_rejected(self, capsys):
         code, out, err = run(capsys, "eval", "-b", "x=1/0", "x")
         assert code == 1 and out == ""
@@ -228,6 +237,7 @@ class TestAxioms:
         ("rationals", "x^2 + 1 > 0", "PASS axiom=x^2 + 1 > 0 samples=1000"),
         ("gf5", "x = 0 | x != 0", "PASS axiom=x = 0 | x != 0 samples=5"),
         ("gf5", "x != 0 => x*(y/x) = y", "PASS axiom=x != 0 => x*(y/x) = y samples=25"),
+        ("gf5", "-x=0-x", "PASS axiom=-x = 0 - x samples=5"),  # a law may start with `-`
     ])
     def test_extra_law_is_any_quantifier_free_formula(self, capsys, carrier, law, line):
         code, out, _ = run(capsys, "axioms", "--carrier", carrier, "--extra", law)
@@ -416,6 +426,12 @@ class TestTables:
 
 
 class TestLint:
+    def test_a_corpus_path_that_starts_with_minus(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("-x.mcorpus").write_text("claim: 1/x = 1\n")
+        assert run(capsys, "lint", "-x.mcorpus") == (
+            4, "statement=0 pos=0 guarded=x verdict=VIOLATION detail=x=0\n", "")
+
     def test_one_over_zero(self, capsys):
         code, out, _ = run(
             capsys, "lint", "--convention", "division", str(CORPORA / "one_over_zero.mcorpus")
@@ -648,6 +664,13 @@ class TestErrorPaths:
         # a name is bound once
         (["eval", "-b", "x=1", "-b", "x=2", "x"], "error: x is bound twice"),
         (["logic", "--bind", "y=1", "-by=1", "y = 1"], "error: y is bound twice"),
+        # a value that starts with `-` is read as one, and refused as one
+        (["lint", "--convention", "-x", "y"],
+         "meadowkit lint: error: argument --convention: invalid choice: '-x' "
+         "(choose from 'inversive', 'division', 'liberal-division')"),
+        (["tables", "-x"],
+         "meadowkit tables: error: argument family: invalid choice: '-x' "
+         "(choose from 'bochvar', 'kleene', 'mccarthy-left', 'mccarthy-right')"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")
