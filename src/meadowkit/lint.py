@@ -328,10 +328,8 @@ def _zero_test(t: Term):
     exact = compile_term(t, _TOTAL_RATIONALS)
 
     def zeros(frame, rows, raised, keep=list) -> set:
-        whole = all(len(rows) == len(column) for column in frame.values())
-        block = frame if whole else select_rows(frame, rows)
         maybe = {}  # the rows that met the inverse of a zero residue, then zero ones
-        maybe.update(dict.fromkeys(zero_rows(modular(block, len(rows), maybe))))
+        maybe.update(dict.fromkeys(zero_rows(modular(select_rows(frame, rows), len(rows), maybe))))
         maybe = keep([rows[j] for j in sorted(maybe)])
         if not maybe:
             return set()

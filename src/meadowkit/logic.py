@@ -55,8 +55,8 @@ from .terms import (
     Lt,
     Not,
     Or,
-    free_vars,
 )
+from .terms import free_vars  # unused here; bench/tracing.py wraps this module attribute
 
 
 class TruthValue(Enum):
@@ -135,20 +135,16 @@ def _rule(family, conjunctive: bool):
 
 def _fold(opens, unit, first, second):
     """A connective by its rule (`_rule`): the second operand is computed
-    only on the rows that the first leaves open, on the whole frame when
-    that is every row."""
+    only on the rows that the first leaves open."""
 
     def fold(f, n):
         xs = first(f, n)
         rows = list(_rows_of(xs, opens, operator.contains))
-        if len(rows) == n:
-            ys = second(f, n)
-            if xs.count(unit) == n:
-                return ys
-        elif rows:
-            ys = second(select_rows(f, rows), len(rows))
-        else:
+        if not rows:
             return xs
+        ys = second(select_rows(f, rows), len(rows))
+        if xs.count(unit) == n:
+            return ys
         for j in _rows_of(ys, unit, operator.is_not):
             xs[rows[j]] = ys[j]
         return xs
@@ -297,18 +293,18 @@ def _quantifier(opens, unit, var: str, body, elements, column):
     The body runs on groups of elements for the open rows: g elements for
     m open rows make a block of m * g rows, element-major (row j * m + i
     binds the j-th element to open row i), with g the most that fits the
-    next of `block_sizes` (at least one), so a row stops soon after it
-    closes.  The bound name's column is made by the carrier's column type
-    `column` from a slice of the elements, each repeated m times, so it
-    is a byte string over GF(p) below 256; the other names' columns are
-    the open rows' repeated g times.
+    next of `block_sizes(column)` (at least one).  The bound name's
+    column is made by the carrier's column type `column` from a slice of
+    the elements, each repeated m times, so it is a byte string over
+    GF(p) below 256; the other names' columns are the open rows'
+    repeated g times.
     """
 
     def quantify(f, n):
         result = [unit] * n
         rows, frame = range(n), f  # the open rows, and their frame
         start = 0
-        for size in block_sizes():
+        for size in block_sizes(column):
             m = len(rows)
             if not m or start >= len(elements):
                 return result
@@ -352,12 +348,10 @@ class SentenceVerdict:
 def classify_sentence(f, cfg: LogicConfig, s: StructureSpec, env=None) -> SentenceVerdict:
     """Two-valued logic convention: a sentence is unusable when its value is U.
 
-    A formula whose free names are all bound in `env` is a sentence.
+    A formula whose free names are all bound in `env` is a sentence; the
+    first name that is not is unbound, as in `eval_formula`.
     """
-    env = {} if env is None else env
-    if not free_vars(f) <= env.keys():
-        raise ValueError("classify_sentence needs a closed formula")
-    tv = eval_formula(f, cfg, env, s)
+    tv = eval_formula(f, cfg, {} if env is None else env, s)
     if tv is U:
         return SentenceVerdict(False, None)
     return SentenceVerdict(True, tv)

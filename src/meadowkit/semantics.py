@@ -29,13 +29,8 @@ power skips the rows that already have a reason: a row keeps its first.
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
 BLOCK rows; each consumer raises the error of the first row it meets.
-The schedule follows the column type.  A sweep of byte columns takes
-whole blocks of BLOCK rows, since a row of byte columns costs far less
-than the call that computes a block; an enumeration of at most BLOCK
-rows is then one frame, built once per process.  A sweep of list
-columns (the rationals, probe sets, GF(p) from 257 up, the lint
-residues) and a quantifier's groups take `block_sizes`, so one that
-stops early computes few rows past its stop.
+Every sweep, and every quantifier's groups, take the block sizes of one
+schedule, `block_sizes(column)`, which follows the column type.
 
 An axiom is a name plus a quantifier-free formula whose free variables
 are read universally; it is compiled once (`logic.compile_formula`:
@@ -131,11 +126,15 @@ def checked_elements(carrier: Carrier, depth: int):
     return values if depth else ()
 
 
-def block_sizes():
-    """16, 32, ..., BLOCK, BLOCK, ... rows, the schedule of a sweep of
-    list columns and of a quantifier's groups: a sweep that stops early
-    computes at most about as many rows again, or 16."""
-    size = min(16, BLOCK)
+def block_sizes(column):
+    """The block sizes of every sweep of columns of the type `column`
+    (`carriers.Ops.column`).  Byte columns take whole blocks, BLOCK,
+    BLOCK, ... rows, since a row of byte columns costs far less than the
+    call that computes a block.  List columns (the rationals, probe sets,
+    GF(p) from 257 up, the lint residues) take 16, 32, ..., BLOCK, BLOCK,
+    ... rows, so a sweep that stops early computes at most about as many
+    rows again, or 16."""
+    size = BLOCK if column is bytes else min(16, BLOCK)
     while True:
         yield size
         size = min(2 * size, BLOCK)
@@ -148,9 +147,8 @@ def product_blocks(values, names, column):
     `column` (`carriers.Ops.column`) from slices of the sequence `values`
     and repeated, so no sweep over GF(p) below 256 builds a list of
     elements, and a range of more values than a block is never built
-    whole.  Byte columns come in blocks of BLOCK rows, and at most BLOCK
-    rows in all are the one cached frame of `_byte_product`; list columns
-    come in blocks of `block_sizes`."""
+    whole.  The blocks take `block_sizes(column)`, and byte columns of
+    at most BLOCK rows in all are the one cached frame of `_byte_product`."""
     k, m = len(names), len(values)
     total, start = m**k, 0
     if column is bytes and total <= BLOCK:
@@ -160,7 +158,7 @@ def product_blocks(values, names, column):
         values = column(values)
     runs = [m ** (k - 1 - j) for j in range(k)]  # the j-th coordinate changes every runs[j] rows
     periods = [stretch(values, run) if m * run <= BLOCK else None for run in runs]
-    for size in itertools.repeat(BLOCK) if column is bytes else block_sizes():
+    for size in block_sizes(column):
         if start == total:
             return
         stop = min(start + size, total)
@@ -204,8 +202,11 @@ def _product_column(values, column, run: int, period, start: int, stop: int):
 
 
 def select_rows(frame, rows) -> dict:
-    """The frame of the given rows of a frame, each column of its type,
-    so a byte column stays on the byte-column path."""
+    """The frame of the given rows of a frame, ascending and distinct,
+    each column of its type, so a byte column stays on the byte-column
+    path: the frame itself when they are all its rows."""
+    if all(len(rows) == len(column) for column in frame.values()):
+        return frame
     return {name: type(column)(map(column.__getitem__, rows)) for name, column in frame.items()}
 
 
@@ -388,7 +389,7 @@ def _environments(names, c: Carrier, samples: int, seed: int):
     if c.enumerable:
         yield from product_blocks(checked_elements(c, k), names, c.ops.column)
         return
-    rng, samples, sizes = random.Random(seed), samples if k else 1, block_sizes()
+    rng, samples, sizes = random.Random(seed), samples if k else 1, block_sizes(list)
     while samples:
         n = min(next(sizes), samples)
         values = [random_rational(rng) for _ in range(n * k)]

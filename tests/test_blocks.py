@@ -202,8 +202,10 @@ class TestProductBlocks:
     @pytest.mark.parametrize("column", [bytes, list])
     def test_block_sizes_follow_the_column_type(self, block, column):
         # byte columns: BLOCK, ..., the remainder; list columns: 16, 32, ...
+        schedule = [block] * 32 if column is bytes else [min(16 * 2**i, block) for i in range(32)]
+        assert list(itertools.islice(semantics.block_sizes(column), 32)) == schedule
         for m, k in ((5, 3), (2, 4), (40, 2), (17, 3)):
-            sizes = itertools.repeat(block) if column is bytes else semantics.block_sizes()
+            sizes = itertools.chain(schedule, itertools.repeat(block))
             got = [n for _, n in semantics.product_blocks(range(m), "xyzw"[:k], column)]
             expected, left = [], m**k
             for size in sizes:
@@ -241,9 +243,32 @@ class TestProductBlocks:
     def test_narrowed_frames_keep_their_column_type(self):
         for column in (bytes, list):
             frame = {"x": column(range(5)), "y": column(range(5, 10))}
-            narrowed = semantics.select_rows(frame, [4, 1])
-            assert narrowed == {"x": column((4, 1)), "y": column((9, 6))}
+            narrowed = semantics.select_rows(frame, [1, 4])
+            assert narrowed == {"x": column((1, 4)), "y": column((6, 9))}
             assert all(type(c) is column for c in narrowed.values())
+            assert semantics.select_rows(frame, range(5)) is frame
+
+    @pytest.mark.parametrize("column, rows, expected", [
+        # byte columns: a group takes as many elements as fit a whole block
+        (bytes, 1, [17]),
+        (bytes, 250, [4000, 250]),
+        # list columns: as many as fit 16, 32, ... rows, and at least one
+        (list, 1, [16, 1]),
+        (list, 250, [250, 250, 250, 250, 250, 500, 1000, 1500]),
+    ])
+    def test_quantifier_groups_follow_the_column_type(self, column, rows, expected):
+        # at the real BLOCK; a body that is T on every row leaves every row open
+        sizes = []
+
+        def body(frame, n):
+            sizes.append(n)
+            return [logic.T] * n
+
+        quantify = logic._quantifier(*logic._rule(QuantifierFamily.BOCHVAR, True), "x", body,
+                                     range(17), column)
+        frame = {"y": column(range(rows))}
+        assert quantify(frame, rows) == [logic.T] * rows
+        assert sizes == expected
 
 
 class TestWitnessSweep:

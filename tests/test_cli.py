@@ -182,7 +182,7 @@ class TestLogic:
         code, out, _ = run(capsys, "logic", "--classify", "-b", "x=1", "x = 1")
         assert (code, out.strip()) == (0, "USABLE(T)")
         code, out, err = run(capsys, "logic", "--classify", "-b", "x=1", "x = y")
-        assert (code, out, err) == (1, "", "error: classify_sentence needs a closed formula\n")
+        assert (code, out, err) == (2, "", "error: unbound variable 'y'\n")
 
     def test_quantifier_enumeration_over_budget(self, capsys):
         code, out, err = run(
@@ -590,6 +590,7 @@ class TestFrameBoundary:
         (["logic", "--carrier", "gf5", "(forall y. y = 1) & x = y"], "x"),
         (["logic", "--carrier", "gf5", "exists y. y = x & (forall x. y*x = z)"], "x"),
         (["logic", "--carrier", "gf5", "-b", "x=1", "x = 1 & (forall x. x = q)"], "q"),
+        (["logic", "--classify", "-b", "x=1", "x = y"], "y"),
     ])
     def test_first_unbound_name(self, capsys, argv, name):
         assert run(capsys, *argv) == (2, "", f"error: unbound variable {name!r}\n")

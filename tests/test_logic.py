@@ -26,7 +26,7 @@ from meadowkit.logic import (
     parse_logic_config,
 )
 from meadowkit.parser import parse_formula, parse_term
-from meadowkit.semantics import Mode, StructureSpec
+from meadowkit.semantics import Mode, StructureSpec, UnboundVariableError
 from meadowkit.terms import Div, Eq, Inv, _contains, free_vars
 
 T, F, U = TruthValue.T, TruthValue.F, TruthValue.U
@@ -349,14 +349,14 @@ class TestClassify:
         assert v.usable and v.value is T
 
     def test_open_formula_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnboundVariableError):
             classify_sentence(parse_formula("x = 1"), LPMD, PUNCH_ALL)
 
     def test_bound_free_names_make_a_sentence(self):
         f = parse_formula("x = 1")
         v = classify_sentence(f, LPMD, PUNCH_ALL, env={"x": Fraction(1)})
         assert v.usable and v.value is T
-        with pytest.raises(ValueError):
+        with pytest.raises(UnboundVariableError, match="'y'"):
             classify_sentence(parse_formula("x = y"), LPMD, PUNCH_ALL, env={"x": Fraction(1)})
 
 
