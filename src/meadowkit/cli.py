@@ -120,7 +120,23 @@ def _parse_bindings(pairs, carrier):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser that refuses in one `error:` line, without the
-    usage block; its subcommand parsers are of the same class."""
+    usage block; its subcommand parsers are of the same class.
+
+    `arguments`, if given, adds the parser's arguments on its first
+    parse. argparse parses only the subcommand parser a command names,
+    so a command fills that one parser; help and refusals of the
+    top-level parser read only the subcommands' names and help."""
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments(self)
+            self._arguments = None
+            _leading_minus_is_positional(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -150,6 +166,10 @@ def _leading_minus_is_positional(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """A new argparse tree for one `main` call.
 
+    Each subcommand parser adds its arguments on its first parse, so a
+    call fills only the parser of the command it runs; the others keep
+    just their names and help strings.
+
     Every parser shares one help formatter factory whose width is read
     from the terminal here, once: argparse otherwise asks the terminal
     for each formatter a build makes (one per `add_argument`), and
@@ -157,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     `HelpFormatter`'s own default, so help text is the same.
 
     The tree is built on every call, with no cache, so the width is
-    the terminal's at that call. Building it once per process waits for
-    ROADMAP item 3: `bench/run.py` keeps a record per command, so a
-    faster in-process loop would read a higher peak RSS.
+    the terminal's at that call. Building only the named subparser, or
+    the whole tree once per process, waits for ROADMAP items 2 and 3:
+    `bench/run.py` keeps a record per command, so a faster in-process
+    loop would read a higher peak RSS.
     """
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2,
@@ -171,47 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
         "and a division-convention linter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, arguments, _) in _COMMANDS.items():
+        sub.add_parser(name, help=summary, formatter_class=formatter, arguments=arguments)
+    return parser
 
-    p = sub.add_parser("eval", help="evaluate a term", formatter_class=formatter)
+
+def _eval_arguments(p):
     _add_structure_flags(p)
     _add_common_flags(p)
     p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
     p.add_argument("term")
-
-    p = sub.add_parser("logic", help="evaluate a formula in a three-valued logic", formatter_class=formatter)
-    _add_structure_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--logic", default="lpmd",
-                   help="<equality>,<connectives>,<quantifiers> or lpmd (default)")
-    p.add_argument("--classify", action="store_true",
-                   help="apply the two-valued logic convention")
-    p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
-    p.add_argument("formula")
-
-    p = sub.add_parser("axioms", help="verify the built-in axiom catalog", formatter_class=formatter)
-    _add_common_flags(p)
-    p.add_argument("--carrier", default="rationals")
-    # read by the command, like the carrier
-    p.add_argument("--samples", default="1000")
-    p.add_argument("--seed", default="0")
-    p.add_argument("--extra", action="append", metavar="LAW",
-                   help="extra quantifier-free law, free variables read universally, "
-                   "e.g. 'x != 0 => x/x = 1'")
-
-    p = sub.add_parser("tables", help="print the truth tables of a connective family",
-                       formatter_class=formatter)
-    _add_common_flags(p)
-    p.add_argument("family", choices=[f.value for f in ConnectiveFamily])
-
-    p = sub.add_parser("lint", help="lint a statement corpus against a convention", formatter_class=formatter)
-    _add_common_flags(p)
-    p.add_argument("--convention", choices=[c.value for c in Convention],
-                   default=Convention.DIVISION.value)
-    p.add_argument("corpus")
-
-    for p in sub.choices.values():
-        _leading_minus_is_positional(p)
-    return parser
 
 
 def _cmd_eval(args) -> int:
@@ -230,6 +220,17 @@ def _cmd_eval(args) -> int:
     else:
         print(format_element(value) if defined else "UNDEFINED")
     return EXIT_OK if defined else EXIT_THIRD
+
+
+def _logic_arguments(p):
+    _add_structure_flags(p)
+    _add_common_flags(p)
+    p.add_argument("--logic", default="lpmd",
+                   help="<equality>,<connectives>,<quantifiers> or lpmd (default)")
+    p.add_argument("--classify", action="store_true",
+                   help="apply the two-valued logic convention")
+    p.add_argument("-b", "--bind", action="append", metavar="x=2/3")
+    p.add_argument("formula")
 
 
 def _cmd_logic(args) -> int:
@@ -254,6 +255,17 @@ def _cmd_logic(args) -> int:
     else:
         print(tv)
     return EXIT_OK if tv is not TruthValue.U else EXIT_THIRD
+
+
+def _axioms_arguments(p):
+    _add_common_flags(p)
+    p.add_argument("--carrier", default="rationals")
+    # read by the command, like the carrier
+    p.add_argument("--samples", default="1000")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--extra", action="append", metavar="LAW",
+                   help="extra quantifier-free law, free variables read universally, "
+                   "e.g. 'x != 0 => x/x = 1'")
 
 
 def _cmd_axioms(args) -> int:
@@ -287,6 +299,11 @@ def _cmd_axioms(args) -> int:
 _TABLE_SYMBOLS = {"not": "!", "and": "&", "or": "|", "implies": "=>"}
 
 
+def _tables_arguments(p):
+    _add_common_flags(p)
+    p.add_argument("family", choices=[f.value for f in ConnectiveFamily])
+
+
 def _cmd_tables(args) -> int:
     family = ConnectiveFamily(args.family)
     tables = connective_table(family)
@@ -311,6 +328,13 @@ def _cmd_tables(args) -> int:
     return EXIT_OK
 
 
+def _lint_arguments(p):
+    _add_common_flags(p)
+    p.add_argument("--convention", choices=[c.value for c in Convention],
+                   default=Convention.DIVISION.value)
+    p.add_argument("corpus")
+
+
 def _cmd_lint(args) -> int:
     with open(args.corpus, encoding="utf-8") as handle:
         corpus = parse_corpus(handle.read())
@@ -328,12 +352,13 @@ def _cmd_lint(args) -> int:
     return EXIT_OK
 
 
+# name -> (help, a function that adds the parser's arguments, run)
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "logic": _cmd_logic,
-    "axioms": _cmd_axioms,
-    "tables": _cmd_tables,
-    "lint": _cmd_lint,
+    "eval": ("evaluate a term", _eval_arguments, _cmd_eval),
+    "logic": ("evaluate a formula in a three-valued logic", _logic_arguments, _cmd_logic),
+    "axioms": ("verify the built-in axiom catalog", _axioms_arguments, _cmd_axioms),
+    "tables": ("print the truth tables of a connective family", _tables_arguments, _cmd_tables),
+    "lint": ("lint a statement corpus against a convention", _lint_arguments, _cmd_lint),
 }
 
 
@@ -345,7 +370,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; fold into the parse-error code
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

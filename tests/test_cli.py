@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -63,6 +64,13 @@ class TestEval:
         (["--carrier", "gf7", "-b", "x=2", "--", "-x"], "5"),
     ])
     def test_a_term_that_starts_with_minus(self, capsys, argv, shown):
+        assert run(capsys, "eval", *argv) == (0, shown + "\n", "")
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["--carr", "gf7", "3"], "3"),  # a unique prefix of a long option
+        (["--carrier=gf7", "-bx=2", "x/0"], "0"),
+    ])
+    def test_long_option_forms(self, capsys, argv, shown):
         assert run(capsys, "eval", *argv) == (0, shown + "\n", "")
 
     def test_parse_error_exit_code(self, capsys):
@@ -672,6 +680,13 @@ class TestErrorPaths:
         (["tables", "-x"],
          "meadowkit tables: error: argument family: invalid choice: '-x' "
          "(choose from 'bochvar', 'kleene', 'mccarthy-left', 'mccarthy-right')"),
+        # refused by the top-level parser, and by a parser just filled
+        ([], "meadowkit: error: the following arguments are required: command"),
+        (["bogus"], "meadowkit: error: argument command: invalid choice: 'bogus' "
+         "(choose from 'eval', 'logic', 'axioms', 'tables', 'lint')"),
+        (["--foo", "eval", "1"], "meadowkit: error: unrecognized arguments: --foo"),
+        (["eval"], "meadowkit eval: error: the following arguments are required: term"),
+        (["eval", "-b"], "meadowkit eval: error: argument -b/--bind: expected one argument"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")
@@ -742,10 +757,61 @@ class TestErrorPaths:
 
 class TestHelp:
     """Every parser of a build formats help at one width, read from the
-    terminal once per `main` call, not fixed at import."""
+    terminal once per `main` call, not fixed at import; a command adds
+    arguments only to its own parser."""
 
     DESCRIPTION = ("Totalized rational arithmetic, logics of partial functions, "
                    "and a division-convention linter.")
+    # each command's help string and option strings
+    COMMANDS = {
+        "eval": ("evaluate a term", ["--carrier", "--mode", "--format", "-b", "--bind"]),
+        "logic": ("evaluate a formula in a three-valued logic",
+                  ["--carrier", "--mode", "--format", "--logic", "--classify", "-b", "--bind"]),
+        "axioms": ("verify the built-in axiom catalog", ["--format", "--carrier", "--samples", "--seed", "--extra"]),
+        "tables": ("print the truth tables of a connective family", ["--format"]),
+        "lint": ("lint a statement corpus against a convention", ["--format", "--convention"]),
+    }
+
+    def test_top_level_help_names_each_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        for command, (summary, _) in self.COMMANDS.items():
+            assert re.search(rf"^ +{command} +{re.escape(summary)}$", out, re.M)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_help(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and out.startswith(f"usage: meadowkit {command} [-h]")
+        # substrings only: 3.13 lays out `-b, --bind x=2/3` where earlier
+        # versions print `-b x=2/3, --bind x=2/3`
+        for option in self.COMMANDS[command][1]:
+            assert option in out
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "1"],
+        ["logic", "1 = 1"],
+        ["axioms", "--carrier", "gf2", "--extra", "x = x"],
+        ["tables", "kleene"],
+        ["lint"],
+    ], ids=lambda argv: argv[0])
+    def test_a_command_fills_only_its_own_parser(self, capsys, monkeypatch, tmp_path, argv):
+        if argv == ["lint"]:
+            corpus = tmp_path / "one.mcorpus"
+            corpus.write_text("claim: 1/x = 1\n")
+            argv = ["lint", str(corpus)]
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def recorded(self, *args, **kwargs):
+            calls.append((self.prog, args))
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
+        assert main(argv) != 1
+        capsys.readouterr()
+        # argparse adds its own -h to every parser it makes
+        assert {prog for prog, args in calls if args != ("-h", "--help")} == {f"meadowkit {argv[0]}"}
 
     @pytest.mark.parametrize("argv", [
         ["eval", "1/2"],
