@@ -120,26 +120,27 @@ def _parse_bindings(pairs, carrier):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser that refuses in one `error:` line, without the
-    usage block; its subcommand parsers are of the same class.
-
-    `arguments`, if given, adds the parser's arguments on its first
-    parse. argparse parses only the subcommand parser a command names,
-    so a command fills that one parser; help and refusals of the
-    top-level parser read only the subcommands' names and help."""
-
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            self._arguments(self)
-            self._arguments = None
-            _leading_minus_is_positional(self)
-        return super().parse_known_args(args, namespace)
+    usage block."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+class _Subcommand:
+    """A subcommand's entry in the argparse tree. It keeps the keywords
+    `add_parser` gives it and makes its `_ArgumentParser` only when
+    argparse parses with it, the one call argparse makes on an entry;
+    the leftover arguments go back to the top-level parser."""
+
+    def __init__(self, *, arguments, **kwargs):
+        self._arguments = arguments
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args, namespace):
+        parser = _ArgumentParser(**self._kwargs)
+        self._arguments(parser)
+        _leading_minus_is_positional(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _add_structure_flags(p: argparse.ArgumentParser):
@@ -166,9 +167,8 @@ def _leading_minus_is_positional(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """A new argparse tree for one `main` call.
 
-    Each subcommand parser adds its arguments on its first parse, so a
-    call fills only the parser of the command it runs; the others keep
-    just their names and help strings.
+    A call makes only the parser of the command it runs (`_Subcommand`);
+    the others stay a name and a help string.
 
     Every parser shares one help formatter factory whose width is read
     from the terminal here, once: argparse otherwise asks the terminal
@@ -177,10 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     `HelpFormatter`'s own default, so help text is the same.
 
     The tree is built on every call, with no cache, so the width is
-    the terminal's at that call. Building only the named subparser, or
-    the whole tree once per process, waits for ROADMAP items 2 and 3:
-    `bench/run.py` keeps a record per command, so a faster in-process
-    loop would read a higher peak RSS.
+    the terminal's at that call. Building the whole tree once per
+    process waits for ROADMAP item 2: `bench/run.py` keeps a record per
+    command, so a faster in-process loop reads a higher peak RSS.
     """
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2,
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Totalized rational arithmetic, logics of partial functions, "
         "and a division-convention linter.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, (summary, arguments, _) in _COMMANDS.items():
         sub.add_parser(name, help=summary, formatter_class=formatter, arguments=arguments)
     return parser

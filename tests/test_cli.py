@@ -687,6 +687,8 @@ class TestErrorPaths:
         (["--foo", "eval", "1"], "meadowkit: error: unrecognized arguments: --foo"),
         (["eval"], "meadowkit eval: error: the following arguments are required: term"),
         (["eval", "-b"], "meadowkit eval: error: argument -b/--bind: expected one argument"),
+        # a command's leftover arguments go back to the top-level parser
+        (["eval", "1", "2"], "meadowkit: error: unrecognized arguments: 2"),
     ])
     def test_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message + "\n")
@@ -757,8 +759,8 @@ class TestErrorPaths:
 
 class TestHelp:
     """Every parser of a build formats help at one width, read from the
-    terminal once per `main` call, not fixed at import; a command adds
-    arguments only to its own parser."""
+    terminal once per `main` call, not fixed at import; a command makes
+    only its own parser."""
 
     DESCRIPTION = ("Totalized rational arithmetic, logics of partial functions, "
                    "and a division-convention linter.")
@@ -813,10 +815,37 @@ class TestHelp:
         # argparse adds its own -h to every parser it makes
         assert {prog for prog, args in calls if args != ("-h", "--help")} == {f"meadowkit {argv[0]}"}
 
+    @pytest.mark.parametrize("argv, command", [
+        (["eval", "1"], "eval"),
+        (["logic", "1 = 1"], "logic"),
+        (["axioms", "--carrier", "gf2", "--extra", "x = x"], "axioms"),
+        (["tables", "kleene"], "tables"),
+        (["lint", str(CORPORA / "one_over_zero.mcorpus")], "lint"),
+        ([], None),
+        (["--help"], None),
+        (["bogus"], None),
+        # argparse parses the command it names before it refuses the leftover
+        (["--foo", "eval", "1"], "eval"),
+    ])
+    def test_a_command_makes_only_its_own_parser(self, capsys, monkeypatch, argv, command):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+        main(argv)
+        capsys.readouterr()
+        assert progs == ["meadowkit"] + ([f"meadowkit {command}"] if command else [])
+
     @pytest.mark.parametrize("argv", [
         ["eval", "1/2"],
         ["lint", "--convention", "bogus", "x"],  # an argparse refusal
         ["--help"],
+        ["eval", "--help"],
+        ["bogus"],
     ])
     def test_one_terminal_query_per_call(self, capsys, monkeypatch, argv):
         calls = []
@@ -833,15 +862,21 @@ class TestHelp:
         capsys.readouterr()
 
     def test_help_width_is_read_per_call(self, capsys, monkeypatch):
-        def description_lines(columns):
+        def help_text(columns, *argv):
             monkeypatch.setenv("COLUMNS", str(columns))
-            code, out, _ = run(capsys, "--help")
+            code, out, _ = run(capsys, *argv, "--help")
             assert code == 0
+            return out
+
+        def description_lines(columns):
             # the paragraph after the usage; a long usage token may run
             # past the width, prose may not
-            return out.split("\n\n")[1].splitlines()
+            return help_text(columns).split("\n\n")[1].splitlines()
 
         assert description_lines(200) == [self.DESCRIPTION]
         lines = description_lines(60)
         assert len(lines) > 1 and max(map(len, lines)) <= 58
         assert " ".join(lines) == self.DESCRIPTION
+        # a command's parser formats at the width of its own call
+        assert max(map(len, help_text(60, "eval").splitlines())) <= 58
+        assert max(map(len, help_text(200, "eval").splitlines())) > 60
