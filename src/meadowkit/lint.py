@@ -36,6 +36,7 @@ from .terms import (
     _contains,
     children,
     free_vars,
+    same,
     to_inversive,
 )
 
@@ -234,7 +235,7 @@ def constant_fold(t: Term) -> Fraction | None:
 
 def _is_even_power(t: Term) -> bool:
     """`u*u` or `u^n` with n even, which is never negative over Q."""
-    return (isinstance(t, Mul) and t.left == t.right) or (isinstance(t, Pow) and t.n % 2 == 0)
+    return (isinstance(t, Mul) and same(t.left, t.right)) or (isinstance(t, Pow) and t.n % 2 == 0)
 
 
 def _free_names(t: Term, names: dict) -> frozenset:

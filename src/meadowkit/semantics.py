@@ -33,9 +33,11 @@ Every sweep, and every quantifier's groups, take the block sizes of one
 schedule, `block_sizes(column)`, which follows the column type.
 
 An axiom is a name plus a quantifier-free formula whose free variables
-are read universally; it is compiled once (`logic.compile_formula`:
-T, F or a row's error in a total structure) and run on the blocks of
-the enumeration.
+are read universally; it is compiled once per spec and structure
+(`AxiomSpec.law`, by `logic.compile_formula`: T, F or a row's error in a
+total structure) and run on the blocks of the enumeration.  The catalog
+lives for the process, so it compiles once per carrier: in-process
+callers gain, and a one-shot process compiles each law once, as before.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -404,6 +406,7 @@ class AxiomSpec:
 
     name: str
     formula: Formula
+    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if _contains(self.formula, (Forall, Exists)):
@@ -417,6 +420,18 @@ class AxiomSpec:
         """The law as printed, once per spec: the catalog's laws are
         printed once per process."""
         return print_formula(self.formula)
+
+    def law(self, s: StructureSpec):
+        """(the law compiled in s, its free names sorted), once per spec
+        and structure: the catalog's laws are compiled once per process
+        and carrier.  Keyed by s alone, as `==` of a formula recurses."""
+        law = self._laws.get(s)
+        if law is None:
+            from .logic import LPMD, compile_formula  # logic builds on this module
+
+            free = {}
+            law = self._laws[s] = compile_formula(self.formula, LPMD, s, free), sorted(free)
+        return law
 
 
 @dataclass
@@ -440,14 +455,16 @@ def verify_axiom_spec(
 ) -> AxiomReport:
     """Check a law on every environment of an enumerable carrier, else on
     `samples` random environments drawn with `seed`; the report names the
-    first environment where it is not T, or that row's error is raised."""
-    from .logic import LPMD, T, compile_formula  # logic builds on this module
+    first environment where it is not T, or that row's error is raised.
+    The law is compiled once per spec and structure (`AxiomSpec.law`):
+    an in-process caller that checks the catalog again skips the compile,
+    and a one-shot process compiles each law once, as before."""
+    from .logic import T  # logic builds on this module
 
     check_samples(samples)
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
-    free = {}
-    law = compile_formula(spec.formula, LPMD, s, free)
+    law, names = spec.law(s)
 
     def failing(frame, n):
         values = law(frame, n)
@@ -456,7 +473,7 @@ def verify_axiom_spec(
             raise values[i]
         return i
 
-    checked, env = first_hit(_environments(sorted(free), s.carrier, samples, seed), failing)
+    checked, env = first_hit(_environments(names, s.carrier, samples, seed), failing)
     if env is not None:
         return AxiomReport(spec.name, spec.text, False, checked, env)
     return AxiomReport(spec.name, spec.text, True, checked)

@@ -183,6 +183,25 @@ def free_vars(node) -> frozenset:
     return names
 
 
+def same(a, b) -> bool:
+    """True iff two terms or formulas are equal node by node, walked with
+    an explicit stack: `==` of the frozen dataclasses recurses about 2.5
+    frames a level, so it fails well below the parser's depth bound."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        kids = children(a)
+        if not kids and a != b or cls is Pow and a.n != b.n or cls in _QUANTIFIERS and a.var != b.var:
+            return False
+        stack.extend(zip(kids, children(b)))
+    return True
+
+
 def _contains(node, kind) -> bool:
     """True iff the term or formula has a node of class `kind`."""
     if isinstance(node, kind):

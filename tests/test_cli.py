@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +18,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from meadowkit import cli, logic
 from meadowkit.cli import main
 from meadowkit.parser import MAX_DEPTH, parse_formula
+from meadowkit.printer import print_formula
 from meadowkit.terms import free_vars
 from oracle import oracle_formula
 
@@ -331,6 +335,36 @@ class TestAxioms:
         _, out2, _ = run(capsys, "axioms", "--samples", "50", "--seed", "3")
         assert out1 == out2
 
+    def test_the_catalog_compiles_once_per_carrier(self, capsys, monkeypatch):
+        compiled = []
+
+        def compile_formula(f, *args):
+            compiled.append(print_formula(f))
+            return real(f, *args)
+
+        real = logic.compile_formula
+        monkeypatch.setattr(logic, "compile_formula", compile_formula)
+        run(capsys, "axioms", "--carrier", "gf23", "--extra", "x*x = x")
+        compiled.clear()
+        code, out, _ = run(capsys, "axioms", "--carrier", "gf23", "--extra", "x*x = x")
+        assert (code, compiled) == (4, ["x*x = x"])
+        assert out.splitlines()[-1] == "FAIL axiom=x*x = x samples=3 witness=x=2"
+
+    def test_an_extra_law_is_not_kept_after_its_command(self, capsys, monkeypatch):
+        made = []
+
+        def ax(name, text):
+            spec = real(name, text)
+            made.append(weakref.ref(spec))
+            return spec
+
+        real = cli._ax
+        monkeypatch.setattr(cli, "_ax", ax)
+        code, _, _ = run(capsys, "axioms", "--carrier", "gf5", "--extra", "x*x = x", "--extra", "x = x")
+        gc.collect()
+        assert code == 4 and len(made) == 2
+        assert [ref() for ref in made] == [None, None]
+
 
 def _sum(summand: str, n: int) -> str:
     return " + ".join([summand] * n)
@@ -362,6 +396,14 @@ def _nested_guard_claim(depth: int) -> str:
     m, r = divmod(depth - 3, 3)
     guard = "x*(1 + " * m + "(" * r + "x" + ")" * r + ")" * m
     return f"claim: 1/({guard}) = 1"
+
+
+def _squared_sum_claim(depth: int) -> str:
+    """`1/((A)*(A) + 1) = 1` with A = `x + 1 + … + 1`: the relation, the
+    division, the outer parentheses, the outer `+`, the `*` and A's
+    parentheses are 6 levels and each `+` of A one more."""
+    a = "x" + " + 1" * (depth - 6)
+    return f"claim: 1/(({a})*({a}) + 1) = 1"
 
 
 class TestDeepInput:
@@ -408,6 +450,17 @@ class TestDeepInput:
         assert lines[1].startswith("statement=1 pos=0 guarded=x*")
         assert lines[1].endswith("verdict=VIOLATION detail=x=0")
         corpus.write_text(f"hyp: 1/q = 2\n{claim(MAX_DEPTH + 1)}\n")
+        code, out, err = run(capsys, "lint", str(corpus))
+        assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+    def test_lint_certifies_a_squared_sum_at_the_bound(self, capsys, tmp_path):
+        # the even-power test compares the two factors node by node without recursing
+        corpus = tmp_path / "deep.mcorpus"
+        corpus.write_text(_squared_sum_claim(MAX_DEPTH) + "\n")
+        code, out, err = run(capsys, "lint", str(corpus))
+        assert (code, err) == (0, "")
+        assert out.endswith(" verdict=COMPLIANT detail=OnePlusSumOfSquares\n")
+        corpus.write_text(_squared_sum_claim(MAX_DEPTH + 1) + "\n")
         code, out, err = run(capsys, "lint", str(corpus))
         assert (code, out, err) == (1, "", "error: input nested too deeply\n")
 

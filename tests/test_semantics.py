@@ -6,7 +6,7 @@ import pytest
 
 from generators import random_rational, random_term
 from oracle import oracle_term
-from meadowkit.carriers import RATIONALS, CarrierMismatchError, PrimeField
+from meadowkit.carriers import RATIONALS, CarrierMismatchError, FiniteProbeSet, PrimeField
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
@@ -247,3 +247,25 @@ class TestAxiomCatalog:
         names = [spec.name for spec in axiom_catalog()]
         assert "separation" in names
         assert "general-inverse-division-law" in names
+
+
+class TestCompiledLaw:
+    def test_compiled_once_per_structure(self):
+        idem = AxiomSpec("idem", parse_formula("x*x = x"))
+        lines = [verify_axiom_spec(idem, StructureSpec(PrimeField(p))).format_line() for p in (2, 3, 2)]
+        assert lines == [
+            "PASS axiom=x*x = x samples=2",
+            "FAIL axiom=x*x = x samples=3 witness=x=2",
+            "PASS axiom=x*x = x samples=2",
+        ]
+        assert idem.law(StructureSpec(PrimeField(2))) is idem.law(StructureSpec(PrimeField(2)))
+
+    def test_interleaved_carriers_report_as_fresh_specs(self):
+        structures = [StructureSpec(c) for c in (
+            PrimeField(5), PrimeField(17), RATIONALS,
+            FiniteProbeSet(values=(Fraction(-1), Fraction(0), Fraction(1, 2))), PrimeField(5),
+        )]
+        for s in structures:
+            for spec in axiom_catalog():
+                fresh = AxiomSpec(spec.name, spec.formula)
+                assert verify_axiom_spec(spec, s, 40, 3) == verify_axiom_spec(fresh, s, 40, 3)

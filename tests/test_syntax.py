@@ -33,6 +33,7 @@ from meadowkit.terms import (
     _contains,
     free_vars,
     rebuild,
+    same,
     to_divisive,
     to_inversive,
 )
@@ -281,6 +282,23 @@ class TestNodeEquality:
             text = print_formula(random_closed_quantified_formula(rng, depth=3))
             a, b = parse_formula(text), parse_formula(text)
             assert a is not b and a == b and hash(a) == hash(b), text
+
+    def test_same_agrees_with_equality(self):
+        f = parse_formula("x = 1")
+        for a, b in [(Add(X, Y), Add(Y, X)), (Add(X, Y), Mul(X, Y)), (Eq(X, Y), Gt(X, Y)),
+                     (Forall("x", f), Forall("y", f)), (Forall("x", f), Exists("x", f)),
+                     (Pow(X, 2), Pow(X, 3)), (NumLit(2), NumLit(3))]:
+            assert not same(a, b) and same(a, a)
+        rng = random.Random(17)
+        for _ in range(200):
+            a, b = random_formula(rng, depth=3), random_formula(rng, depth=3)
+            assert same(a, b) == (a == b) and same(a, parse_formula(print_formula(a)))
+
+    def test_same_walks_a_term_at_the_depth_bound(self):
+        # `==` recurses out well before this depth
+        text = "x" + " + 1" * (MAX_DEPTH - 1)
+        a, b = parse_term(text), parse_term(text)
+        assert same(a, b) and not same(a, Add(a.left, ZERO))
 
 
 class TestTraversal:
