@@ -43,7 +43,7 @@ from .logic import (
     eval_formula,
     parse_logic_config,
 )
-from .parser import ParseError, _tokenize, parse_formula, parse_term
+from .parser import ParseError, is_variable, parse_formula, parse_term
 from .semantics import (
     UNDEFINED,
     Mode,
@@ -93,21 +93,12 @@ def _parse_integer(text: str, what: str) -> int:
     return read_int(text)
 
 
-def _is_variable(name: str) -> bool:
-    """Whether the parser reads name as one variable: one `ident` token,
-    not a keyword."""
-    try:
-        return [kind for kind, _, _ in _tokenize(name)] == ["ident", "eof"]
-    except ParseError:
-        return False
-
-
 def _parse_bindings(pairs, carrier):
     env = {}
     for pair in pairs or ():
         name, eq, value = pair.partition("=")
         name = name.strip()
-        if not eq or not _is_variable(name):
+        if not eq or not is_variable(name):
             raise ValueError(f"binding must look like x=2/3, got {pair!r}")
         if name in env:
             raise ValueError(f"{name} is bound twice")

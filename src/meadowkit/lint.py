@@ -36,7 +36,6 @@ from .terms import (
     _contains,
     children,
     free_vars,
-    same,
     to_inversive,
 )
 
@@ -235,7 +234,7 @@ def constant_fold(t: Term) -> Fraction | None:
 
 def _is_even_power(t: Term) -> bool:
     """`u*u` or `u^n` with n even, which is never negative over Q."""
-    return (isinstance(t, Mul) and same(t.left, t.right)) or (isinstance(t, Pow) and t.n % 2 == 0)
+    return (isinstance(t, Mul) and t.left == t.right) or (isinstance(t, Pow) and t.n % 2 == 0)
 
 
 def _free_names(t: Term, names: dict) -> frozenset:
@@ -255,41 +254,43 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
     only where some fact has exactly its names, since equal keys mean
     equal names, and each product's factors are counted once.
     """
-    names, factors = {}, {}
+    names = {}
     _free_names(t, names)
+    return _certify(t, facts, names, {})
 
-    def certify(u: Term) -> Certificate | None:
-        free = names[id(u)]
-        if not free:
-            value = eval_total(u, {}, _TOTAL_RATIONALS)
-            return Certificate(CertificateKind.NONZERO_CONSTANT) if value != 0 else None
-        if isinstance(u, Pow) and u.n == 0:  # 1 in the total field, even where the base is 0
-            return Certificate(CertificateKind.NONZERO_CONSTANT)
-        if isinstance(u, Add):
-            const, squares = Fraction(0), 0
-            for part in _flatten(u, Add):
-                if not names[id(part)]:
-                    const += eval_total(part, {}, _TOTAL_RATIONALS)
-                elif _is_even_power(part):
-                    squares += 1
-                else:
-                    break
-            else:
-                if squares > 0 and const > 0:
-                    return Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
-        # a field has no zero divisors: a product or power of nonzero factors is nonzero
-        if isinstance(u, (Mul, Pow)):
-            for kid in children(u):
-                if certify(kid) is None:
-                    break
-            else:
-                return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
-        same = [f for f in facts if f.names == free]
-        key = canonical_key(u, factors) if same else None
-        matching = [f.statement for f in same if f.key == key]
-        return Certificate(CertificateKind.HYPOTHESIS_DERIVED, min(matching)) if matching else None
 
-    return certify(t)
+def _certify(u: Term, facts, names: dict, factors: dict) -> Certificate | None:
+    """`nonzero_certificate` of the subterm u, with the free names of every
+    subterm by its id and the factor counts made so far (`_factor_powers`)."""
+    free = names[id(u)]
+    if not free:
+        value = eval_total(u, {}, _TOTAL_RATIONALS)
+        return Certificate(CertificateKind.NONZERO_CONSTANT) if value != 0 else None
+    if isinstance(u, Pow) and u.n == 0:  # 1 in the total field, even where the base is 0
+        return Certificate(CertificateKind.NONZERO_CONSTANT)
+    if isinstance(u, Add):
+        const, squares = Fraction(0), 0
+        for part in _flatten(u, Add):
+            if not names[id(part)]:
+                const += eval_total(part, {}, _TOTAL_RATIONALS)
+            elif _is_even_power(part):
+                squares += 1
+            else:
+                break
+        else:
+            if squares > 0 and const > 0:
+                return Certificate(CertificateKind.ONE_PLUS_SUM_OF_SQUARES)
+    # a field has no zero divisors: a product or power of nonzero factors is nonzero
+    if isinstance(u, (Mul, Pow)):
+        for kid in children(u):
+            if _certify(kid, facts, names, factors) is None:
+                break
+        else:
+            return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
+    same = [f for f in facts if f.names == free]
+    key = canonical_key(u, factors) if same else None
+    matching = [f.statement for f in same if f.key == key]
+    return Certificate(CertificateKind.HYPOTHESIS_DERIVED, min(matching)) if matching else None
 
 
 #: Prime-field residues lifted to the rationals, then fractions with
@@ -473,6 +474,7 @@ def lint(corpus: list[Statement], convention: Convention) -> list[Verdict]:
             try:
                 verdict = _judge(stmt.index, occ, convention, facts)
             except PowerBoundError as exc:
+                exc.__traceback__ = None  # its frames hold the error: a reference cycle
                 verdict = Verdict(
                     stmt.index, occ.position, occ.guarded, VerdictKind.UNKNOWN, reason=str(exc)
                 )

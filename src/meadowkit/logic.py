@@ -37,12 +37,12 @@ from enum import Enum
 from .carriers import PowerBoundError
 from .semantics import (
     StructureSpec,
+    TermCompiler,
     block_sizes,
     checked_elements,
     row_frame,
     select_rows,
     stretch,
-    term_compiler,
 )
 from .semantics import eval_partial  # unused here; bench/tracing.py wraps this module attribute
 from .terms import (
@@ -251,13 +251,24 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
     name's column replaces the outer one, so a re-quantified or bound name
     follows lexical scope.  The dict `free`, if given, gets f's free names
     in textual order."""
-    c = s.carrier
-    bound = []  # the quantified names around the node being compiled
-    term = term_compiler(s, {} if free is None else free, bound)
-    depth = 0
+    compiler = _FormulaCompiler(cfg, s, {} if free is None else free)
+    fn = compiler.formula(f)
+    if compiler.depth:  # the budget; a quantifier-free formula needs no elements, and the rationals have none
+        checked_elements(s.carrier, compiler.depth)
+    return fn
 
-    def comp(g):
-        nonlocal depth
+
+class _FormulaCompiler(TermCompiler):
+    """The state of `compile_formula`, which compiles the atoms' terms too.
+    It recurses through methods, not a closure that holds itself, so a
+    compile leaves no reference cycle."""
+
+    def __init__(self, cfg: LogicConfig, s: StructureSpec, free: dict):
+        super().__init__(s, free, [])  # bound: the quantified names around the node being compiled
+        self.cfg, self.depth = cfg, 0  # depth: the most quantifiers nested
+
+    def formula(self, g):
+        cfg, comp, term = self.cfg, self.formula, self.term
         cls = type(g)
         if cls in RELATIONS:
             return _atom(cls, cfg.equality, term(g.left), term(g.right))
@@ -268,20 +279,16 @@ def compile_formula(f, cfg: LogicConfig, s: StructureSpec, free=None):
         if cls is Implies:
             return _connective(cfg.connectives, False, _negation(comp(g.left)), comp(g.right))
         if cls is Forall or cls is Exists:
+            c = self.c
             if not c.enumerable:
                 raise NonEnumerableCarrierError(f"quantifier over non-enumerable carrier {c}")
-            bound.append(g.var)
-            depth = max(depth, len(bound))
+            self.bound.append(g.var)
+            self.depth = max(self.depth, len(self.bound))
             body = comp(g.body)
-            bound.pop()
+            self.bound.pop()
             rule = _rule(cfg.quantifiers, cls is Forall)
             return _quantifier(*rule, g.var, body, c.elements(), c.ops.column)
         raise TypeError(f"not a formula: {g!r}")
-
-    fn = comp(f)
-    if depth:  # the budget; a quantifier-free formula needs no elements, and the rationals have none
-        checked_elements(c, depth)
-    return fn
 
 
 def _quantifier(opens, unit, var: str, body, elements, column):

@@ -22,22 +22,26 @@ Grammar (authoritative):
 `a - b` is sugar for `a + (-b)` and `t != u` for `!(t = u)`; `t^n` is a
 `Pow` node for every natural n, 0 and 1 included.
 
-Tokens are read in one regex pass: each match skips the ASCII
-whitespace (`[ \t\n\r\f\v]`) before a token, a name is the longest run
-of `[a-zA-Z][a-zA-Z0-9_]*` (so `forallx` is a name, not a keyword), an
-operator is `=>` or `!=` where one stands, else one character, and any
-other character, other whitespace included, is refused at its position.
+The text is read in two C-level regex passes.  The first checks it
+whole, so a character that starts no token is refused at its position
+before any other error; the second (`findall`) reads its tokens as
+strings.  A name is the longest run of `[a-zA-Z][a-zA-Z0-9_]*` (so
+`forallx` is a name, not a keyword), an operator is `=>` or `!=` where
+one stands, else one character, and ASCII whitespace (`[ \t\n\r\f\v]`)
+between tokens is skipped; other whitespace is refused.  A token's
+position is computed only when an error names it.
 
 The grammar is implemented by one table, `BINARY`, `PREFIX` and
 `POSTFIX_PREC`, which the printer reads too: each operator's node
 class, precedence (higher binds tighter), associativity and the sort of
 its operands (`Term` or `Formula`).  The parser is one loop over the
-tokens with an operand stack and an operator stack (operator-precedence
-parsing; Pratt, "Top down operator precedence", POPL 1973), without
-recursion.  An operator whose operand has the wrong sort, such as a
-relation over a formula or `&` over a term, is a `ParseError`; so
-relations do not chain (`x = y = z`).  A quantifier may start the input
-or follow `(` or `.`, and its body extends as far right as possible.
+token strings with an operand stack and an operator stack
+(operator-precedence parsing; Pratt, "Top down operator precedence",
+POPL 1973), without recursion.  An operator whose operand has the wrong
+sort, such as a relation over a formula or `&` over a term, is a
+`ParseError`; so relations do not chain (`x = y = z`).  A quantifier may
+start the input or follow `(` or `.`, and its body extends as far right
+as possible.
 
 Input nested deeper than `MAX_DEPTH` is refused with a `ValueError`
 (not a `ParseError`) reading "input nested too deeply".  The depth of
@@ -121,48 +125,35 @@ POSTFIX_PREC = 9
 _OPEN = Operator(None, -1, False, None)
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s*  # whitespace before a token is skipped
-    (?:
-      (?P<nat>[0-9]+)
-    | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
-    | (?P<op>=>|!=|[-+*/^()=<>!&|.])
-    | (?P<eof>\Z)
-    | (?P<bad>.)  # any other character
-    )
-    """,
-    re.VERBOSE | re.ASCII,  # `\s` is ASCII whitespace only
-)
+_TOKEN = r"[0-9]+|[a-zA-Z]\w*|=>|!=|[-+*/^()=<>!&|.]"
+_TOKEN_RE = re.compile(_TOKEN, re.ASCII)  # `\w` and `\s` are ASCII only
+#: Tokens and whitespace from the start of a text up to the first
+#: character that starts no token, if there is one.
+_TEXT_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*", re.ASCII)
 
 _KEYWORDS = {"forall", "exists"}
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """The tokens of text as (kind, text, position) tuples, the last of
-    kind "eof"; an operator's or a keyword's kind is its text."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        word = m[kind]
-        pos = m.start(kind)
-        if kind == "op" or word in _KEYWORDS:
-            kind = word
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", pos)
-        tokens.append((kind, word, pos))
-        if kind == "eof":  # every text ends in an eof match
-            return tokens
+def is_variable(text: str) -> bool:
+    """Whether the parser reads text as one variable: one ident token, not
+    a keyword, with nothing around it."""
+    return _TOKEN_RE.fullmatch(text) is not None and text.isidentifier() and text not in _KEYWORDS
+
+
+def _position(text: str, i: int) -> int:
+    """The position of the i-th token of a checked text, or of its end."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
 def _found(word: str) -> str:
     return repr(word or "end of input")
 
 
-def _check_sort(node, sort: type, pos: int):
+def _check_sort(node, sort: type, text: str, i: int):
     if not isinstance(node, sort):
         wanted, got = ("formula", "term") if sort is Formula else ("term", "formula")
-        raise ParseError(f"expected a {wanted}, found a {got}", pos)
+        raise ParseError(f"expected a {wanted}, found a {got}", _position(text, i))
 
 
 def _check_depth(depth: int) -> int:
@@ -172,19 +163,23 @@ def _check_depth(depth: int) -> int:
 
 
 def _parse(text: str, sort: type):
-    tokens = _tokenize(text)
+    end = _TEXT_RE.match(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", end)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end of input
     operands: list = []  # (node, depth)
-    ops: list = []  # pending (Operator, position, binary), _OPEN for "("
+    ops: list = []  # pending (Operator, token index, binary), _OPEN for "("
 
     def reduce(above: int):
         # build the pending operators that bind tighter than `above`
         while ops and ops[-1][0].prec > above:
-            op, pos, binary = ops.pop()
+            op, at, binary = ops.pop()
             node, depth = operands.pop()
-            _check_sort(node, op.sort, pos)
+            _check_sort(node, op.sort, text, at)
             if binary:
                 left, left_depth = operands.pop()
-                _check_sort(left, op.sort, pos)
+                _check_sort(left, op.sort, text, at)
                 node, depth = op.build(left, node), max(left_depth, depth)
             else:
                 node = op.build(node)
@@ -193,69 +188,70 @@ def _parse(text: str, sort: type):
     i = 0
     while True:
         # an operand: prefix operators and "(" up to a leaf
-        kind, word, pos = tokens[i]
+        word = tokens[i]
         i += 1
-        if kind == "nat":
+        if word.isdigit():  # the text is ASCII: a nat
             n = read_int(word)
             operands.append((ZERO if n == 0 else ONE if n == 1 else NumLit(n), 0))
-        elif kind == "ident":
-            operands.append((Var(word), 0))
-        elif kind == "(" or kind in PREFIX:
-            op = PREFIX.get(kind, _OPEN)
-            if kind in _KEYWORDS:
-                if i > 1 and tokens[i - 2][0] not in ("(", "."):
-                    raise ParseError(f"expected a term, found {_found(word)}", pos)
-                for expected in ("ident", "."):
-                    if tokens[i][0] != expected:
-                        _, found, at = tokens[i]
-                        raise ParseError(f"expected {expected!r}, found {_found(found)}", at)
-                    i += 1
-                op = op._replace(build=partial(op.build, tokens[i - 2][1]))
-            ops.append((op, pos, False))
+        elif word in PREFIX or word == "(":
+            op, at = PREFIX.get(word, _OPEN), i - 1
+            if word in _KEYWORDS:
+                if i > 1 and tokens[i - 2] not in ("(", "."):
+                    raise ParseError(f"expected a term, found {_found(word)}", _position(text, at))
+                name = tokens[i]
+                if not name.isidentifier() or name in _KEYWORDS:
+                    raise ParseError(f"expected 'ident', found {_found(name)}", _position(text, i))
+                if tokens[i + 1] != ".":
+                    raise ParseError(f"expected '.', found {_found(tokens[i + 1])}", _position(text, i + 1))
+                i += 2
+                op = op._replace(build=partial(op.build, name))
+            ops.append((op, at, False))
             # every pending operator and "(" encloses the next operand
             _check_depth(len(ops))
             continue
+        elif word.isidentifier():
+            operands.append((Var(word), 0))
         else:
-            raise ParseError(f"expected a term, found {_found(word)}", pos)
+            raise ParseError(f"expected a term, found {_found(word)}", _position(text, i - 1))
 
         # after an operand: postfix powers and ")", then a binary operator
         while True:
-            kind, word, pos = tokens[i]
+            word = tokens[i]
             i += 1
-            if kind == "^":
+            if word == "^":
                 node, depth = operands.pop()
-                _check_sort(node, Term, pos)
-                minus = tokens[i][0] == "-"
-                nat, digits, at = tokens[i + minus]
-                if nat != "nat":
-                    raise ParseError(f"expected 'nat', found {_found(digits)}", at)
+                _check_sort(node, Term, text, i - 1)
+                minus = tokens[i] == "-"
+                digits = tokens[i + minus]
+                if not digits.isdigit():
+                    raise ParseError(f"expected 'nat', found {_found(digits)}", _position(text, i + minus))
                 if minus and digits != "1":
-                    raise ParseError("only ^-1 is a valid negative power", tokens[i][2])
+                    raise ParseError("only ^-1 is a valid negative power", _position(text, i))
                 i += 1 + minus
                 node = Inv(node) if minus else Pow(node, read_int(digits))
                 operands.append((node, _check_depth(depth + 1)))
-            elif kind == ")":
+            elif word == ")":
                 reduce(_OPEN.prec)
                 if not ops:
-                    raise ParseError(f"trailing input {word!r}", pos)
+                    raise ParseError(f"trailing input {word!r}", _position(text, i - 1))
                 ops.pop()
                 node, depth = operands.pop()
                 operands.append((node, _check_depth(depth + 1)))
             else:
                 break
 
-        op = BINARY.get(kind)
+        op = BINARY.get(word)
         if op is None:
             reduce(_OPEN.prec)
             if ops:
-                raise ParseError(f"expected ')', found {_found(word)}", pos)
-            if kind != "eof":
-                raise ParseError(f"trailing input {word!r}", pos)
+                raise ParseError(f"expected ')', found {_found(word)}", _position(text, i - 1))
+            if word:
+                raise ParseError(f"trailing input {word!r}", _position(text, i - 1))
             node = operands.pop()[0]
-            _check_sort(node, sort, pos)
+            _check_sort(node, sort, text, i - 1)
             return node
         reduce(op.prec if op.right else op.prec - 1)
-        ops.append((op, pos, True))
+        ops.append((op, i - 1, True))
         _check_depth(len(ops))
 
 

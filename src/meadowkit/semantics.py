@@ -71,8 +71,8 @@ from .terms import (
     Var,
     Zero,
     _contains,
+    free_vars,
 )
-from .terms import free_vars  # unused here; bench/tracing.py wraps this module attribute
 
 
 class UnboundVariableError(LookupError):
@@ -294,39 +294,43 @@ _PUNCHED_DIVISIONS = {
 }
 
 
-def term_compiler(s: StructureSpec, free: dict, bound=()):
-    """A function compiling terms into closures that compute them in s
-    from a frame.  Each variable name not in `bound` is recorded in the
-    dict `free` when first met, so `free` lists the free names in
-    textual order.
+class TermCompiler:
+    """Compiles terms (`term`) into closures that compute them in s from a
+    frame.  Each variable name not in `bound` is recorded in the dict
+    `free` when first met, so `free` lists the free names in textual
+    order.
 
     The punch tests of s's mode are chosen here and sit only in the Inv
     and Div closures; a punched row goes into the undefined-row map.
     Operands are not checked: every value in a frame was checked where
-    it entered.
+    it entered.  The compiler recurses through a method, not a closure
+    that holds itself, so a compile leaves no reference cycle.
     """
-    c = s.carrier
-    add, mul, neg, inv, power, column = c.ops
-    punch_inverse = s.mode is Mode.PUNCH_INV0
-    punched_division = _PUNCHED_DIVISIONS.get(s.mode)
 
-    def comp(t):
+    def __init__(self, s: StructureSpec, free: dict, bound=()):
+        self.c, self.free, self.bound = s.carrier, free, bound
+        self.punch_inverse = s.mode is Mode.PUNCH_INV0
+        self.punched_division = _PUNCHED_DIVISIONS.get(s.mode)
+
+    def term(self, t):
+        c, comp = self.c, self.term
+        add, mul, neg, inv, power, column = c.ops
         cls = type(t)
         if cls is Var:
-            if t.name not in bound:
-                free.setdefault(t.name)
+            if t.name not in self.bound:
+                self.free.setdefault(t.name)
             return _variable(t.name)
         if cls is Add:
             return _binary(add, comp(t.left), comp(t.right))
         if cls is Mul:
             return _binary(mul, comp(t.left), comp(t.right))
         if cls is Div:
-            return _division(mul, inv, punched_division, comp(t.left), comp(t.right))
+            return _division(mul, inv, self.punched_division, comp(t.left), comp(t.right))
         if cls is Neg:
             return _unary(neg, comp(t.arg))
         if cls is Inv:
             a = comp(t.arg)
-            return _inverse_punched(inv, a) if punch_inverse else _unary(inv, a)
+            return _inverse_punched(inv, a) if self.punch_inverse else _unary(inv, a)
         if cls is Pow:
             return _power(power, comp(t.arg), t.n)
         if cls is NumLit:
@@ -335,14 +339,12 @@ def term_compiler(s: StructureSpec, free: dict, bound=()):
             return _constant(column((c.from_int(int(cls is One)),)))
         raise TypeError(f"not a term: {t!r}")
 
-    return comp
-
 
 def compile_term(t: Term, s: StructureSpec):
     """A closure computing t in s from a frame that holds t's free names:
     `fn(frame, rows, undefined)` gives t's column and adds each row where
     t does not denote to the map `undefined`, with its reason."""
-    return term_compiler(s, {})(t)
+    return TermCompiler(s, {}).term(t)
 
 
 def eval_partial(t: Term, env, s: StructureSpec):
@@ -352,7 +354,7 @@ def eval_partial(t: Term, env, s: StructureSpec):
     unbound variable is reported even next to an undefined subterm.
     """
     free = {}
-    fn = term_compiler(s, free)(t)
+    fn = TermCompiler(s, free).term(t)
     undefined = {}
     (value,) = fn(row_frame(free, env, s.carrier), 1, undefined)
     if undefined.get(0):  # a power over the bound came first
@@ -421,16 +423,21 @@ class AxiomSpec:
         printed once per process."""
         return print_formula(self.formula)
 
+    @functools.cached_property
+    def names(self) -> list:
+        """The law's free names, sorted, once per spec."""
+        return sorted(free_vars(self.formula))
+
     def law(self, s: StructureSpec):
         """(the law compiled in s, its free names sorted), once per spec
         and structure: the catalog's laws are compiled once per process
-        and carrier.  Keyed by s alone, as `==` of a formula recurses."""
+        and carrier.  Keyed by s alone, as the dict is the spec's own and
+        its formula never changes."""
         law = self._laws.get(s)
         if law is None:
             from .logic import LPMD, compile_formula  # logic builds on this module
 
-            free = {}
-            law = self._laws[s] = compile_formula(self.formula, LPMD, s, free), sorted(free)
+            law = self._laws[s] = compile_formula(self.formula, LPMD, s), self.names
         return law
 
 
@@ -464,6 +471,8 @@ def verify_axiom_spec(
     check_samples(samples)
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
+    if s.carrier.enumerable:  # the budget first, so a refused carrier compiles nothing
+        checked_elements(s.carrier, len(spec.names))
     law, names = spec.law(s)
 
     def failing(frame, n):

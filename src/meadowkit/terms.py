@@ -7,128 +7,175 @@ can be translated into either pure notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class Node:
+    """The base of every term and formula node.
+
+    A node class lists its fields in `__slots__`, in constructor order;
+    its `__init__`, made once per class, sets each field once through the
+    field's slot descriptor, and assigning a field afterwards raises
+    AttributeError, so a node never changes.  `==` compares the class and
+    every field, and `hash` and `repr` read them; all three walk with an
+    explicit stack, so they work at any depth the parser accepts.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("__slots__", ())
+        if not fields:  # Term, Formula, Zero and One: object's __init__
+            return
+        names = ", ".join(fields)
+        values = "".join(f"self.{name}, " for name in fields)
+        sets = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
+        namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in fields}
+        exec(f"def __init__(self, {names}):{sets}\ndef _values(self):\n    return ({values})", namespace)
+        cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
+
+    def _values(self) -> tuple:
+        """The node's fields, in constructor order."""
+        return ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r} of a {type(self).__name__} node")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            for x, y in zip(a._values(), b._values()):
+                if isinstance(x, Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # the classes and leaf fields in preorder: equal nodes give one sequence
+        flat, stack = [], [self]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Node):
+                flat.append(type(u))
+                stack.extend(reversed(u._values()))
+            else:
+                flat.append(u)
+        return hash(tuple(flat))
+
+    def __repr__(self):
+        # the text of a node as a dataclass would print it: a str on the
+        # stack is printed text, every leaf field is printed when pushed
+        out, stack = [], [self]
+        while stack:
+            u = stack.pop()
+            if type(u) is str:
+                out.append(u)
+                continue
+            parts = [f"{type(u).__name__}("]
+            for i, (name, value) in enumerate(zip(type(u).__slots__, u._values())):
+                parts.append(f"{', ' if i else ''}{name}=")
+                parts.append(value if isinstance(value, Node) else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
 
-class Term:
+class Term(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NumLit(Term):
-    value: int
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Add(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Neg(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Inv(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Div(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Pow(Term):
     """`arg^n` for a natural number n (`arg^0` is 1)."""
 
-    arg: Term
-    n: int
+    __slots__ = ("arg", "n")
 
 
 ZERO = Zero()
 ONE = One()
 
 
-class Formula:
+class Formula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Gt(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Lt(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
 
 
 _LEAVES = frozenset({Zero, One, NumLit, Var})
@@ -166,9 +213,11 @@ def rebuild(node, kids):
     raise TypeError(f"not a term or formula: {node!r}")
 
 
-# The walkers below recurse with plain loops: a generator or (before
-# Python 3.12) a comprehension adds a frame per level, which halves the
-# depth of term they can walk.
+# The walkers below recurse with plain loops, one frame per level, which
+# the parser's depth bound keeps below the recursion limit: a generator
+# or (before Python 3.12) a comprehension adds a frame per level, which
+# halves the depth of term they can walk.  Node `==`, `hash` and `repr`
+# do not recurse at all.
 
 
 def free_vars(node) -> frozenset:
@@ -181,25 +230,6 @@ def free_vars(node) -> frozenset:
     if type(node) in _QUANTIFIERS:
         names -= {node.var}
     return names
-
-
-def same(a, b) -> bool:
-    """True iff two terms or formulas are equal node by node, walked with
-    an explicit stack: `==` of the frozen dataclasses recurses about 2.5
-    frames a level, so it fails well below the parser's depth bound."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        cls = type(a)
-        if cls is not type(b):
-            return False
-        kids = children(a)
-        if not kids and a != b or cls is Pow and a.n != b.n or cls in _QUANTIFIERS and a.var != b.var:
-            return False
-        stack.extend(zip(kids, children(b)))
-    return True
 
 
 def _contains(node, kind) -> bool:

@@ -19,9 +19,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from meadowkit import cli, logic
+from meadowkit.carriers import PrimeField
 from meadowkit.cli import main
 from meadowkit.parser import MAX_DEPTH, parse_formula
 from meadowkit.printer import print_formula
+from meadowkit.semantics import StructureSpec, axiom_catalog
 from meadowkit.terms import free_vars
 from oracle import oracle_formula
 
@@ -329,6 +331,9 @@ class TestAxioms:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: enumeration of {p}^3 environments")
         assert len(err.strip().splitlines()) == 1
+        # the budget is checked before a law is compiled: a refused carrier keeps nothing
+        refused = StructureSpec(PrimeField(int(p)))
+        assert not [spec.name for spec in axiom_catalog() if refused in spec._laws]
 
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "axioms", "--samples", "50", "--seed", "3")

@@ -1,11 +1,15 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from generators import random_rational, random_term
 from oracle import oracle_term
+from meadowkit.lint import Convention, lint, parse_corpus
+from meadowkit.logic import LPMD, eval_formula
 from meadowkit.carriers import RATIONALS, CarrierMismatchError, FiniteProbeSet, PrimeField
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
@@ -24,6 +28,7 @@ from meadowkit.semantics import (
 from meadowkit.terms import One, Var, Zero, free_vars
 
 TOTAL_Q = StructureSpec(RATIONALS)
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 PUNCH_INV = StructureSpec(RATIONALS, Mode.PUNCH_INV0)
 PUNCH_ALL = StructureSpec(RATIONALS, Mode.PUNCH_DIV_ALL0)
 PUNCH_NONZERO = StructureSpec(RATIONALS, Mode.PUNCH_DIV_NONZERO0)
@@ -269,3 +274,37 @@ class TestCompiledLaw:
             for spec in axiom_catalog():
                 fresh = AxiomSpec(spec.name, spec.formula)
                 assert verify_axiom_spec(spec, s, 40, 3) == verify_axiom_spec(fresh, s, 40, 3)
+
+
+def _corpora():
+    return [parse_corpus(path.read_text()) for path in sorted(CORPORA.glob("*.mcorpus"))]
+
+
+def _catalog(s):
+    # fresh specs, so each law is compiled here and freed after
+    for spec in axiom_catalog():
+        verify_axiom_spec(AxiomSpec(spec.name, spec.formula), s)
+
+
+class TestNoReferenceCycles:
+    """Compiling and running terms, formulas, laws and lint corpora leaves
+    no cyclic garbage: what a command builds is freed by reference
+    counting, so the cyclic collector has nothing of it to find."""
+
+    @pytest.mark.parametrize("run", [
+        *(lambda c=c: [lint(corpus, c) for corpus in _corpora()] for c in Convention),
+        lambda: eval_partial(parse_term("x/y + 3*x^2 + y^-1"), {"x": Fraction(1), "y": Fraction(0)}, PUNCH_ALL),
+        lambda: eval_formula(parse_formula("forall x. exists y. x*y = 1 | x = 0"), LPMD, {},
+                             StructureSpec(PrimeField(7))),
+        lambda: _catalog(StructureSpec(PrimeField(11))),
+        lambda: _catalog(TOTAL_Q),
+    ], ids=[*(f"lint-{c.value}" for c in Convention), "eval_partial", "eval_formula",
+            "catalog-gf11", "catalog-rationals"])
+    def test_leaves_no_cyclic_garbage(self, run):
+        gc.disable()
+        try:
+            gc.collect()
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

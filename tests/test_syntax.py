@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -22,23 +23,65 @@ from meadowkit.terms import (
     Gt,
     Implies,
     Inv,
+    Lt,
     Mul,
     Neg,
     Not,
     NumLit,
+    One,
     Or,
     Pow,
+    Term,
     Var,
+    Zero,
     children,
     _contains,
     free_vars,
     rebuild,
-    same,
     to_divisive,
     to_inversive,
 )
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+def _left_chain(cls, leaf, depth=MAX_DEPTH):
+    node = leaf
+    for _ in range(depth):
+        node = cls(node, leaf)
+    return node
+
+
+def _nest(build, node, depth):
+    for _ in range(depth):
+        node = build(node)
+    return node
+
+
+_ATOM = Eq(X, X)  # one level deep
+#: For each node class, a node MAX_DEPTH deep whose longest path repeats
+#: that class wherever its sort allows it, and prints with no parentheses.
+_CHAINS = {
+    Zero: lambda: _left_chain(Add, ZERO),
+    One: lambda: _left_chain(Mul, ONE),
+    NumLit: lambda: _left_chain(Div, NumLit(7)),
+    Var: lambda: _left_chain(Add, X),
+    Add: lambda: _left_chain(Add, X),
+    Mul: lambda: _left_chain(Mul, X),
+    Div: lambda: _left_chain(Div, X),
+    Neg: lambda: _nest(Neg, X, MAX_DEPTH),
+    Inv: lambda: _nest(Inv, X, MAX_DEPTH),
+    Pow: lambda: _nest(lambda t: Pow(t, 2), X, MAX_DEPTH),
+    Eq: lambda: Eq(_left_chain(Add, X, MAX_DEPTH - 1), X),
+    Gt: lambda: Gt(X, _left_chain(Mul, X, MAX_DEPTH - 1)),
+    Lt: lambda: Lt(_left_chain(Div, X, MAX_DEPTH - 1), ONE),
+    Not: lambda: _nest(Not, _ATOM, MAX_DEPTH - 1),
+    And: lambda: _left_chain(And, _ATOM, MAX_DEPTH - 1),
+    Or: lambda: _left_chain(Or, _ATOM, MAX_DEPTH - 1),
+    Implies: lambda: _nest(lambda f: Implies(_ATOM, f), _ATOM, MAX_DEPTH - 1),
+    Forall: lambda: _nest(lambda f: Forall("x", f), _ATOM, MAX_DEPTH - 1),
+    Exists: lambda: _nest(lambda f: Exists("y", f), _ATOM, MAX_DEPTH - 1),
+}
 
 
 class TestParseTerm:
@@ -283,22 +326,48 @@ class TestNodeEquality:
             a, b = parse_formula(text), parse_formula(text)
             assert a is not b and a == b and hash(a) == hash(b), text
 
-    def test_same_agrees_with_equality(self):
+    def test_equality_agrees_with_printed_text(self):
         f = parse_formula("x = 1")
         for a, b in [(Add(X, Y), Add(Y, X)), (Add(X, Y), Mul(X, Y)), (Eq(X, Y), Gt(X, Y)),
                      (Forall("x", f), Forall("y", f)), (Forall("x", f), Exists("x", f)),
                      (Pow(X, 2), Pow(X, 3)), (NumLit(2), NumLit(3))]:
-            assert not same(a, b) and same(a, a)
+            assert a != b and a == a and not a == b
         rng = random.Random(17)
         for _ in range(200):
             a, b = random_formula(rng, depth=3), random_formula(rng, depth=3)
-            assert same(a, b) == (a == b) and same(a, parse_formula(print_formula(a)))
+            assert (a == b) == (print_formula(a) == print_formula(b))
+            assert a == parse_formula(print_formula(a))
 
-    def test_same_walks_a_term_at_the_depth_bound(self):
-        # `==` recurses out well before this depth
+    def test_equality_walks_a_term_at_the_depth_bound(self):
         text = "x" + " + 1" * (MAX_DEPTH - 1)
         a, b = parse_term(text), parse_term(text)
-        assert same(a, b) and not same(a, Add(a.left, ZERO))
+        assert a == b and a != Add(a.left, ZERO) and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("cls", sorted(_CHAINS, key=lambda cls: cls.__name__))
+    def test_every_node_class_at_the_depth_bound(self, cls):
+        node = _CHAINS[cls]()
+        parse, show = (parse_term, print_term) if isinstance(node, Term) else (parse_formula, print_formula)
+        text = show(node)
+        twin, other = parse(text), parse(re.sub(r"\b[017x]\b", "z", text, count=1))
+        assert twin is not node and twin == node and hash(twin) == hash(node)
+        assert other != node and not other == node
+        assert repr(twin) == repr(node) and repr(node).count(cls.__name__ + "(") >= 1
+        assert free_vars(node) <= {"x"}
+
+    def test_repr_names_every_field(self):
+        assert repr(Forall("x", Eq(Pow(X, 2), NumLit(7)))) == (
+            "Forall(var='x', body=Eq(left=Pow(arg=Var(name='x'), n=2), right=NumLit(value=7)))"
+        )
+        assert repr(Not(Eq(ZERO, ONE))) == "Not(arg=Eq(left=Zero(), right=One()))"
+
+    def test_fields_cannot_be_assigned(self):
+        node = Add(X, Y)
+        for name in ("left", "right", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, ZERO)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert node == Add(left=X, right=Y) and node.left is X
 
 
 class TestTraversal:
