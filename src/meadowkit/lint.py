@@ -4,7 +4,12 @@ Statements are processed in document order.  Every inverse or division
 occurrence gets exactly one verdict: Violation (with a concrete zero
 witness for the guarded term), Compliant (with a nonzero certificate),
 or Unknown.  Compliance with the conventions is undecidable in general,
-so the linter is sound but incomplete in both directions.
+so the linter is incomplete in both directions.  It is not yet sound
+either: a fact about a free name certifies an occurrence where that
+name is bound (`hyp: 1/q = 2`, `claim: forall q. q/q = 1`); a product
+fact is not split into its factors (`hyp: 1/(q*r) = 2`, `claim: 1/q = 1`
+gives the witness q=0); and a witness may falsify a guard in the formula
+around the occurrence (`claim: forall x. x != 0 => x/x = 1` gives x=0).
 """
 
 from __future__ import annotations
@@ -320,29 +325,30 @@ _FROM_RESIDUE = dict(zip(_RESIDUES, _WITNESS_VALUES))
 
 
 def _zero_test(t: Term):
-    """A function giving the rows, among `rows` of a frame of residues,
-    where t is zero or raises (its error put in `raised`): a nonzero
-    residue proves it is not zero, otherwise the exact value decides,
-    computed on the rows that `keep` returns of those with a zero residue.
-    Only that exact computation raises, on a power over the size bound,
-    so whether a row raises depends on its residue modulo _P."""
-    modular = compile_term(to_inversive(t), _MODULAR)
-    exact = compile_term(t, _TOTAL_RATIONALS)
+    """The two halves of a test of where t is zero, on a frame of residues:
+    `residue(frame, rows)` gives the rows among `rows` where t's residue
+    is zero or an inverse met a zero residue (elsewhere t is nonzero), and
+    `exact(frame, rows, errors)` those of its rows where t's exact value
+    is zero or raises, each error put in `errors` by its row.  Only the
+    exact half raises, on a power over the size bound."""
+    modular, rational = compile_term(to_inversive(t), _MODULAR), compile_term(t, _TOTAL_RATIONALS)
 
-    def zeros(frame, rows, raised, keep=list) -> set:
+    def residue(frame, rows) -> list:
         maybe = {}  # the rows that met the inverse of a zero residue, then zero ones
         maybe.update(dict.fromkeys(zero_rows(modular(select_rows(frame, rows), len(rows), maybe))))
-        maybe = keep([rows[j] for j in sorted(maybe)])
-        if not maybe:
-            return set()
-        errors = {}
-        values = exact({name: [_FROM_RESIDUE[column[i]] for i in maybe] for name, column in frame.items()},
-                       len(maybe), errors)
-        for j, error in errors.items():  # a row that raises is decided, as a zero is
-            raised[maybe[j]], values[j] = error, 0
-        return {i for i, v in zip(maybe, values) if not v}
+        return [rows[j] for j in sorted(maybe)]
 
-    return zeros
+    def exact(frame, rows, errors) -> set:
+        if not rows:
+            return set()
+        raised = {}
+        values = rational({name: [_FROM_RESIDUE[column[i]] for i in rows] for name, column in frame.items()},
+                          len(rows), raised)
+        for j, error in raised.items():  # a row that raises is decided, as a zero is
+            errors[rows[j]], values[j] = error, 0
+        return {i for i, v in zip(rows, values) if not v}
+
+    return residue, exact
 
 
 def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
@@ -364,39 +370,35 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     every literal, map onto GF(P) by a ring homomorphism, and an exact
     value the prefilter inverts has a nonzero residue, so it is a unit of
     that ring too; hence a nonzero residue proves a nonzero exact value.
-    A term of `nonzero` is computed only where t may be zero, and also
-    before the witness if it has a power, which may raise.
 
-    A power over the size bound raises `PowerBoundError` where a
-    row-by-row search with the same prefilter would: at the first row
-    whose exact check meets it, if no zero comes before.  Which rows get
-    an exact check depends on P, so such a search may end on the bound
-    under one prime and be decided under another.
+    Each block runs in one pass: t's residues; the terms of `nonzero` in
+    order, each on the rows the ones before it leave (where t may be
+    zero, or every row if one has a power, which may raise); then t's
+    exact value where it may be zero on the rows left.  A power over the
+    size bound raises `PowerBoundError` where a row-by-row search with
+    the same prefilter would: at the first row that meets it, unless a
+    zero comes before (`semantics.first_hit`).  Which rows get an exact
+    check depends on P, so such a search may end on the bound under one
+    prime and be decided under another.
     """
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > WITNESS_MAX_VARS:
         return None
-    target = _zero_test(t)
-    guards = [_zero_test(u) for u in nonzero]
+    residue, exact = _zero_test(t)
+    facts = [_zero_test(u) for u in nonzero]
     # exact rational arithmetic raises only in a power over the size bound
-    guards_may_raise = any(_contains(u, (Pow,)) for u in nonzero)
+    facts_may_raise = any(_contains(u, (Pow,)) for u in nonzero)
 
     def first_zero(frame, n):
-        raised = {}  # the error of each row where a term raises
-
-        def unguarded(rows):
-            for guard in guards:  # in order, each on the rows the ones before leave
-                zeros = guard(frame, rows, raised)
-                rows = [i for i in rows if i not in zeros]
-            return rows
-
-        zeros = target(frame, range(n), raised, unguarded)
-        hit = min(zeros) if zeros else None
-        if guards_may_raise:  # raise where a row-by-row search would
-            unguarded(range(n if hit is None else hit))
-        if raised and (hit is None or min(raised) <= hit):
-            raise raised[min(raised)]
-        return hit
+        errors = {}  # the error of each row where a term raises
+        candidates = residue(frame, range(n))
+        rows = range(n) if facts_may_raise else candidates
+        for fact_residue, fact_exact in facts:  # in order, each on the rows the ones before leave
+            decided = fact_exact(frame, fact_residue(frame, rows), errors)
+            rows = [i for i in rows if i not in decided]
+        if facts_may_raise:
+            rows = sorted(set(candidates).intersection(rows))
+        return min(exact(frame, rows, errors), default=None), errors
 
     _, residues = first_hit(product_blocks(_RESIDUES, names, list), first_zero)
     if residues is None:
@@ -474,7 +476,6 @@ def lint(corpus: list[Statement], convention: Convention) -> list[Verdict]:
             try:
                 verdict = _judge(stmt.index, occ, convention, facts)
             except PowerBoundError as exc:
-                exc.__traceback__ = None  # its frames hold the error: a reference cycle
                 verdict = Verdict(
                     stmt.index, occ.position, occ.guarded, VerdictKind.UNKNOWN, reason=str(exc)
                 )

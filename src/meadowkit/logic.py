@@ -163,38 +163,19 @@ def _negation(a):
     return lambda f, n: [F if x is T else T if x is F else x for x in a(f, n)]  # U and errors stay
 
 
-#: Operand closures reading a frame of columns "a" and "b" (a connective
-#: may write to the column it gets).
-_FIRST, _SECOND = (lambda f, n: list(f["a"])), (lambda f, n: list(f["b"]))
-
-
-def not_tv(a: TruthValue) -> TruthValue:
-    # the closure every compiled negation runs, on a block of one row
-    return _negation(_FIRST)({"a": [a]}, 1)[0]
-
-
-def or_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    # the closure every compiled disjunction runs, on a block of one row
-    return _connective(family, False, _FIRST, _SECOND)({"a": [a], "b": [b]}, 1)[0]
-
-
-def and_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    return _connective(family, True, _FIRST, _SECOND)({"a": [a], "b": [b]}, 1)[0]
-
-
-def implies_tv(family: ConnectiveFamily, a: TruthValue, b: TruthValue) -> TruthValue:
-    # a => b is read as (!a) | b within the family.
-    return or_tv(family, not_tv(a), b)
-
-
 def connective_table(family: ConnectiveFamily) -> dict:
-    """Full truth tables of a family: 'not', 'and', 'or', 'implies'."""
-    values = (T, F, U)
+    """Full truth tables of a family: 'not', 'and', 'or', 'implies'.  Each
+    is computed once, by the closure a compiled formula runs, on a block
+    whose columns "a" and "b" hold the nine operand pairs."""
+    pairs = list(itertools.product((T, F, U), repeat=2))
+    frame = {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}
+    # the operands' closures: a connective may write to the column it gets
+    a, b = (lambda f, n: list(f["a"])), (lambda f, n: list(f["b"]))
     return {
-        "not": {a: not_tv(a) for a in values},
-        "and": {(a, b): and_tv(family, a, b) for a in values for b in values},
-        "or": {(a, b): or_tv(family, a, b) for a in values for b in values},
-        "implies": {(a, b): implies_tv(family, a, b) for a in values for b in values},
+        "not": dict(zip(frame["a"], _negation(a)(frame, 9))),
+        "and": dict(zip(pairs, _connective(family, True, a, b)(frame, 9))),
+        "or": dict(zip(pairs, _connective(family, False, a, b)(frame, 9))),
+        "implies": dict(zip(pairs, _connective(family, False, _negation(a), b)(frame, 9))),
     }
 
 
@@ -337,10 +318,10 @@ def _quantifier(opens, unit, var: str, body, elements, column):
 def eval_formula(f, cfg: LogicConfig, env, s: StructureSpec) -> TruthValue:
     free = {}
     fn = compile_formula(f, cfg, s, free)
-    (value,) = fn(row_frame(free, env, s.carrier), 1)
-    if isinstance(value, PowerBoundError):
-        raise value
-    return value
+    values = fn(row_frame(free, env, s.carrier), 1)
+    if isinstance(values[0], PowerBoundError):
+        raise values.pop()  # popped, so this frame does not keep it
+    return values[0]
 
 
 @dataclass(frozen=True)

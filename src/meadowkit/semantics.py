@@ -28,15 +28,15 @@ power skips the rows that already have a reason: a row keeps its first.
 
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
-BLOCK rows; each consumer raises the error of the first row it meets.
+BLOCK rows; `first_hit` raises the error of the first row it meets.
 Every sweep, and every quantifier's groups, take the block sizes of one
 schedule, `block_sizes(column)`, which follows the column type.
 
 An axiom is a name plus a quantifier-free formula whose free variables
-are read universally; it is compiled once per spec and structure
+are read universally; it is compiled once per spec and arithmetic
 (`AxiomSpec.law`, by `logic.compile_formula`: T, F or a row's error in a
 total structure) and run on the blocks of the enumeration.  The catalog
-lives for the process, so it compiles once per carrier: in-process
+lives for the process, so it compiles once per arithmetic: in-process
 callers gain, and a one-shot process compiles each law once, as before.
 """
 
@@ -215,10 +215,14 @@ def select_rows(frame, rows) -> dict:
 def first_hit(blocks, test):
     """(rows visited, the first hit row as an environment or None) of a
     sweep: `test(frame, n)` gives the index of a block's first hit row or
-    None, or raises the error of a row before it."""
+    None, and a map from rows of the block that raise to their errors.
+    The first error at or before the hit is raised, as a row-by-row sweep
+    would; it is popped from the map, so no frame of the raise keeps it."""
     visited = 0
     for frame, n in blocks:
-        i = test(frame, n)
+        i, errors = test(frame, n)
+        if errors and (i is None or min(errors) <= i):
+            raise errors.pop(min(errors))
         if i is not None:
             return visited + i + 1, {name: column[i] for name, column in frame.items()}
         visited += n
@@ -358,7 +362,7 @@ def eval_partial(t: Term, env, s: StructureSpec):
     undefined = {}
     (value,) = fn(row_frame(free, env, s.carrier), 1, undefined)
     if undefined.get(0):  # a power over the bound came first
-        raise undefined[0]
+        raise undefined.pop(0)  # popped, so this frame does not keep it
     return UNDEFINED if undefined else value
 
 
@@ -430,14 +434,16 @@ class AxiomSpec:
 
     def law(self, s: StructureSpec):
         """(the law compiled in s, its free names sorted), once per spec
-        and structure: the catalog's laws are compiled once per process
-        and carrier.  Keyed by s alone, as the dict is the spec's own and
-        its formula never changes."""
-        law = self._laws.get(s)
+        and arithmetic.  The compile reads only s's mode and its carrier's
+        `ops` and `from_int`, so it is keyed by (s.carrier.ops, s.mode):
+        the rationals and every probe set share one `Ops`, and each GF(p)
+        has its own."""
+        key = s.carrier.ops, s.mode
+        law = self._laws.get(key)
         if law is None:
             from .logic import LPMD, compile_formula  # logic builds on this module
 
-            law = self._laws[s] = compile_formula(self.formula, LPMD, s), self.names
+            law = self._laws[key] = compile_formula(self.formula, LPMD, s), self.names
         return law
 
 
@@ -463,7 +469,7 @@ def verify_axiom_spec(
     """Check a law on every environment of an enumerable carrier, else on
     `samples` random environments drawn with `seed`; the report names the
     first environment where it is not T, or that row's error is raised.
-    The law is compiled once per spec and structure (`AxiomSpec.law`):
+    The law is compiled once per spec and arithmetic (`AxiomSpec.law`):
     an in-process caller that checks the catalog again skips the compile,
     and a one-shot process compiles each law once, as before."""
     from .logic import T  # logic builds on this module
@@ -478,9 +484,7 @@ def verify_axiom_spec(
     def failing(frame, n):
         values = law(frame, n)
         i = None if values.count(T) == n else next(i for i, v in enumerate(values) if v is not T)
-        if i is not None and isinstance(values[i], PowerBoundError):
-            raise values[i]
-        return i
+        return i, {i: values[i]} if i is not None and isinstance(values[i], PowerBoundError) else {}
 
     checked, env = first_hit(_environments(names, s.carrier, samples, seed), failing)
     if env is not None:

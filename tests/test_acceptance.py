@@ -22,11 +22,8 @@ from meadowkit.logic import (
     LogicConfig,
     QuantifierFamily,
     TruthValue,
-    and_tv,
+    connective_table,
     eval_formula,
-    implies_tv,
-    not_tv,
-    or_tv,
 )
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
@@ -147,37 +144,36 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_table_properties():
     tv = (T, F, U)
+    tables = {family: connective_table(family) for family in ConnectiveFamily}
     ok = True
     # Kleene monotonicity under the information order
     refinements = {T: [T], F: [F], U: [T, F, U]}
-    for op in (and_tv, or_tv, implies_tv):
+    for op in ("and", "or", "implies"):
+        table = tables[ConnectiveFamily.KLEENE][op]
         for a, b in itertools.product(tv, repeat=2):
-            out = op(ConnectiveFamily.KLEENE, a, b)
+            out = table[a, b]
             if out is U:
                 continue
             for a2 in refinements[a]:
                 for b2 in refinements[b]:
-                    ok &= op(ConnectiveFamily.KLEENE, a2, b2) is out
+                    ok &= table[a2, b2] is out
     # Bochvar U-strictness
-    for op in (and_tv, or_tv, implies_tv):
+    for op in ("and", "or", "implies"):
         for a, b in itertools.product(tv, repeat=2):
             if a is U or b is U:
-                ok &= op(ConnectiveFamily.BOCHVAR, a, b) is U
+                ok &= tables[ConnectiveFamily.BOCHVAR][op][a, b] is U
     # McCarthyRight is the operand mirror of McCarthyLeft
+    left, right = tables[ConnectiveFamily.MCCARTHY_LEFT], tables[ConnectiveFamily.MCCARTHY_RIGHT]
     for a, b in itertools.product(tv, repeat=2):
-        ok &= and_tv(ConnectiveFamily.MCCARTHY_RIGHT, a, b) is and_tv(
-            ConnectiveFamily.MCCARTHY_LEFT, b, a
-        )
-        ok &= or_tv(ConnectiveFamily.MCCARTHY_RIGHT, a, b) is or_tv(
-            ConnectiveFamily.MCCARTHY_LEFT, b, a
-        )
+        ok &= right["and"][a, b] is left["and"][b, a]
+        ok &= right["or"][a, b] is left["or"][b, a]
     # classical agreement of all four families on {T, F}
     for family in ConnectiveFamily:
         for a, b in itertools.product((T, F), repeat=2):
-            ok &= and_tv(family, a, b) is (T if (a is T and b is T) else F)
-            ok &= or_tv(family, a, b) is (T if (a is T or b is T) else F)
-            ok &= implies_tv(family, a, b) is (T if (a is F or b is T) else F)
-        ok &= not_tv(T) is F and not_tv(F) is T
+            ok &= tables[family]["and"][a, b] is (T if (a is T and b is T) else F)
+            ok &= tables[family]["or"][a, b] is (T if (a is T or b is T) else F)
+            ok &= tables[family]["implies"][a, b] is (T if (a is F or b is T) else F)
+        ok &= tables[family]["not"][T] is F and tables[family]["not"][F] is T
     report(5, ok)
 
 

@@ -470,6 +470,27 @@ class TestDeepInput:
         assert (code, out, err) == (1, "", "error: input nested too deeply\n")
 
 
+#: The exact `tables <family> --format json` output of each family.
+TABLES_JSON = {
+    "bochvar": '{"family": "bochvar", "not": {"T": "F", "F": "T", "U": "U"}, '
+    '"and": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "F", "F,F": "F", "F,U": "U", "U,T": "U", "U,F": "U", "U,U": "U"}, '
+    '"or": {"T,T": "T", "T,F": "T", "T,U": "U", "F,T": "T", "F,F": "F", "F,U": "U", "U,T": "U", "U,F": "U", "U,U": "U"}, '
+    '"implies": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "T", "F,F": "T", "F,U": "U", "U,T": "U", "U,F": "U", "U,U": "U"}}',
+    "kleene": '{"family": "kleene", "not": {"T": "F", "F": "T", "U": "U"}, '
+    '"and": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "F", "F,F": "F", "F,U": "F", "U,T": "U", "U,F": "F", "U,U": "U"}, '
+    '"or": {"T,T": "T", "T,F": "T", "T,U": "T", "F,T": "T", "F,F": "F", "F,U": "U", "U,T": "T", "U,F": "U", "U,U": "U"}, '
+    '"implies": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "T", "F,F": "T", "F,U": "T", "U,T": "T", "U,F": "U", "U,U": "U"}}',
+    "mccarthy-left": '{"family": "mccarthy-left", "not": {"T": "F", "F": "T", "U": "U"}, '
+    '"and": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "F", "F,F": "F", "F,U": "F", "U,T": "U", "U,F": "U", "U,U": "U"}, '
+    '"or": {"T,T": "T", "T,F": "T", "T,U": "T", "F,T": "T", "F,F": "F", "F,U": "U", "U,T": "U", "U,F": "U", "U,U": "U"}, '
+    '"implies": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "T", "F,F": "T", "F,U": "T", "U,T": "U", "U,F": "U", "U,U": "U"}}',
+    "mccarthy-right": '{"family": "mccarthy-right", "not": {"T": "F", "F": "T", "U": "U"}, '
+    '"and": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "F", "F,F": "F", "F,U": "U", "U,T": "U", "U,F": "F", "U,U": "U"}, '
+    '"or": {"T,T": "T", "T,F": "T", "T,U": "U", "F,T": "T", "F,F": "F", "F,U": "U", "U,T": "T", "U,F": "U", "U,U": "U"}, '
+    '"implies": {"T,T": "T", "T,F": "F", "T,U": "U", "F,T": "T", "F,F": "T", "F,U": "U", "U,T": "T", "U,F": "U", "U,U": "U"}}',
+}
+
+
 class TestTables:
     def test_mccarthy_left_contains_sequential_row(self, capsys):
         code, out, _ = run(capsys, "tables", "mccarthy-left")
@@ -489,6 +510,18 @@ class TestTables:
     def test_unknown_family_rejected(self, capsys):
         code, _, _ = run(capsys, "tables", "lukasiewicz")
         assert code == 1
+
+    @pytest.mark.parametrize("family", TABLES_JSON)
+    def test_exact_output(self, capsys, family):
+        assert run(capsys, "tables", family, "--format", "json") == (0, TABLES_JSON[family] + "\n", "")
+        doc = json.loads(TABLES_JSON[family])
+        text = ""
+        for name, sym in (("not", "!"), ("and", "&"), ("or", "|"), ("implies", "=>")):
+            text += f"{name}:\n"
+            for cell, v in doc[name].items():
+                text += f"{sym} {cell} -> {v}\n" if name == "not" else f"{cell.replace(',', f' {sym} ')} -> {v}\n"
+        assert run(capsys, "tables", family) == (0, text, "")
+
 
 
 class TestLint:

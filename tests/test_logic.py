@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from generators import random_formula, random_rational, random_scoped_formula
-from oracle import oracle_formula
+from oracle import AND_TABLES, NOT_TABLE, OR_TABLES, oracle_formula
 from meadowkit.carriers import RATIONALS, FiniteProbeSet, PowerBoundError, PrimeField
 from meadowkit.logic import (
     LPMD,
@@ -15,14 +15,10 @@ from meadowkit.logic import (
     NonEnumerableCarrierError,
     QuantifierFamily,
     TruthValue,
-    and_tv,
     classify_sentence,
     compile_formula,
     connective_table,
     eval_formula,
-    implies_tv,
-    not_tv,
-    or_tv,
     parse_logic_config,
 )
 from meadowkit.parser import parse_formula, parse_term
@@ -31,6 +27,9 @@ from meadowkit.terms import Div, Eq, Inv, _contains, free_vars
 
 T, F, U = TruthValue.T, TruthValue.F, TruthValue.U
 TV = (T, F, U)
+
+#: Each family's truth tables, by family.
+TABLES = {family: connective_table(family) for family in ConnectiveFamily}
 
 TOTAL_Q = StructureSpec(RATIONALS)
 PUNCH_ALL = StructureSpec(RATIONALS, Mode.PUNCH_DIV_ALL0)
@@ -96,56 +95,67 @@ class TestEquality:
 
 class TestConnectives:
     def test_mccarthy_left_is_sequential(self):
-        assert or_tv(ConnectiveFamily.MCCARTHY_LEFT, U, T) is U
-        assert or_tv(ConnectiveFamily.MCCARTHY_LEFT, T, U) is T
+        assert TABLES[ConnectiveFamily.MCCARTHY_LEFT]["or"][U, T] is U
+        assert TABLES[ConnectiveFamily.MCCARTHY_LEFT]["or"][T, U] is T
 
     def test_kleene_is_monotonic_disjunction(self):
-        assert or_tv(ConnectiveFamily.KLEENE, U, T) is T
+        assert TABLES[ConnectiveFamily.KLEENE]["or"][U, T] is T
 
     def test_bochvar_implication_strict(self):
-        assert implies_tv(ConnectiveFamily.BOCHVAR, F, U) is U
+        assert TABLES[ConnectiveFamily.BOCHVAR]["implies"][F, U] is U
 
     def test_mccarthy_right_reverses_operands(self):
-        assert or_tv(ConnectiveFamily.MCCARTHY_RIGHT, U, T) is T
-        assert or_tv(ConnectiveFamily.MCCARTHY_RIGHT, T, U) is U
+        assert TABLES[ConnectiveFamily.MCCARTHY_RIGHT]["or"][U, T] is T
+        assert TABLES[ConnectiveFamily.MCCARTHY_RIGHT]["or"][T, U] is U
 
     def test_negation_shared_by_all_families(self):
-        assert not_tv(T) is F and not_tv(F) is T and not_tv(U) is U
+        for family in ConnectiveFamily:
+            nots = TABLES[family]["not"]
+            assert nots[T] is F and nots[F] is T and nots[U] is U
 
     def test_bochvar_strictness_exhaustive(self):
+        tables = TABLES[ConnectiveFamily.BOCHVAR]
         for a, b in itertools.product(TV, repeat=2):
             if a is U or b is U:
-                assert and_tv(ConnectiveFamily.BOCHVAR, a, b) is U
-                assert or_tv(ConnectiveFamily.BOCHVAR, a, b) is U
-                assert implies_tv(ConnectiveFamily.BOCHVAR, a, b) is U
+                assert tables["and"][a, b] is U
+                assert tables["or"][a, b] is U
+                assert tables["implies"][a, b] is U
 
     def test_kleene_monotone_in_information_order(self):
         # refining U to T or F never flips an already non-U output
         refinements = {T: [T], F: [F], U: [T, F, U]}
-        for op in (and_tv, or_tv, implies_tv):
+        for op in ("and", "or", "implies"):
+            table = TABLES[ConnectiveFamily.KLEENE][op]
             for a, b in itertools.product(TV, repeat=2):
-                out = op(ConnectiveFamily.KLEENE, a, b)
+                out = table[a, b]
                 if out is U:
                     continue
                 for a2 in refinements[a]:
                     for b2 in refinements[b]:
-                        assert op(ConnectiveFamily.KLEENE, a2, b2) is out
+                        assert table[a2, b2] is out
 
     def test_mccarthy_right_is_exact_mirror(self):
+        left, right = TABLES[ConnectiveFamily.MCCARTHY_LEFT], TABLES[ConnectiveFamily.MCCARTHY_RIGHT]
         for a, b in itertools.product(TV, repeat=2):
-            assert and_tv(ConnectiveFamily.MCCARTHY_RIGHT, a, b) is and_tv(
-                ConnectiveFamily.MCCARTHY_LEFT, b, a
-            )
-            assert or_tv(ConnectiveFamily.MCCARTHY_RIGHT, a, b) is or_tv(
-                ConnectiveFamily.MCCARTHY_LEFT, b, a
-            )
+            assert right["and"][a, b] is left["and"][b, a]
+            assert right["or"][a, b] is left["or"][b, a]
 
     def test_classical_agreement_on_two_valued_inputs(self):
         for family in ConnectiveFamily:
             for a, b in itertools.product((T, F), repeat=2):
-                assert and_tv(family, a, b) is (T if a is T and b is T else F)
-                assert or_tv(family, a, b) is (T if a is T or b is T else F)
-                assert implies_tv(family, a, b) is (T if a is F or b is T else F)
+                assert TABLES[family]["and"][a, b] is (T if a is T and b is T else F)
+                assert TABLES[family]["or"][a, b] is (T if a is T or b is T else F)
+                assert TABLES[family]["implies"][a, b] is (T if a is F or b is T else F)
+
+    @pytest.mark.parametrize("family", ConnectiveFamily)
+    def test_tables_match_the_oracle(self, family):
+        tables = TABLES[family]
+        assert {str(a): str(v) for a, v in tables["not"].items()} == NOT_TABLE
+        for a, b in itertools.product(TV, repeat=2):
+            cell = (str(a), str(b))
+            assert str(tables["and"][a, b]) == AND_TABLES[family.value][cell]
+            assert str(tables["or"][a, b]) == OR_TABLES[family.value][cell]
+            assert str(tables["implies"][a, b]) == OR_TABLES[family.value][NOT_TABLE[str(a)], str(b)]
 
     def test_connective_table_shape(self):
         tables = connective_table(ConnectiveFamily.MCCARTHY_LEFT)
@@ -234,28 +244,27 @@ class TestEvalFormula:
     def test_kleene_quantifier_equals_connective_fold(self):
         # Kleene conjunction is commutative and associative, so the
         # quantifier fold cannot depend on enumeration order.
+        kleene_and = TABLES[ConnectiveFamily.KLEENE]["and"]
         for a, b in itertools.product(TV, repeat=2):
-            assert and_tv(ConnectiveFamily.KLEENE, a, b) is and_tv(ConnectiveFamily.KLEENE, b, a)
+            assert kleene_and[a, b] is kleene_and[b, a]
         for a, b, c in itertools.product(TV, repeat=3):
-            assert and_tv(
-                ConnectiveFamily.KLEENE, and_tv(ConnectiveFamily.KLEENE, a, b), c
-            ) is and_tv(ConnectiveFamily.KLEENE, a, and_tv(ConnectiveFamily.KLEENE, b, c))
+            assert kleene_and[kleene_and[a, b], c] is kleene_and[a, kleene_and[b, c]]
         f = parse_formula("forall x. x/x = 1")
         kleene = cfg("weak", "kleene", "kleene")
         for values in [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(0))]:
             s = StructureSpec(FiniteProbeSet(values=values), Mode.PUNCH_DIV_ALL0)
             folded = T
             for v in values:
-                folded = and_tv(
-                    ConnectiveFamily.KLEENE,
-                    folded,
-                    eval_formula(parse_formula("x/x = 1"), kleene, {"x": v}, s),
-                )
+                folded = kleene_and[folded, eval_formula(parse_formula("x/x = 1"), kleene, {"x": v}, s)]
             assert eval_formula(f, kleene, {}, s) is folded
 
 
 #: The value of a row that meets an error, such as a power over the bound.
 ERROR = PowerBoundError("a power over the bound")
+
+#: An atom of each operand value over the rationals with q/0 punched,
+#: in weak equality.
+ATOMS = {T: "0 = 0", F: "0 = 1", U: "1/0 = 1", ERROR: "3^100000000 = 0"}
 
 #: Per family: the first operand values of a & b (and of a | b) that
 #: decide the row without the second, in left-to-right evaluation.
@@ -273,7 +282,7 @@ def _reference(family, op, a, b):
     """a op b evaluated row by row: an error raised by the operand
     evaluated first wins, and a decided first operand hides the second."""
     if op == "=>":
-        op, a = "|", ERROR if a is ERROR else not_tv(a)
+        op, a = "|", ERROR if a is ERROR else TABLES[family]["not"][a]
     if family is ConnectiveFamily.MCCARTHY_RIGHT:
         family, a, b = ConnectiveFamily.MCCARTHY_LEFT, b, a
     conjunctive = op == "&"
@@ -287,9 +296,19 @@ def _reference(family, op, a, b):
 class TestErrorsThroughEveryFold:
     @pytest.mark.parametrize("family", ConnectiveFamily)
     def test_connectives(self, family):
-        ops = {"&": and_tv, "|": or_tv, "=>": implies_tv}
-        for (op, fn), a, b in itertools.product(ops.items(), TV + (ERROR,), TV + (ERROR,)):
-            assert fn(family, a, b) is _reference(family, op, a, b), (op, a, b)
+        # the compiled formula runs the closure its table does, on operands that may be errors
+        names = {"&": "and", "|": "or", "=>": "implies"}
+        config = LogicConfig(EqualityKind.WEAK, family, QuantifierFamily.BOCHVAR)
+        for op, a, b in itertools.product(names, TV + (ERROR,), TV + (ERROR,)):
+            expected = _reference(family, op, a, b)
+            f = parse_formula(f"{ATOMS[a]} {op} {ATOMS[b]}")
+            if expected is ERROR:
+                with pytest.raises(PowerBoundError):
+                    eval_formula(f, config, {}, PUNCH_ALL)
+            else:
+                assert eval_formula(f, config, {}, PUNCH_ALL) is expected, (op, a, b)
+            if ERROR not in (a, b):
+                assert TABLES[family][names[op]][a, b] is expected, (op, a, b)
 
     @pytest.mark.parametrize("quantifiers", QuantifierFamily)
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])

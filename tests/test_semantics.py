@@ -10,7 +10,7 @@ from generators import random_rational, random_term
 from oracle import oracle_term
 from meadowkit.lint import Convention, lint, parse_corpus
 from meadowkit.logic import LPMD, eval_formula
-from meadowkit.carriers import RATIONALS, CarrierMismatchError, FiniteProbeSet, PrimeField
+from meadowkit.carriers import RATIONALS, CarrierMismatchError, FiniteProbeSet, PowerBoundError, PrimeField
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
@@ -275,6 +275,20 @@ class TestCompiledLaw:
                 fresh = AxiomSpec(spec.name, spec.formula)
                 assert verify_axiom_spec(spec, s, 40, 3) == verify_axiom_spec(fresh, s, 40, 3)
 
+    def test_one_law_per_arithmetic(self):
+        # the rationals and every probe set share one arithmetic, so one compiled law
+        structures = [StructureSpec(c) for c in (
+            RATIONALS, FiniteProbeSet(values=(Fraction(-1), Fraction(0), Fraction(1, 2))),
+            FiniteProbeSet(values=(Fraction(3), Fraction(1, 3))),
+        )]
+        specs = [AxiomSpec(spec.name, spec.formula) for spec in axiom_catalog()]
+        for s in structures:
+            for spec in specs:
+                fresh = AxiomSpec(spec.name, spec.formula)
+                assert verify_axiom_spec(spec, s, 40, 3) == verify_axiom_spec(fresh, s, 40, 3)
+        assert all(len(spec._laws) == 1 for spec in specs)
+        assert specs[0].law(structures[1]) is specs[0].law(structures[2])
+
 
 def _corpora():
     return [parse_corpus(path.read_text()) for path in sorted(CORPORA.glob("*.mcorpus"))]
@@ -286,10 +300,21 @@ def _catalog(s):
         verify_axiom_spec(AxiomSpec(spec.name, spec.formula), s)
 
 
+def _refused(run):
+    """Runs `run`, which must raise a PowerBoundError, and catches it."""
+    try:
+        run()
+    except PowerBoundError:
+        return
+    raise AssertionError("no PowerBoundError")
+
+
 class TestNoReferenceCycles:
     """Compiling and running terms, formulas, laws and lint corpora leaves
     no cyclic garbage: what a command builds is freed by reference
-    counting, so the cyclic collector has nothing of it to find."""
+    counting, so the cyclic collector has nothing of it to find.  That
+    holds when a run ends in an error too: no frame keeps the error that
+    it raises."""
 
     @pytest.mark.parametrize("run", [
         *(lambda c=c: [lint(corpus, c) for corpus in _corpora()] for c in Convention),
@@ -298,8 +323,14 @@ class TestNoReferenceCycles:
                              StructureSpec(PrimeField(7))),
         lambda: _catalog(StructureSpec(PrimeField(11))),
         lambda: _catalog(TOTAL_Q),
+        lambda: _refused(lambda: eval_partial(parse_term("3^100000000"), {}, TOTAL_Q)),
+        lambda: _refused(lambda: eval_formula(parse_formula("3^100000000 = 0"), LPMD, {}, TOTAL_Q)),
+        lambda: _refused(lambda: verify_axiom_spec(
+            AxiomSpec("huge", parse_formula("x^100000000 = 2^100000000")), TOTAL_Q)),
+        *(lambda c=c: lint(parse_corpus((CORPORA / "huge_power.mcorpus").read_text()), c) for c in Convention),
     ], ids=[*(f"lint-{c.value}" for c in Convention), "eval_partial", "eval_formula",
-            "catalog-gf11", "catalog-rationals"])
+            "catalog-gf11", "catalog-rationals", "eval_partial-refused", "eval_formula-refused",
+            "verify_axiom_spec-refused", *(f"lint-huge-power-{c.value}" for c in Convention)])
     def test_leaves_no_cyclic_garbage(self, run):
         gc.disable()
         try:
