@@ -22,7 +22,6 @@ always, is computed row by row.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -274,10 +273,33 @@ def _generator(p: int) -> int:
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-@functools.cache
+#: The most entries a process-lived cache keeps (`keep`): GF(p)'s
+#: operations by modulus (`_field_ops`) and each law's compiled forms by
+#: arithmetic (`semantics.AxiomSpec.law`).  It is above the handful of
+#: fields and the rationals a session usually checks, which then compile
+#: once, and it bounds the memory of a caller that meets many moduli.
+CACHE_BOUND = 16
+
+
+def keep(cache: dict, key, value):
+    """value, stored in the process-lived dict `cache` under a key it
+    lacks; past CACHE_BOUND entries the oldest go first."""
+    cache[key] = value
+    while len(cache) > CACHE_BOUND:
+        del cache[next(iter(cache))]
+    return value
+
+
+#: GF(p)'s operations by modulus, the last CACHE_BOUND built.
+_FIELD_OPS: dict = {}
+
+
 def _field_ops(p: int) -> Ops:
-    """GF(p)'s column operations, built once per modulus: row by row on
-    lists, or on bytes below 256 (`_byte_ops`)."""
+    """GF(p)'s column operations, built once per modulus while it is in
+    `_FIELD_OPS`: row by row on lists, or on bytes below 256 (`_byte_ops`)."""
+    ops = _FIELD_OPS.get(p)
+    if ops is not None:
+        return ops
     ops = Ops(
         lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)],
         lambda xs, ys: [x * y % p for x, y in zip(xs, ys)],
@@ -288,7 +310,7 @@ def _field_ops(p: int) -> Ops:
     )
     if p < 256:  # an element is one byte, and a column a byte string
         ops = ops._replace(**_byte_ops(p, ops))
-    return ops
+    return keep(_FIELD_OPS, p, ops)
 
 
 def _byte_ops(p: int, rows: Ops) -> dict:

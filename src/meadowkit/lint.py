@@ -14,6 +14,7 @@ around the occurrence (`claim: forall x. x != 0 => x/x = 1` gives x=0).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -229,6 +230,12 @@ class Fact:
         object.__setattr__(self, "key", canonical_key(self.term))
         object.__setattr__(self, "names", free_vars(self.term))
 
+    @functools.cached_property
+    def zero_test(self):
+        """The term's `_zero_test`, built at its first witness search and
+        shared by the later ones: a fact lives for one `lint()` run."""
+        return _zero_test(self.term)
+
 
 def constant_fold(t: Term) -> Fraction | None:
     """Exact rational value of a closed term, else None."""
@@ -357,8 +364,10 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     The search sweeps prime-field residues lifted to the rationals plus
     fractions with |num|, den <= 4, over at most WITNESS_MAX_VARS
     variables, in itertools.product order of the sorted names.
-    Environments where a term of `nonzero` (e.g. a recorded fact) is zero
-    are skipped; those terms may only use the searched names.
+    Environments where a term of `nonzero` (a term, or a recorded `Fact`)
+    is zero are skipped; those terms may only use the searched names.  A
+    fact brings its own zero test (`Fact.zero_test`), so the searches of
+    one `lint()` run compile each fact once.
 
     Each term is computed first modulo the prime P = _P, on the residues
     of the values, with 0^-1 punched; its exact rational value is
@@ -385,9 +394,9 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     if len(names) > WITNESS_MAX_VARS:
         return None
     residue, exact = _zero_test(t)
-    facts = [_zero_test(u) for u in nonzero]
+    facts = [u.zero_test if type(u) is Fact else _zero_test(u) for u in nonzero]
     # exact rational arithmetic raises only in a power over the size bound
-    facts_may_raise = any(_contains(u, (Pow,)) for u in nonzero)
+    facts_may_raise = any(_contains(u.term if type(u) is Fact else u, (Pow,)) for u in nonzero)
 
     def first_zero(frame, n):
         errors = {}  # the error of each row where a term raises
@@ -488,13 +497,13 @@ def _is_liberal(occ: Occurrence, convention: Convention) -> bool:
 
 
 def _search_inputs(occ: Occurrence, convention: Convention, facts):
-    """The names the witness search binds for occ, its extra names and the
-    terms it keeps nonzero: the facts that use no other names and, under
+    """The names the witness search binds for occ, its extra names and
+    what it keeps nonzero: the facts that use no other names and, under
     liberal division, the numerator."""
     liberal = _is_liberal(occ, convention)
     extra = free_vars(occ.numerator) if liberal else frozenset()
     names = free_vars(occ.guarded) | extra
-    nonzero = [fact.term for fact in facts if fact.names <= names]
+    nonzero = [fact for fact in facts if fact.names <= names]
     if liberal:
         nonzero.append(occ.numerator)
     return names, extra, nonzero

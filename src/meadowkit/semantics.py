@@ -28,16 +28,22 @@ power skips the rows that already have a reason: a row keeps its first.
 
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
-BLOCK rows; `first_hit` raises the error of the first row it meets.
-Every sweep, and every quantifier's groups, take the block sizes of one
-schedule, `block_sizes(column)`, which follows the column type.
+BLOCK rows, and raises the error of the first row it meets (the lint
+search by `first_hit`).  Every sweep, and every quantifier's groups,
+take the block sizes of one schedule, `block_sizes(column)`, which
+follows the column type.
 
 An axiom is a name plus a quantifier-free formula whose free variables
 are read universally; it is compiled once per spec and arithmetic
 (`AxiomSpec.law`, by `logic.compile_formula`: T, F or a row's error in a
-total structure) and run on the blocks of the enumeration.  The catalog
-lives for the process, so it compiles once per arithmetic: in-process
-callers gain, and a one-shot process compiles each law once, as before.
+total structure), and `verify_axiom_spec` runs it on the blocks of the
+enumeration in one loop that stops at the first row that is not T.
+Over GF(p), p < 256, an enumeration of at most BLOCK rows is one frame,
+kept with the compiled law, so such a sweep builds no frame.  The
+catalog lives for the process, so it compiles once per arithmetic:
+in-process callers gain, and a one-shot process compiles each law once,
+as before.  A spec keeps the laws of its last CACHE_BOUND arithmetics
+(`carriers.keep`), so a caller that meets many primes stays bounded.
 """
 
 from __future__ import annotations
@@ -49,8 +55,9 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .carriers import Carrier, PowerBoundError, format_env
+from .carriers import Carrier, PowerBoundError, format_env, keep
 from .parser import parse_formula
 from .parser import parse_term  # unused here; bench/tracing.py wraps this module attribute
 from .printer import print_formula
@@ -432,19 +439,35 @@ class AxiomSpec:
         """The law's free names, sorted, once per spec."""
         return sorted(free_vars(self.formula))
 
-    def law(self, s: StructureSpec):
-        """(the law compiled in s, its free names sorted), once per spec
-        and arithmetic.  The compile reads only s's mode and its carrier's
-        `ops` and `from_int`, so it is keyed by (s.carrier.ops, s.mode):
-        the rationals and every probe set share one `Ops`, and each GF(p)
-        has its own."""
+    def law(self, s: StructureSpec) -> CompiledLaw:
+        """The law compiled for s (`CompiledLaw`), once per spec and
+        arithmetic while it is among the spec's last CACHE_BOUND
+        (`carriers.keep`).  The compile reads only s's mode and its
+        carrier's `ops` and `from_int`, so it is keyed by (s.carrier.ops,
+        s.mode): the rationals and every probe set share one law, and
+        each GF(p) has its own.  The enumeration budget is checked first,
+        so a refused carrier compiles nothing."""
         key = s.carrier.ops, s.mode
         law = self._laws.get(key)
         if law is None:
-            from .logic import LPMD, compile_formula  # logic builds on this module
+            from .logic import LPMD, T, compile_formula  # logic builds on this module
 
-            law = self._laws[key] = compile_formula(self.formula, LPMD, s), self.names
+            c, names, block = s.carrier, self.names, None
+            if c.enumerable:
+                values = checked_elements(c, len(names))
+                if c.ops.column is bytes and len(values) ** len(names) <= BLOCK:
+                    block = next(product_blocks(values, names, bytes))
+            law = CompiledLaw(compile_formula(self.formula, LPMD, s), T, block)
+            keep(self._laws, key, law)
         return law
+
+
+class CompiledLaw(NamedTuple):
+    """An axiom compiled for one arithmetic (`AxiomSpec.law`)."""
+
+    run: Callable  # (frame, rows) -> the law's column of truth values, or a row's error
+    true: object  # logic.T, the value it takes on every row where it holds
+    block: tuple | None  # over GF(p), p < 256, with p^k <= BLOCK at the compile: (its one frame, p^k)
 
 
 @dataclass
@@ -469,26 +492,28 @@ def verify_axiom_spec(
     """Check a law on every environment of an enumerable carrier, else on
     `samples` random environments drawn with `seed`; the report names the
     first environment where it is not T, or that row's error is raised.
-    The law is compiled once per spec and arithmetic (`AxiomSpec.law`):
-    an in-process caller that checks the catalog again skips the compile,
-    and a one-shot process compiles each law once, as before."""
-    from .logic import T  # logic builds on this module
-
+    The law is compiled once per spec and arithmetic (`AxiomSpec.law`),
+    and one loop runs it on the blocks of the sweep: over GF(p), p < 256,
+    with p^k <= BLOCK, on the one frame kept with the compiled law, so an
+    in-process caller that checks the catalog again builds no frame."""
     check_samples(samples)
     if s.mode is not Mode.TOTAL:
         raise ValueError("axioms are verified in total structures")
-    if s.carrier.enumerable:  # the budget first, so a refused carrier compiles nothing
-        checked_elements(s.carrier, len(spec.names))
-    law, names = spec.law(s)
-
-    def failing(frame, n):
-        values = law(frame, n)
-        i = None if values.count(T) == n else next(i for i, v in enumerate(values) if v is not T)
-        return i, {i: values[i]} if i is not None and isinstance(values[i], PowerBoundError) else {}
-
-    checked, env = first_hit(_environments(names, s.carrier, samples, seed), failing)
-    if env is not None:
-        return AxiomReport(spec.name, spec.text, False, checked, env)
+    run, true, block = spec.law(s)
+    if block is not None and block[1] <= BLOCK:  # BLOCK may have shrunk since the compile
+        blocks = (block,)
+    else:
+        blocks = _environments(spec.names, s.carrier, samples, seed)
+    checked = 0
+    for frame, n in blocks:
+        values = run(frame, n)
+        if values.count(true) != n:
+            i = next(i for i, v in enumerate(values) if v is not true)
+            if isinstance(values[i], PowerBoundError):
+                raise values.pop(i)  # popped, so this frame does not keep it
+            witness = {name: column[i] for name, column in frame.items()}
+            return AxiomReport(spec.name, spec.text, False, checked + i + 1, witness)
+        checked += n
     return AxiomReport(spec.name, spec.text, True, checked)
 
 

@@ -46,6 +46,11 @@ expect 1 logic --logic bogus,kleene,kleene "1 = 1"
 # a GF(p) witness on either side of carriers.LANE_LIMIT
 expect 4 axioms --carrier gf61 --extra "x*x = x"
 expect 4 axioms --carrier gf67 --extra "x*x = x"
+# the catalog from the frames kept with its laws (GF(13): 2,197 rows) and past one block (GF(17))
+expect 0 axioms --carrier gf13
+test "$(grep -c '^PASS ' "$tmp/out")" -eq 15
+expect 0 axioms --carrier gf17
+test "$(grep -c '^PASS ' "$tmp/out")" -eq 15
 # a witness past the first whole block of a byte sweep (4,913 rows over GF(17))
 expect 4 axioms --carrier gf17 --extra "x != 15 | y + z != 0"
 grep -qx "FAIL axiom=x != 15 | y + z != 0 samples=4336 witness=x=15,y=0,z=0" "$tmp/out"

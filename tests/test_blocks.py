@@ -34,7 +34,7 @@ from meadowkit.logic import (
 )
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.printer import print_formula, print_term
-from meadowkit.semantics import AxiomSpec, Mode, StructureSpec, compile_term, verify_axiom_spec
+from meadowkit.semantics import AxiomSpec, Mode, StructureSpec, axiom_catalog, compile_term, verify_axiom_spec
 from meadowkit.terms import Forall, Pow, Term, children, free_vars, rebuild
 from test_lint import _exact_sweep
 
@@ -172,6 +172,59 @@ class TestAxiomSweep:
             assert (report.samples, report.witness) == _law_loop(spec, s, 60, i), spec
             failing += not report.passed
         assert failing > 10
+
+    @pytest.mark.parametrize("p", (5, 13, 17))
+    def test_the_process_cached_catalog_under_every_block_size(self, block, monkeypatch, p):
+        # the catalog lives for the process, so its laws, and the frames
+        # kept with them, may come from a sweep at the real BLOCK
+        s = StructureSpec(PrimeField(p))
+        with monkeypatch.context() as patch:
+            patch.setattr(semantics, "BLOCK", SIZES[-1])
+            for spec in axiom_catalog():
+                spec._laws.pop((s.carrier.ops, s.mode), None)  # compiled here, whatever ran before
+                verify_axiom_spec(spec, s)
+        swept = []
+
+        def environments(names, *args):
+            swept.append(len(names))
+            return real(names, *args)
+
+        real = semantics._environments
+        monkeypatch.setattr(semantics, "_environments", environments)
+        for spec in axiom_catalog():
+            report = verify_axiom_spec(spec, s)
+            assert (report.samples, report.witness) == _law_loop(spec, s, 1000, 0), spec.name
+        # a kept frame serves only an enumeration of at most BLOCK rows
+        assert swept == [len(spec.names) for spec in axiom_catalog() if p ** len(spec.names) > block]
+
+    def test_a_second_sweep_runs_on_the_kept_frame(self, monkeypatch):
+        spec = AxiomSpec("law", parse_formula("x*(y + z) = x*y + x*z"))
+        s = StructureSpec(PrimeField(13))
+        assert verify_axiom_spec(spec, s).samples == 13**3
+        law = spec.law(s)
+        frame, rows = law.block
+        assert rows == 13**3
+        assert all(a is b for a, b in zip(frame.values(), semantics._byte_product(bytes(range(13)), 3), strict=True))
+        frames = []
+
+        def run(f, n):
+            frames.append(f)
+            return law.run(f, n)
+
+        monkeypatch.setattr(semantics, "product_blocks", None)  # no frame is built
+        spec._laws[s.carrier.ops, s.mode] = law._replace(run=run)
+        assert verify_axiom_spec(spec, s).format_line() == "PASS axiom=x*(y + z) = x*y + x*z samples=2197"
+        assert frames == [frame] and all(a is b for a, b in zip(frames[0].values(), frame.values()))
+
+    @pytest.mark.parametrize("carrier, law", [
+        (PrimeField(17), "x + (y + z) = (x + y) + z"),  # 4,913 rows, over BLOCK
+        (PrimeField(257), "x + 0 = x"),  # list columns
+        (RATIONALS, "x + 0 = x"),
+    ], ids=str)
+    def test_a_law_past_one_byte_block_keeps_no_frame(self, carrier, law):
+        spec = AxiomSpec("law", parse_formula(law))
+        assert verify_axiom_spec(spec, StructureSpec(carrier)).passed
+        assert spec.law(StructureSpec(carrier)).block is None
 
     def test_a_failing_row_before_a_raising_row_is_reported(self, block):
         # the first sampled x (seed 0) is positive and fails; a later

@@ -27,6 +27,7 @@ from meadowkit.lint import (
     parse_corpus,
 )
 from meadowkit.parser import parse_formula, parse_term
+from meadowkit.printer import print_term
 from meadowkit.semantics import StructureSpec, compile_term, eval_total
 from meadowkit.terms import free_vars
 
@@ -165,6 +166,31 @@ class TestCertificateCost:
             "statement=0 pos=0 guarded=x + 1 verdict=UNKNOWN detail=same-statement hypothesis",
             f"statement=1 pos=0 guarded={product} verdict=VIOLATION detail=x=0",
         ]
+
+
+class TestFactCompiles:
+    def test_a_fact_compiles_once_per_run(self, monkeypatch):
+        # each claim's search keeps the fact q nonzero; its two closures,
+        # modular and exact, are built at the first search only
+        module = importlib.import_module("meadowkit.lint")
+        compiled = []
+
+        def counted(t, s):
+            compiled.append(print_term(t))
+            return real(t, s)
+
+        real = module.compile_term
+        monkeypatch.setattr(module, "compile_term", counted)
+        guards = ("q - 1", "q + 1", "q - 2", "2*q - 1", "q + 3")
+        verdicts = lint(corpus("hyp: 1/q = 2", *(f"claim: 1/({g}) = 1" for g in guards)), Convention.DIVISION)
+        assert [v.detail() for v in verdicts] == [
+            "same-statement hypothesis", "q=1", "q=-1", "q=2", "q=1/2", "q=-3",
+        ]
+        assert compiled.count("q") == 2
+        assert all(compiled.count(g) == 2 for g in guards)
+        # a new run records its facts anew, and compiles them again
+        lint(corpus("hyp: 1/q = 2", "claim: 1/(q - 1) = 1"), Convention.DIVISION)
+        assert compiled.count("q") == 4
 
 
 class TestZeroWitness:

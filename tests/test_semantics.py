@@ -10,7 +10,15 @@ from generators import random_rational, random_term
 from oracle import oracle_term
 from meadowkit.lint import Convention, lint, parse_corpus
 from meadowkit.logic import LPMD, eval_formula
-from meadowkit.carriers import RATIONALS, CarrierMismatchError, FiniteProbeSet, PowerBoundError, PrimeField
+from meadowkit import carriers
+from meadowkit.carriers import (
+    CACHE_BOUND,
+    RATIONALS,
+    CarrierMismatchError,
+    FiniteProbeSet,
+    PowerBoundError,
+    PrimeField,
+)
 from meadowkit.parser import parse_formula, parse_term
 from meadowkit.semantics import (
     UNDEFINED,
@@ -288,6 +296,24 @@ class TestCompiledLaw:
                 assert verify_axiom_spec(spec, s, 40, 3) == verify_axiom_spec(fresh, s, 40, 3)
         assert all(len(spec._laws) == 1 for spec in specs)
         assert specs[0].law(structures[1]) is specs[0].law(structures[2])
+
+    def test_process_state_is_bounded(self):
+        # kept entries, not memory: GF(p)'s operations by modulus, and the
+        # catalog's laws by arithmetic, over 1,000 primes and 1,000 probe sets
+        catalog = axiom_catalog()
+        (spec,) = [spec for spec in catalog if spec.name == "add-unit"]
+        primes = (p for p in itertools.count(257) if carriers._is_prime(p))
+        for p in itertools.islice(primes, 1000):
+            assert verify_axiom_spec(spec, StructureSpec(PrimeField(p))).passed
+            assert len(carriers._FIELD_OPS) <= CACHE_BOUND and len(spec._laws) <= CACHE_BOUND
+        assert len(spec._laws) == CACHE_BOUND
+        for i in range(1000):
+            s = StructureSpec(FiniteProbeSet(values=(Fraction(i), Fraction(i + 1))))
+            assert all(verify_axiom_spec(law, s).passed for law in catalog)
+        assert all(len(law._laws) <= CACHE_BOUND for law in catalog)
+        assert len(carriers._FIELD_OPS) <= CACHE_BOUND
+        # the latest arithmetic is kept
+        assert spec.law(s) is spec.law(StructureSpec(RATIONALS))
 
 
 def _corpora():
