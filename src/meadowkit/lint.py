@@ -23,8 +23,7 @@ from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
 from .parser import ParseError, parse_formula
 from .printer import print_term
 from .semantics import (
-    Mode, StructureSpec, compile_term, eval_total, first_hit, product_blocks,
-    select_rows, zero_rows,
+    Mode, StructureSpec, compile_term, eval_total, product_blocks, select_rows, zero_rows,
 )
 from .terms import (
     Add,
@@ -264,7 +263,8 @@ def nonzero_certificate(t: Term, facts=()) -> Certificate | None:
     Absence of a certificate is never a proof of zero.  The free names of
     every subterm are computed once, up front; a subterm's canonical key
     only where some fact has exactly its names, since equal keys mean
-    equal names, and each product's factors are counted once.
+    equal names, and each product's factors are counted once.  `facts`
+    hold one fact per canonical key (`lint` keeps the earliest).
     """
     names = {}
     _free_names(t, names)
@@ -301,8 +301,8 @@ def _certify(u: Term, facts, names: dict, factors: dict) -> Certificate | None:
             return Certificate(CertificateKind.PRODUCT_OF_CERTIFIED)
     same = [f for f in facts if f.names == free]
     key = canonical_key(u, factors) if same else None
-    matching = [f.statement for f in same if f.key == key]
-    return Certificate(CertificateKind.HYPOTHESIS_DERIVED, min(matching)) if matching else None
+    fact = next((f for f in same if f.key == key), None)
+    return Certificate(CertificateKind.HYPOTHESIS_DERIVED, fact.statement) if fact else None
 
 
 #: Prime-field residues lifted to the rationals, then fractions with
@@ -383,12 +383,12 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     Each block runs in one pass: t's residues; the terms of `nonzero` in
     order, each on the rows the ones before it leave (where t may be
     zero, or every row if one has a power, which may raise); then t's
-    exact value where it may be zero on the rows left.  A power over the
-    size bound raises `PowerBoundError` where a row-by-row search with
-    the same prefilter would: at the first row that meets it, unless a
-    zero comes before (`semantics.first_hit`).  Which rows get an exact
-    check depends on P, so such a search may end on the bound under one
-    prime and be decided under another.
+    exact value where it may be zero on the rows left.  One loop runs the
+    blocks, as `semantics.verify_axiom_spec` does.  A power over the size
+    bound raises `PowerBoundError` where a row-by-row search with the same
+    prefilter would: at the first row that meets it, unless a zero comes
+    before.  Which rows get an exact check depends on P, so such a search
+    may end on the bound under one prime and be decided under another.
     """
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > WITNESS_MAX_VARS:
@@ -398,7 +398,7 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     # exact rational arithmetic raises only in a power over the size bound
     facts_may_raise = any(_contains(u.term if type(u) is Fact else u, (Pow,)) for u in nonzero)
 
-    def first_zero(frame, n):
+    for frame, n in product_blocks(_RESIDUES, names, list):
         errors = {}  # the error of each row where a term raises
         candidates = residue(frame, range(n))
         rows = range(n) if facts_may_raise else candidates
@@ -407,12 +407,12 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
             rows = [i for i in rows if i not in decided]
         if facts_may_raise:
             rows = sorted(set(candidates).intersection(rows))
-        return min(exact(frame, rows, errors), default=None), errors
-
-    _, residues = first_hit(product_blocks(_RESIDUES, names, list), first_zero)
-    if residues is None:
-        return None
-    return {name: _FROM_RESIDUE[r] for name, r in residues.items()}
+        i = min(exact(frame, rows, errors), default=None)
+        if errors and (i is None or min(errors) <= i):  # the first error at or before the hit
+            raise errors.pop(min(errors))  # popped, so this frame does not keep it
+        if i is not None:
+            return {name: _FROM_RESIDUE[column[i]] for name, column in frame.items()}
+    return None
 
 
 class VerdictKind(Enum):
@@ -477,13 +477,14 @@ def _extract_facts(stmt: Statement) -> list[Fact]:
 
 
 def lint(corpus: list[Statement], convention: Convention) -> list[Verdict]:
-    facts: list[Fact] = []
+    facts: dict[str, Fact] = {}  # the earliest of each canonical key: one search test per key
     verdicts: list[Verdict] = []
     for stmt in corpus:
-        facts.extend(_extract_facts(stmt))
+        for fact in _extract_facts(stmt):
+            facts.setdefault(fact.key, fact)
         for occ in collect_occurrences(stmt.formula):
             try:
-                verdict = _judge(stmt.index, occ, convention, facts)
+                verdict = _judge(stmt.index, occ, convention, facts.values())
             except PowerBoundError as exc:
                 verdict = Verdict(
                     stmt.index, occ.position, occ.guarded, VerdictKind.UNKNOWN, reason=str(exc)

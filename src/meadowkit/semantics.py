@@ -28,10 +28,9 @@ power skips the rows that already have a reason: a row keeps its first.
 
 A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
-BLOCK rows, and raises the error of the first row it meets (the lint
-search by `first_hit`).  Every sweep, and every quantifier's groups,
-take the block sizes of one schedule, `block_sizes(column)`, which
-follows the column type.
+BLOCK rows, and raises the error of the first row it meets.  Every
+sweep, and every quantifier's groups, take the block sizes of one
+schedule, `block_sizes(column)`, which follows the column type.
 
 An axiom is a name plus a quantifier-free formula whose free variables
 are read universally; it is compiled once per spec and arithmetic
@@ -156,13 +155,11 @@ def product_blocks(values, names, column):
     `column` (`carriers.Ops.column`) from slices of the sequence `values`
     and repeated, so no sweep over GF(p) below 256 builds a list of
     elements, and a range of more values than a block is never built
-    whole.  The blocks take `block_sizes(column)`, and byte columns of
-    at most BLOCK rows in all are the one cached frame of `_byte_product`."""
+    whole.  The blocks take `block_sizes(column)`.  Nothing is cached
+    here: a caller that sweeps one frame again keeps it, as
+    `CompiledLaw.block` does."""
     k, m = len(names), len(values)
     total, start = m**k, 0
-    if column is bytes and total <= BLOCK:
-        yield dict(zip(names, _byte_product(bytes(values), k))), total
-        return
     if m <= BLOCK:
         values = column(values)
     runs = [m ** (k - 1 - j) for j in range(k)]  # the j-th coordinate changes every runs[j] rows
@@ -174,15 +171,6 @@ def product_blocks(values, names, column):
         yield {name: _product_column(values, column, run, period, start, stop)
                for name, run, period in zip(names, runs, periods)}, stop - start
         start = stop
-
-
-@functools.cache
-def _byte_product(values: bytes, k: int) -> tuple:
-    """The k columns of itertools.product(values, repeat=k) as byte
-    strings, built once per (values, k): the whole frame of a small
-    enumeration over GF(p), p < 256, which depends only on p and k."""
-    m = len(values)
-    return tuple(stretch(values, m ** (k - 1 - j)) * m**j for j in range(k))
 
 
 def stretch(values, run: int):
@@ -217,23 +205,6 @@ def select_rows(frame, rows) -> dict:
     if all(len(rows) == len(column) for column in frame.values()):
         return frame
     return {name: type(column)(map(column.__getitem__, rows)) for name, column in frame.items()}
-
-
-def first_hit(blocks, test):
-    """(rows visited, the first hit row as an environment or None) of a
-    sweep: `test(frame, n)` gives the index of a block's first hit row or
-    None, and a map from rows of the block that raise to their errors.
-    The first error at or before the hit is raised, as a row-by-row sweep
-    would; it is popped from the map, so no frame of the raise keeps it."""
-    visited = 0
-    for frame, n in blocks:
-        i, errors = test(frame, n)
-        if errors and (i is None or min(errors) <= i):
-            raise errors.pop(min(errors))
-        if i is not None:
-            return visited + i + 1, {name: column[i] for name, column in frame.items()}
-        visited += n
-    return visited, None
 
 
 def row_frame(names, env, carrier: Carrier) -> dict:

@@ -204,7 +204,7 @@ class TestAxiomSweep:
         law = spec.law(s)
         frame, rows = law.block
         assert rows == 13**3
-        assert all(a is b for a, b in zip(frame.values(), semantics._byte_product(bytes(range(13)), 3), strict=True))
+        assert list(zip(*frame.values())) == list(itertools.product(range(13), repeat=3))
         frames = []
 
         def run(f, n):
@@ -269,13 +269,14 @@ class TestProductBlocks:
             assert got == expected, (m, k)
 
     def test_a_byte_frame_of_one_block_is_built_once(self, block):
+        # one block of byte columns; nothing here keeps it (a compiled law keeps its own)
         for m, k in ((2, 0), (2, 1), (5, 1), (2, 2), (13, 3)):
             if m**k > block:
                 continue
             (first, n), = semantics.product_blocks(range(m), "xyz"[:k], bytes)
-            (again, _), = semantics.product_blocks(bytes(range(m)), "abc"[:k], bytes)
             assert n == m**k and all(type(c) is bytes for c in first.values())
-            assert all(a is b for a, b in zip(first.values(), again.values(), strict=True))
+            rows = list(zip(*first.values())) if k else [()]
+            assert rows == list(itertools.product(range(m), repeat=k))
 
     @pytest.mark.parametrize("p, law, line", [
         # list columns, more values than a block

@@ -193,6 +193,44 @@ class TestFactCompiles:
         assert compiled.count("q") == 4
 
 
+class TestFactDedup:
+    def test_one_fact_per_canonical_key(self, monkeypatch):
+        # q*r and r*q, q^2 and q*q state two facts: each is compiled once,
+        # and each search block runs one residue test per key, the guard's
+        # own besides; a certificate names the earliest statement
+        module = importlib.import_module("meadowkit.lint")
+        compiled, residues = [], []
+
+        def counted_compile(t, s):
+            compiled.append(print_term(t))
+            return real_compile(t, s)
+
+        def counted_test(t):
+            residue, exact = real_test(t)
+
+            def counted_residue(frame, rows):
+                residues.append(print_term(t))
+                return residue(frame, rows)
+
+            return counted_residue, exact
+
+        real_compile, real_test = module.compile_term, module._zero_test
+        monkeypatch.setattr(module, "compile_term", counted_compile)
+        monkeypatch.setattr(module, "_zero_test", counted_test)
+        verdicts = lint(corpus(
+            "hyp: 1/(q*r) = 2", "hyp: 1/(r*q) = 3", "hyp: 1/q^2 = 2", "hyp: 1/(q*q) = 5",
+            "claim: 1/(q*r + 7) = 1", "claim: 1/(r*q) = 1", "claim: 1/(q*q) = 1",
+        ), Convention.DIVISION)
+        assert [v.detail() for v in verdicts] == [
+            "same-statement hypothesis", "HypothesisDerived(0)", "same-statement hypothesis",
+            "HypothesisDerived(2)", "no zero among 23^2 environments and no certificate rule applies",
+            "HypothesisDerived(0)", "HypothesisDerived(2)",
+        ]
+        assert sorted(compiled) == ["q*r", "q*r", "q*r + 7", "q*r + 7", "q^2", "q^2"]
+        blocks = residues.count("q*r + 7")
+        assert blocks > 1 and sorted(residues) == ["q*r"] * blocks + ["q*r + 7"] * blocks + ["q^2"] * blocks
+
+
 class TestZeroWitness:
     def test_plain_variable(self):
         assert find_zero_witness(parse_term("x")) == {"x": Fraction(0)}
