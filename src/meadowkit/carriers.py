@@ -11,13 +11,14 @@ over GF(p) with p below 256 it is a `bytes` object, one byte per row,
 and otherwise a `list`.  An operation accepts any sequence of elements
 (a `list`, `bytes` or a `range`) and returns a column of its carrier's
 type.  Over GF(p) below 256, negation and the inverse map a column
-through one `bytes.translate` table each.  Below LANE_LIMIT a sum and a
-product are a few C-level passes over byte lanes, one byte per row: a
-sum adds two columns read as little-endian integers, where no lane
-carries into the next, and reduces each lane by one `translate`; a
-product adds discrete logarithms the same way and maps each lane sum
-back through an exponential table.  Every other operation, and a power
-always, is computed row by row.
+through one `bytes.translate` table each, and a power over more rows
+than p through a table of its p values, made for the call.  Below
+LANE_LIMIT a sum and a product are a few C-level passes over byte
+lanes, one byte per row: a sum adds two columns read as little-endian
+integers, where no lane carries into the next, and reduces each lane by
+one `translate`; a product adds discrete logarithms the same way and
+maps each lane sum back through an exponential table.  Every other
+operation, and a power over at most p rows, is computed row by row.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ class Ops(NamedTuple):
     `column` makes a column from a sequence of elements:
     `bytes` over GF(p) with p below 256, else `list`.  Operands are not
     checked: they were checked where they entered.  Over GF(p) with p
-    below 256, negation and the inverse, and below LANE_LIMIT a sum and
-    a product too, are a few C-level passes over the column, one byte
-    lane per row (`_byte_ops`)."""
+    below 256, negation, the inverse and a power over more than p rows,
+    and below LANE_LIMIT a sum and a product too, are a few C-level
+    passes over the column, one byte lane per row (`_byte_ops`)."""
 
     add: Callable
     mul: Callable
@@ -321,14 +322,22 @@ def _byte_ops(p: int, rows: Ops) -> dict:
     lane through a function of its byte: negation and the inverse, and
     below LANE_LIMIT a sum and a product too.  Read as a little-endian
     integer, two columns add lane by lane in one C-level addition, as no
-    lane sum carries.  The other operations run `rows` and pack the
-    results into bytes."""
+    lane sum carries.  A power x^n over more rows than p maps them
+    through a table of the p values x^n, made for the call.  The other
+    operations, and a power over at most p rows, run `rows` and pack the
+    results into bytes, so a one-row power makes one `pow`."""
     neg = bytes(-x % p for x in range(256))
     inv = bytes(pow(x, -1, p) if 0 < x < p else 0 for x in range(256))
+
+    def power(xs, n, errors):
+        if len(xs) <= p:  # no more rows than a table of every x^n
+            return bytes(rows.power(xs, n, errors))
+        return bytes(xs).translate(bytes(rows.power(range(p), n, errors)).ljust(256, b"\0"))
+
     ops = {
         "neg": lambda xs: bytes(xs).translate(neg),
         "inv_total": lambda xs: bytes(xs).translate(inv),
-        "power": lambda xs, n, errors: bytes(rows.power(xs, n, errors)),
+        "power": power,
         "column": bytes,
     }
     if p >= LANE_LIMIT:

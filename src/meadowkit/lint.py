@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env
+from . import semantics
+from .carriers import RATIONALS, PowerBoundError, PrimeField, format_env, keep
 from .parser import ParseError, parse_formula
 from .printer import print_term
 from .semantics import (
-    Mode, StructureSpec, compile_term, eval_total, product_blocks, select_rows, zero_rows,
+    Mode, StructureSpec, block_sizes, compile_term, eval_total, product_blocks, select_rows, zero_rows,
 )
 from .terms import (
     Add,
@@ -217,23 +218,26 @@ class Certificate:
 class Fact:
     """A term known to be nonzero, recorded from a hypothesis statement.
 
-    Its canonical key and free names are computed once, when it is recorded.
+    Its canonical key, its free names and whether it has a power, which
+    may raise, are computed once, when it is recorded.
     """
 
     term: Term
     statement: int
     key: str = field(init=False, repr=False, compare=False)
     names: frozenset = field(init=False, repr=False, compare=False)
+    powers: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "key", canonical_key(self.term))
         object.__setattr__(self, "names", free_vars(self.term))
+        object.__setattr__(self, "powers", _contains(self.term, (Pow,)))
 
     @functools.cached_property
     def zero_test(self):
-        """The term's `_zero_test`, built at its first witness search and
+        """The term's `_ZeroTest`, built at its first witness search and
         shared by the later ones: a fact lives for one `lint()` run."""
-        return _zero_test(self.term)
+        return _ZeroTest(self.term)
 
 
 def constant_fold(t: Term) -> Fraction | None:
@@ -318,44 +322,116 @@ _WITNESS_VALUES = tuple(sorted(
 WITNESS_MAX_VARS = 3
 
 
-#: The witness search's prefilter computes modulo this prime, where 0^-1
-#: is punched.  It is the largest prime below 2^30, so a residue is an int
-#: of one 30-bit digit, on CPython's fast paths for small ints.  2 and 3
-#: are primitive roots mod _P, so the powers of the witness values +-1/4,
-#: +-1/2, +-2 and +-4 do not cycle through a few residues, as they do mod
-#: 2^61 - 1, where 2 has order 61.
+#: The witness search's second tier computes modulo this prime, where
+#: 0^-1 is punched.  It is the largest prime below 2^30, so a residue is
+#: an int of one 30-bit digit, on CPython's fast paths for small ints.  2
+#: and 3 are primitive roots mod _P, so the powers of the witness values
+#: +-1/4, +-1/2, +-2 and +-4 do not cycle through a few residues, as they
+#: do mod 2^61 - 1, where 2 has order 61.
 _P = 1_073_741_789
+#: The witness search's first tier computes modulo this prime, where 0^-1
+#: is punched.  It is the largest prime below carriers.LANE_LIMIT, so a
+#: sum and a product are a few C-level passes over a byte block.
+_LANE_P = 61
 _MODULAR = StructureSpec(PrimeField(_P), Mode.PUNCH_INV0)
-#: Each witness value n/d as its residue n * d^-1 mod _P, and back.
+_LANES = StructureSpec(PrimeField(_LANE_P), Mode.PUNCH_INV0)
+#: Each witness value n/d as its residue n * d^-1 mod _P, by its index.
 _RESIDUES = tuple(v.numerator * pow(v.denominator, -1, _P) % _P for v in _WITNESS_VALUES)
-_FROM_RESIDUE = dict(zip(_RESIDUES, _WITNESS_VALUES))
+#: A translate table from each witness value's index to its residue mod _LANE_P.
+_LANE_RESIDUES = bytes(
+    v.numerator * pow(v.denominator, -1, _LANE_P) % _LANE_P for v in _WITNESS_VALUES
+).ljust(256, b"\0")
 
 
-def _zero_test(t: Term):
-    """The two halves of a test of where t is zero, on a frame of residues:
-    `residue(frame, rows)` gives the rows among `rows` where t's residue
-    is zero or an inverse met a zero residue (elsewhere t is nonzero), and
-    `exact(frame, rows, errors)` those of its rows where t's exact value
-    is zero or raises, each error put in `errors` by its row.  Only the
-    exact half raises, on a power over the size bound."""
-    modular, rational = compile_term(to_inversive(t), _MODULAR), compile_term(t, _TOTAL_RATIONALS)
+def _maybe_zero(fn, frame, rows) -> list:
+    """The rows among `rows` where the compiled term fn is zero or an
+    inverse met a zero, on `frame`, a frame of those rows."""
+    maybe = {}  # the rows that met the inverse of a zero, then zero ones
+    maybe.update(dict.fromkeys(zero_rows(fn(frame, len(rows), maybe))))
+    return [rows[j] for j in sorted(maybe)]
 
-    def residue(frame, rows) -> list:
-        maybe = {}  # the rows that met the inverse of a zero residue, then zero ones
-        maybe.update(dict.fromkeys(zero_rows(modular(select_rows(frame, rows), len(rows), maybe))))
-        return [rows[j] for j in sorted(maybe)]
 
-    def exact(frame, rows, errors) -> set:
+class _ZeroTest:
+    """A test of where a term t is zero on a block of the witness grid,
+    in three tiers, each on ascending rows of the block: `lanes`, t's
+    residue mod _LANE_P, and `residue`, mod _P, give the rows where it is
+    zero or an inverse met a zero residue (elsewhere t is nonzero), and
+    `exact` those where t's exact value is zero or raises.  The first
+    tier is compiled with the test, the other two at their first use."""
+
+    def __init__(self, t: Term):
+        self.term, self.inversive = t, to_inversive(t)
+        self.byte = compile_term(self.inversive, _LANES)
+
+    @functools.cached_property
+    def modular(self):
+        return compile_term(self.inversive, _MODULAR)
+
+    @functools.cached_property
+    def rational(self):
+        return compile_term(self.term, _TOTAL_RATIONALS)
+
+    def lanes(self, frame, rows) -> list:
+        """Tier 1, on `frame`, the block's residues mod _LANE_P."""
+        return _maybe_zero(self.byte, select_rows(frame, rows), rows) if rows else []
+
+    def residue(self, grid, rows) -> list:
+        """Tier 2, on `grid`, the block's value indices."""
+        if not rows:
+            return []
+        return _maybe_zero(self.modular, {name: [_RESIDUES[column[i]] for i in rows]
+                                          for name, column in grid.items()}, rows)
+
+    def exact(self, grid, rows, errors) -> set:
+        """Tier 3, on `grid`: each error is put in `errors` by its row.
+        Only this tier raises, on a power over the size bound."""
         if not rows:
             return set()
         raised = {}
-        values = rational({name: [_FROM_RESIDUE[column[i]] for i in rows] for name, column in frame.items()},
-                          len(rows), raised)
+        values = self.rational({name: [_WITNESS_VALUES[column[i]] for i in rows] for name, column in grid.items()},
+                               len(rows), raised)
         for j, error in raised.items():  # a row that raises is decided, as a zero is
             errors[rows[j]], values[j] = error, 0
         return {i for i, v in zip(rows, values) if not v}
 
-    return residue, exact
+
+#: The witness grid by (number of names, BLOCK), the last CACHE_BOUND built (`_grid`).
+_GRIDS: dict = {}
+
+
+def _grid(k: int) -> list:
+    """The witness grid of k names: the rows of itertools.product over
+    the indices of the witness values, in byte blocks of 64, 128, ...,
+    BLOCK, BLOCK, ... rows (`product_blocks`), each as (its columns of
+    value indices, one per name, their residues mod _LANE_P, its number
+    of rows).  A search's first rows are the likeliest to stop it, and a
+    small block costs little.  Kept while among the last CACHE_BOUND
+    built (`carriers.keep`)."""
+    key = k, semantics.BLOCK
+    blocks = _GRIDS.get(key)
+    if blocks is None:
+        blocks = [(tuple(columns.values()), tuple(c.translate(_LANE_RESIDUES) for c in columns.values()), n)
+                  for columns, n in product_blocks(range(len(_WITNESS_VALUES)), range(k), bytes, 64)]
+        keep(_GRIDS, key, blocks)
+    return blocks
+
+
+def _chunks(test: _ZeroTest, names, every_row: bool):
+    """The witness grid of the names (`_grid`) as (a block's value
+    indices by name, their residues mod _LANE_P, rows of the block): the
+    rows t's first tier leaves on the whole block, or every row if
+    `every_row`, in chunks of 1, 2, 4, ... rows (`block_sizes`).  The
+    rows the first tier leaves are mostly zeros, so a search that stops
+    at the first computes few rows past it."""
+    sizes = block_sizes(list, 1)
+    for columns, lanes, n in _grid(len(names)):
+        grid, frame = dict(zip(names, columns)), dict(zip(names, lanes))
+        rows = range(n) if every_row else test.lanes(frame, range(n))
+        start = 0
+        while start < len(rows):
+            size = next(sizes)
+            yield grid, frame, rows[start:start + size]
+            start += size
 
 
 def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
@@ -369,49 +445,55 @@ def find_zero_witness(t: Term, nonzero=(), extra_vars=()):
     fact brings its own zero test (`Fact.zero_test`), so the searches of
     one `lint()` run compile each fact once.
 
-    Each term is computed first modulo the prime P = _P, on the residues
-    of the values, with 0^-1 punched; its exact rational value is
-    computed only where that residue is zero or an inverse met a zero
-    residue.
-    This decides exactly as exact evaluation alone, for any prime P that
-    divides no searched denominator (1 to 4): the rationals whose
-    denominators are prime to P, which hold every searched value and
-    every literal, map onto GF(P) by a ring homomorphism, and an exact
-    value the prefilter inverts has a nonzero residue, so it is a unit of
-    that ring too; hence a nonzero residue proves a nonzero exact value.
+    The search runs on a grid of the values' indices, in byte blocks
+    (`_grid`), and each term in three tiers (`_ZeroTest`): its residue
+    modulo _LANE_P = 61, in byte lanes; then, where that residue is zero
+    or an inverse met a zero residue, its residue modulo P = _P; then,
+    where that one is too, its exact rational value.  Each residue has
+    0^-1 punched.  This decides exactly as exact evaluation alone, for
+    any prime that divides no searched denominator (1 to 4): the
+    rationals whose denominators are prime to it, which hold every
+    searched value and every literal, map onto its field by a ring
+    homomorphism, and an exact value the tier inverts has a nonzero
+    residue, so it is a unit of that ring too; hence a nonzero residue
+    proves a nonzero exact value.
 
-    Each block runs in one pass: t's residues; the terms of `nonzero` in
-    order, each on the rows the ones before it leave (where t may be
-    zero, or every row if one has a power, which may raise); then t's
-    exact value where it may be zero on the rows left.  One loop runs the
-    blocks, as `semantics.verify_axiom_spec` does.  A power over the size
-    bound raises `PowerBoundError` where a row-by-row search with the same
-    prefilter would: at the first row that meets it, unless a zero comes
-    before.  Which rows get an exact check depends on P, so such a search
-    may end on the bound under one prime and be decided under another.
+    t's first tier runs on whole byte blocks, and the rows it leaves go
+    on in chunks (`_chunks`), each in one pass: t's second tier; the
+    terms of `nonzero` in order, each through its three tiers on the rows
+    the ones before it leave (where t may be zero); then t's exact value
+    where it may be zero on the rows left.  If a term of `nonzero` has a
+    power, which may raise, every row goes on, t's first tier runs on
+    each chunk and the terms of `nonzero` on every row of it.  A power
+    over the size bound raises `PowerBoundError` where a row-by-row search
+    with the same tiers would: at the first row that meets it, unless a
+    zero comes before.  Which rows get an exact check depends on the
+    primes, so such a search may end on the bound under one prime and be
+    decided under another.
     """
     names = sorted(free_vars(t) | set(extra_vars))
     if len(names) > WITNESS_MAX_VARS:
         return None
-    residue, exact = _zero_test(t)
-    facts = [u.zero_test if type(u) is Fact else _zero_test(u) for u in nonzero]
+    test = _ZeroTest(t)
+    facts = [u.zero_test if type(u) is Fact else _ZeroTest(u) for u in nonzero]
     # exact rational arithmetic raises only in a power over the size bound
-    facts_may_raise = any(_contains(u.term if type(u) is Fact else u, (Pow,)) for u in nonzero)
+    facts_may_raise = any(u.powers if type(u) is Fact else _contains(u, (Pow,)) for u in nonzero)
 
-    for frame, n in product_blocks(_RESIDUES, names, list):
+    for grid, frame, rows in _chunks(test, names, facts_may_raise):
         errors = {}  # the error of each row where a term raises
-        candidates = residue(frame, range(n))
-        rows = range(n) if facts_may_raise else candidates
-        for fact_residue, fact_exact in facts:  # in order, each on the rows the ones before leave
-            decided = fact_exact(frame, fact_residue(frame, rows), errors)
+        candidates = test.residue(grid, test.lanes(frame, rows) if facts_may_raise else rows)
+        if not facts_may_raise:
+            rows = candidates
+        for fact in facts:  # in order, each on the rows the ones before leave
+            decided = fact.exact(grid, fact.residue(grid, fact.lanes(frame, rows)), errors)
             rows = [i for i in rows if i not in decided]
         if facts_may_raise:
             rows = sorted(set(candidates).intersection(rows))
-        i = min(exact(frame, rows, errors), default=None)
+        i = min(test.exact(grid, rows, errors), default=None)
         if errors and (i is None or min(errors) <= i):  # the first error at or before the hit
             raise errors.pop(min(errors))  # popped, so this frame does not keep it
         if i is not None:
-            return {name: _FROM_RESIDUE[column[i]] for name, column in frame.items()}
+            return {name: _WITNESS_VALUES[column[i]] for name, column in grid.items()}
     return None
 
 

@@ -30,7 +30,9 @@ A sweep (an axiom's environments, a quantifier's instances, the lint
 witness search) goes in itertools.product order, in blocks of at most
 BLOCK rows, and raises the error of the first row it meets.  Every
 sweep, and every quantifier's groups, take the block sizes of one
-schedule, `block_sizes(column)`, which follows the column type.
+schedule, `block_sizes(column)`, which follows the column type, or
+doubles from a first size the sweep gives (the lint witness search).
+A byte column's zero rows are found in C (`zero_rows`).
 
 An axiom is a name plus a quantifier-free formula whose free variables
 are read universally; it is compiled once per spec and arithmetic
@@ -134,28 +136,30 @@ def checked_elements(carrier: Carrier, depth: int):
     return values if depth else ()
 
 
-def block_sizes(column):
+def block_sizes(column, first=None):
     """The block sizes of every sweep of columns of the type `column`
     (`carriers.Ops.column`).  Byte columns take whole blocks, BLOCK,
     BLOCK, ... rows, since a row of byte columns costs far less than the
     call that computes a block.  List columns (the rationals, probe sets,
-    GF(p) from 257 up, the lint residues) take 16, 32, ..., BLOCK, BLOCK,
-    ... rows, so a sweep that stops early computes at most about as many
-    rows again, or 16."""
-    size = BLOCK if column is bytes else min(16, BLOCK)
+    GF(p) from 257 up) take 16, 32, ..., BLOCK, BLOCK, ... rows, so a
+    sweep that stops early computes at most about as many rows again, or
+    16.  A sweep that gives `first` starts there and doubles, whatever
+    its columns: lint's witness search, whose first rows are the likeliest
+    to stop it."""
+    size = min(first or (BLOCK if column is bytes else 16), BLOCK)
     while True:
         yield size
         size = min(2 * size, BLOCK)
 
 
-def product_blocks(values, names, column):
+def product_blocks(values, names, column, first=None):
     """The rows of itertools.product(values, repeat=len(names)) in blocks,
     each as (its frame, its number of rows): the j-th name's column is
     the j-th coordinate.  Each frame column is made by the column type
     `column` (`carriers.Ops.column`) from slices of the sequence `values`
     and repeated, so no sweep over GF(p) below 256 builds a list of
     elements, and a range of more values than a block is never built
-    whole.  The blocks take `block_sizes(column)`.  Nothing is cached
+    whole.  The blocks take `block_sizes(column, first)`.  Nothing is cached
     here: a caller that sweeps one frame again keeps it, as
     `CompiledLaw.block` does."""
     k, m = len(names), len(values)
@@ -164,7 +168,7 @@ def product_blocks(values, names, column):
         values = column(values)
     runs = [m ** (k - 1 - j) for j in range(k)]  # the j-th coordinate changes every runs[j] rows
     periods = [stretch(values, run) if m * run <= BLOCK else None for run in runs]
-    for size in block_sizes(column):
+    for size in block_sizes(column, first):
         if start == total:
             return
         stop = min(start + size, total)
@@ -174,9 +178,14 @@ def product_blocks(values, names, column):
 
 
 def stretch(values, run: int):
-    """Each value of a column `run` times in a row, as a column of its type."""
+    """Each value of a column `run` times in a row, as a column of its
+    type: a byte column in one `b"".join` of the repeated one-byte
+    slices, a list by adding them in place, which is the faster of the
+    two for lists."""
     if run == 1:
         return values
+    if type(values) is bytes:
+        return b"".join([values[i:i + 1] * run for i in range(len(values))])
     return functools.reduce(operator.iadd, [values[i:i + 1] * run for i in range(len(values))], values[:0])
 
 
@@ -225,9 +234,27 @@ def row_frame(names, env, carrier: Carrier) -> dict:
 # undefined-row map) to a column.
 
 
+#: A byte translate table: 1 for the byte 0, else 0.
+_IS_ZERO = bytes([1]) + bytes(255)
+
+
 def zero_rows(xs):
-    """The indices of the zero values of a column."""
+    """The indices of the zero values of a column, ascending.  A byte
+    column is read in C: where at most one row in eight is zero, by
+    `bytes.find` from one zero to the next, else through a mask that
+    `translate` makes; another column is read value by value."""
+    if type(xs) is bytes:
+        if 8 * xs.count(0) <= len(xs):
+            return _found_zeros(xs)
+        return itertools.compress(itertools.count(), xs.translate(_IS_ZERO))
     return itertools.compress(itertools.count(), map(operator.not_, xs))
+
+
+def _found_zeros(xs: bytes):
+    i = xs.find(0)
+    while i != -1:
+        yield i
+        i = xs.find(0, i + 1)
 
 
 def _variable(name):

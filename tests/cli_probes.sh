@@ -51,6 +51,9 @@ expect 0 axioms --carrier gf13
 test "$(grep -c '^PASS ' "$tmp/out")" -eq 15
 expect 0 axioms --carrier gf17
 test "$(grep -c '^PASS ' "$tmp/out")" -eq 15
+# a lint witness past BLOCK rows of the witness grid (row 4,232 of 23^3)
+expect 4 lint --convention division corpora/witness_past_block.mcorpus
+grep -qxF "statement=1 pos=0 guarded=(3*x - 2)*(y*y + z*z + 1) verdict=VIOLATION detail=x=2/3,y=0,z=0" "$tmp/out"
 # a witness past the first whole block of a byte sweep (4,913 rows over GF(17))
 expect 4 axioms --carrier gf17 --extra "x != 15 | y + z != 0"
 grep -qx "FAIL axiom=x != 15 | y + z != 0 samples=4336 witness=x=15,y=0,z=0" "$tmp/out"

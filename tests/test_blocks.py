@@ -19,7 +19,7 @@ from generators import (
     random_term,
 )
 from oracle import oracle_formula, oracle_term
-from meadowkit import logic, semantics
+from meadowkit import lint, logic, semantics
 from meadowkit.carriers import RATIONALS, PowerBoundError, PrimeField
 from meadowkit.cli import main
 from meadowkit.lint import find_zero_witness
@@ -328,9 +328,16 @@ class TestProductBlocks:
 class TestWitnessSweep:
     def test_agrees_with_the_exact_sweep(self, block):
         rng = random.Random(40 + block)
+        guards = []
         for _ in range(30):
             names = NAMES[: rng.choice((1, 2))]
-            t = random_term(rng, 3, names)
+            guards.append((random_term(rng, 3, names), names))
+        # three names, whose 23^3 rows span several byte blocks of the witness grid
+        guards += [(parse_term(f"{print_term(random_term(rng, 2, NAMES))} + x*y*z"), NAMES) for _ in range(6)]
+        guards.append((parse_term("(3*x - 2)*(y*y + z*z + 1)"), NAMES))  # first zero at row 4232
+        sizes = [n for *_, n in lint._grid(3)]  # the witness grid follows BLOCK
+        assert (sizes[0], max(sizes), sum(sizes)) == (min(64, block), block, 23**3)
+        for t, names in guards:
             nonzero = [random_term(rng, 2, names) for _ in range(rng.randint(0, 2))]
             extra = set().union(*map(free_vars, nonzero))
             expected = _exact_sweep(t, nonzero, sorted(free_vars(t) | extra))

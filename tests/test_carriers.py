@@ -246,6 +246,14 @@ class TestPrimeField:
             got = apply_ops(ops, xs, ys, 3)
             assert {name: column_of(bytes, column) for name, column in got.items()} == per_row(p, xs, ys, 3)
 
+    @pytest.mark.parametrize("p", [p for p in range(256) if _is_prime(p)])
+    def test_byte_power_by_table_matches_its_row_by_row_definition(self, p):
+        # more rows than p take the table of the p values x^n, up to p row by row
+        ops = PrimeField(p).ops
+        for xs in (bytes(range(p)) * 3 + bytes([0, p - 1]), range(p), [p - 1, 0, 1]):
+            for n in (0, 1, 2, p - 1, p, 10**9 + 7):
+                assert ops.power(xs, n, {}) == bytes(pow(x, n, p) for x in xs), (xs, n)
+
     @pytest.mark.parametrize("p", [257, 2**61 - 1])
     def test_ops_beyond_a_byte_return_lists(self, p):
         ops = PrimeField(p).ops

@@ -614,6 +614,19 @@ class TestLint:
             "statement=3 pos=0 guarded=x verdict=VIOLATION detail=x=0",
         ]
 
+    @pytest.mark.parametrize("convention", ["division", "inversive", "liberal-division"])
+    def test_witness_past_one_block_corpus(self, capsys, convention):
+        # the first zero, x = 2/3, y = z = 0, is row 8 * 529 = 4232, past BLOCK rows
+        code, out, err = run(
+            capsys, "lint", "--convention", convention, str(CORPORA / "witness_past_block.mcorpus")
+        )
+        assert (code, err) == (4, "")
+        assert out.splitlines() == [
+            "statement=0 pos=0 guarded=x - 1/4 verdict=UNKNOWN detail=same-statement hypothesis",
+            "statement=0 pos=1 guarded=4 verdict=COMPLIANT detail=NonzeroConstant",
+            "statement=1 pos=0 guarded=(3*x - 2)*(y*y + z*z + 1) verdict=VIOLATION detail=x=2/3,y=0,z=0",
+        ]
+
     def test_module_entry_point(self):
         # `python -m meadowkit` runs the CLI, as in the CI lint step
         src = Path(__file__).resolve().parent.parent / "src"

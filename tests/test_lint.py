@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from generators import random_rational, random_term
-from meadowkit.carriers import RATIONALS
+from meadowkit.carriers import LANE_LIMIT, RATIONALS
 from meadowkit.lint import (
+    _LANE_P,
+    _LANES,
     _P,
     _RESIDUES,
     _WITNESS_VALUES,
@@ -170,8 +172,10 @@ class TestCertificateCost:
 
 class TestFactCompiles:
     def test_a_fact_compiles_once_per_run(self, monkeypatch):
-        # each claim's search keeps the fact q nonzero; its two closures,
-        # modular and exact, are built at the first search only
+        # each claim's search keeps the fact q nonzero; its three closures,
+        # one per tier of its zero test, are each built once: the first at
+        # the first search, the other two at the first search whose rows
+        # reach them (q*q - q, whose first zero q = 0 the fact skips)
         module = importlib.import_module("meadowkit.lint")
         compiled = []
 
@@ -181,54 +185,61 @@ class TestFactCompiles:
 
         real = module.compile_term
         monkeypatch.setattr(module, "compile_term", counted)
-        guards = ("q - 1", "q + 1", "q - 2", "2*q - 1", "q + 3")
+        guards = ("q - 1", "q + 1", "q*q - q", "q - 2", "2*q - 1", "q*q + q", "q + 3")
         verdicts = lint(corpus("hyp: 1/q = 2", *(f"claim: 1/({g}) = 1" for g in guards)), Convention.DIVISION)
         assert [v.detail() for v in verdicts] == [
-            "same-statement hypothesis", "q=1", "q=-1", "q=2", "q=1/2", "q=-3",
+            "same-statement hypothesis", "q=1", "q=-1", "q=1", "q=2", "q=1/2", "q=-1", "q=-3",
         ]
-        assert compiled.count("q") == 2
-        assert all(compiled.count(g) == 2 for g in guards)
+        assert compiled.count("q") == 3
+        assert all(compiled.count(g) == 3 for g in guards)
         # a new run records its facts anew, and compiles them again
-        lint(corpus("hyp: 1/q = 2", "claim: 1/(q - 1) = 1"), Convention.DIVISION)
-        assert compiled.count("q") == 4
+        lint(corpus("hyp: 1/q = 2", "claim: 1/(q*q - q) = 1"), Convention.DIVISION)
+        assert compiled.count("q") == 6
 
 
 class TestFactDedup:
     def test_one_fact_per_canonical_key(self, monkeypatch):
         # q*r and r*q, q^2 and q*q state two facts: each is compiled once,
-        # and each search block runs one residue test per key, the guard's
-        # own besides; a certificate names the earliest statement
+        # and each chunk of the search runs one residue test per key, the
+        # guard's own besides; a certificate names the earliest statement
         module = importlib.import_module("meadowkit.lint")
-        compiled, residues = [], []
+        compiled, lanes, residues = [], [], []
 
         def counted_compile(t, s):
             compiled.append(print_term(t))
             return real_compile(t, s)
 
-        def counted_test(t):
-            residue, exact = real_test(t)
+        class CountedTest(module._ZeroTest):
+            def lanes(self, frame, rows):
+                lanes.append(print_term(self.term))
+                return super().lanes(frame, rows)
 
-            def counted_residue(frame, rows):
-                residues.append(print_term(t))
-                return residue(frame, rows)
+            def residue(self, grid, rows):
+                residues.append(print_term(self.term))
+                return super().residue(grid, rows)
 
-            return counted_residue, exact
-
-        real_compile, real_test = module.compile_term, module._zero_test
+        real_compile = module.compile_term
         monkeypatch.setattr(module, "compile_term", counted_compile)
-        monkeypatch.setattr(module, "_zero_test", counted_test)
+        monkeypatch.setattr(module, "_ZeroTest", CountedTest)
+        guard = "q*r*(q*r + 7)"  # zero only where the fact q*r is
         verdicts = lint(corpus(
             "hyp: 1/(q*r) = 2", "hyp: 1/(r*q) = 3", "hyp: 1/q^2 = 2", "hyp: 1/(q*q) = 5",
-            "claim: 1/(q*r + 7) = 1", "claim: 1/(r*q) = 1", "claim: 1/(q*q) = 1",
+            f"claim: 1/({guard}) = 1", "claim: 1/(r*q) = 1", "claim: 1/(q*q) = 1",
         ), Convention.DIVISION)
         assert [v.detail() for v in verdicts] == [
             "same-statement hypothesis", "HypothesisDerived(0)", "same-statement hypothesis",
             "HypothesisDerived(2)", "no zero among 23^2 environments and no certificate rule applies",
             "HypothesisDerived(0)", "HypothesisDerived(2)",
         ]
-        assert sorted(compiled) == ["q*r", "q*r", "q*r + 7", "q*r + 7", "q^2", "q^2"]
-        blocks = residues.count("q*r + 7")
-        assert blocks > 1 and sorted(residues) == ["q*r"] * blocks + ["q*r + 7"] * blocks + ["q^2"] * blocks
+        # q*r decides every row where the guard may be zero, so the guard's
+        # exact tier and q^2's last two are never built
+        assert sorted(compiled) == ["q*r"] * 3 + [guard] * 2 + ["q^2"]
+        # the guard's first tier runs once per byte block, of which the 23^2 rows take more than one
+        blocks = lanes.count(guard)
+        assert blocks > 1
+        chunks = residues.count(guard)
+        assert chunks > 1 and sorted(residues) == ["q*r"] * chunks + [guard] * chunks + ["q^2"] * chunks
+        assert lanes.count("q*r") == lanes.count("q^2") == chunks
 
 
 class TestZeroWitness:
@@ -486,7 +497,7 @@ class TestCertificatesFirst:
 
 
 def _exact_sweep(t, nonzero, names):
-    """find_zero_witness without the modular prefilter: every term computed
+    """find_zero_witness without its modular tiers: every term computed
     exactly at every environment."""
     target = compile_term(t, TOTAL_Q)
     guards = [compile_term(u, TOTAL_Q) for u in nonzero]
@@ -497,7 +508,7 @@ def _exact_sweep(t, nonzero, names):
     return None
 
 
-#: The prefilter's modulus: its residue is 0 while its exact value is not.
+#: The second tier's modulus: its residue is 0 while its exact value is not.
 P = _P
 
 
@@ -553,6 +564,51 @@ class TestModularPrefilter:
         )
         assert verdicts[-1].kind is VerdictKind.UNKNOWN
         assert verdicts[-1].reason.startswith("no zero among 23^1 environments")
+
+
+class TestLanePrefilter:
+    """The first tier, mod _LANE_P = 61, twins of the tests above: its
+    zero residues of nonzero values go on to the second tier, mod P."""
+
+    def test_the_prime(self):
+        # the largest prime below LANE_LIMIT, so its sums and products run in
+        # byte lanes; it divides no searched denominator
+        assert _LANE_P == max(p for p in range(LANE_LIMIT) if _prime_factors(p) == {p})
+        assert all(v.denominator % _LANE_P for v in _WITNESS_VALUES)
+        assert _LANES.carrier.ops.column is bytes
+
+    def test_zero_residue_of_a_nonzero_value(self):
+        # 61 and 61^-1 * 61 are nonzero over Q, but 61's residue is zero and
+        # 61^-1 is the inverse of a zero residue
+        assert find_zero_witness(parse_term("x + 61")) is None
+        assert find_zero_witness(parse_term("x"), nonzero=[parse_term("61")]) == {"x": 0}
+        assert find_zero_witness(parse_term("x + 61^-1*61 - 1")) == {"x": 0}
+        v = lint(corpus("claim: 1/(x + 61^-1*61 - 1) = 1"), Convention.DIVISION)[0]
+        assert v.kind is VerdictKind.VIOLATION and v.witness == {"x": 0}
+
+    def test_fact_with_a_zero_residue_still_skips(self):
+        fact = parse_term("q + 61^-1*61 - 1")
+        assert find_zero_witness(parse_term("q"), nonzero=[fact]) is None
+        verdicts = lint(corpus("hyp: 1/(q + 61^-1*61 - 1) = 2", "claim: 1/q = 1"), Convention.DIVISION)
+        assert verdicts[-1].kind is VerdictKind.UNKNOWN
+        assert verdicts[-1].reason.startswith("no zero among 23^1 environments")
+
+    def test_zero_under_both_primes_but_not_exactly(self):
+        # 61*P is zero mod 61 and mod P: every row reaches the exact tier
+        t = parse_term(f"x + {61 * P}")
+        assert find_zero_witness(t) is None
+        assert find_zero_witness(parse_term(f"x*y*z + {61 * P}")) is None
+        assert find_zero_witness(parse_term(f"{61 * P}*x*(y - 1/2)")) == {"x": 0, "y": 0}
+
+    def test_agrees_with_the_exact_sweep_where_the_tiers_disagree(self):
+        # a term times 61 or P is zero in one tier on every row
+        rng = random.Random(17)
+        for _ in range(40):
+            names = ("x", "y")[: rng.choice((1, 2))]
+            t = random_term(rng, 3, names)
+            t = parse_term(f"{rng.choice((61, P, 61 * P))}*({print_term(t)}) + {rng.choice((0, 61, P))}")
+            expected = _exact_sweep(t, [], sorted(free_vars(t)))
+            assert find_zero_witness(t) == expected, t
 
 
 class TestPowerBound:

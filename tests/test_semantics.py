@@ -1,6 +1,7 @@
 import ast
 import gc
 import itertools
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,9 @@ from meadowkit.semantics import (
     eval_partial,
     eval_total,
     row_frame,
+    stretch,
     verify_axiom_spec,
+    zero_rows,
 )
 from meadowkit.terms import One, Var, Zero, free_vars
 
@@ -187,6 +190,30 @@ class TestCompileTerm:
             eval_partial(parse_term("x + 1"), {"x": 5}, gf5)
         with pytest.raises(CarrierMismatchError):
             eval_partial(parse_term("x + 1"), {"x": Fraction(1)}, gf5)
+
+
+class TestZeroRows:
+    @staticmethod
+    def definition(xs):
+        return list(itertools.compress(itertools.count(), map(operator.not_, xs)))
+
+    def test_byte_columns_agree_with_the_definition(self):
+        # sparse zeros are found by bytes.find, dense ones through a mask
+        rng = random.Random(3)
+        columns = [b"", bytes(1), bytes(4096), b"\x00" + bytes([7]) * 99, bytes([7]) * 99 + b"\x00",
+                   b"\x00" + bytes([5]) * 30 + b"\x00", bytes(range(256))]
+        for p in (2, 5, 13, 61, 251):
+            for n in (1, 25, 169, 4096):
+                columns.append(bytes(rng.randrange(p) for _ in range(n)))
+        for xs in columns:
+            assert list(zero_rows(xs)) == self.definition(xs), xs
+            assert list(zero_rows(list(xs))) == self.definition(xs)
+
+    def test_stretch_keeps_the_column_type(self):
+        for values in (bytes(range(13)), list(range(13))):
+            stretched = stretch(values, 3)
+            assert type(stretched) is type(values)
+            assert list(stretched) == [v for v in range(13) for _ in range(3)]
 
 
 def law(text: str) -> AxiomSpec:
